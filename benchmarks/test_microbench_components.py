@@ -168,7 +168,7 @@ def test_simulator_throughput_instrumented(benchmark, network100):
 # -- BENCH_engine.json trajectory artifact --------------------------------
 #
 # Emitted for CI upload: one JSON file recording engine throughput
-# (plain, instrumented, and the legacy heap loop) and suite wall-clock
+# (plain and instrumented) and suite wall-clock
 # at jobs=1 vs jobs=2, each compared against the committed seed baseline
 # in ``benchmarks/baselines/BENCH_engine_seed.json`` so the speedup
 # trajectory is tracked across PRs rather than across one noisy run.
@@ -208,7 +208,6 @@ def test_emit_bench_engine_artifact():
             "instrumented_events_per_sec": (
                 engine["instrumented_events_per_sec"]
             ),
-            "heap_loop_events_per_sec": engine["heap_events_per_sec"],
         },
         "engine_1m": {
             "events": int(

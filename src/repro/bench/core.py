@@ -4,8 +4,8 @@ This formalises the ad-hoc ``BENCH_engine.json`` emitter into a
 subsystem: a :class:`BenchScenario` pins every input the measurement
 depends on (so two results are comparable exactly when their scenarios
 — and hence event counts — match), :func:`run_bench` measures engine
-throughput (plain / instrumented / legacy-heap loops, best-of-N
-rounds) and optionally full-suite throughput per jobs level, and
+throughput (plain and instrumented runs, best-of-N rounds) and
+optionally full-suite throughput per jobs level, and
 :func:`gate_bench` turns a baseline + candidate pair into a pass/fail
 decision with a relative tolerance for machine variance.
 
@@ -68,9 +68,9 @@ class BenchScenario:
     #: 1 = one cooperative group of everything; N > 1 partitions the
     #: caches round-robin into N groups.
     num_groups: int = 1
-    #: ``"all"`` measures the plain, instrumented, and heap loops;
-    #: ``"plain"`` measures only the default loop (used by the large
-    #: scenario, where three full 1M-event sweeps would dominate CI).
+    #: ``"all"`` measures plain and instrumented runs; ``"plain"``
+    #: measures only the plain run (used by the large scenario, where
+    #: extra full 1M-event sweeps would dominate CI).
     measure: str = "all"
 
     def to_dict(self) -> Dict[str, Any]:
@@ -110,7 +110,7 @@ SMALL_SCENARIO = BenchScenario(
 #: 100-cache network split into ten groups, sized so caches warm up and
 #: the loop spends its time in the request hot path rather than cold
 #: misses.  This is the ``plain_events_per_sec`` number the 500k-events/s
-#: target tracks; the heap/instrumented sweeps are skipped
+#: target tracks; the instrumented sweep is skipped
 #: (``measure="plain"``) to keep the CI gate affordable.
 LARGE_SCENARIO = BenchScenario(
     num_caches=100,
@@ -152,7 +152,7 @@ class BenchResult:
     cores: int = 1
     # Run metadata only — the stamp never feeds back into measurement.
     created_unix: float = field(default_factory=time.time)  # repro-lint: allow[sim-wallclock]
-    #: events, plain/instrumented/heap events_per_sec
+    #: events, plain/instrumented events_per_sec
     engine: Dict[str, float] = field(default_factory=dict)
     #: per jobs level: wall_s, events, events_per_sec, events_per_sec_per_core
     suite: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -355,9 +355,9 @@ def run_engine_bench(scenario: BenchScenario) -> Dict[str, float]:
     """Measure event-loop throughput for one scenario.
 
     Returns ``events`` (loop length — the comparability anchor) and
-    best-of-``rounds`` events/s for the default batched loop and — for
-    ``measure="all"`` scenarios — the fully instrumented loop (trace +
-    sampler) and the legacy heap loop.
+    best-of-``rounds`` events/s for a plain run and — for
+    ``measure="all"`` scenarios — a fully instrumented run (trace +
+    sampler).
     """
     from repro.obs import MetricsSampler, Observer, TraceCollector
     from repro.simulator import simulate
@@ -379,13 +379,6 @@ def run_engine_bench(scenario: BenchScenario) -> Dict[str, float]:
     }
     if scenario.measure == "plain":
         return metrics
-    t_heap = _best_of(
-        lambda: simulate(
-            network, grouping, workload, config=config,
-            event_loop="heap",
-        ),
-        scenario.rounds,
-    )
     t_instrumented = _best_of(
         lambda: simulate(
             network, grouping, workload, config=config,
@@ -397,7 +390,6 @@ def run_engine_bench(scenario: BenchScenario) -> Dict[str, float]:
         scenario.rounds,
     )
     metrics["instrumented_events_per_sec"] = events / t_instrumented
-    metrics["heap_events_per_sec"] = events / t_heap
     return metrics
 
 

@@ -1,8 +1,8 @@
 """Interprocedural dimensional analysis: units and time domains.
 
 The reproduction juggles three clocks: the *simulated* millisecond
-clock the engine advances (``EventQueue.now_ms``, event
-``timestamp_ms``, RTTs, ``partition_timeout_ms``), the *host* monotonic
+clock the engine advances (event ``timestamp_ms``, sampler ticks,
+RTTs, ``partition_timeout_ms``), the *host* monotonic
 second clock behind :func:`repro.obs.profiling.perf_seconds` (scheduler
 deadlines, retry backoff, bench timing), and the *unix epoch*
 (``RunManifest.created_unix``).  Nothing in Python stops a seconds

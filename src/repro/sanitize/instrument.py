@@ -4,7 +4,7 @@ Nothing in this module is imported by the runtime's hot paths:
 ``repro.utils.rng`` and ``repro.simulator.events`` do not know the
 sanitizer exists, so a run without ``sanitize()`` pays exactly zero
 overhead.  Entering the context installs the instrumentation by
-patching, and leaving restores every original:
+patching and hook slots, and leaving restores every original:
 
 * ``RngFactory.stream`` — the returned generator is replaced (in the
   factory's stream cache, so it stays identity-stable) by a
@@ -15,9 +15,9 @@ patching, and leaving restores every original:
   acquired the stream.
 * ``RngFactory.fork`` — records one ledger event per fork, so label
   drift in a sweep shows up as a site mismatch, not just downstream.
-* ``EventQueue.pop`` / ``drain_sorted`` — every popped simulation event
-  folds ``(event type, timestamp)`` into a per-phase hash, catching
-  event-order divergence independently of RNG draws.
+* the simulator's column-ledger hook — every simulated event, in
+  merged order, folds ``(event type, timestamp)`` into a per-phase
+  hash, catching event-order divergence independently of RNG draws.
 * ``TestbedCache.get_or_build`` — recording is *suspended* inside cache
   builds: a serial run builds each testbed once and reuses it, while
   every pool worker may rebuild it, so build-time draws legitimately
@@ -66,7 +66,10 @@ _DRAW_METHODS = (
     "noncentral_chisquare", "noncentral_f", "logseries", "bytes",
 )
 
-#: Site used for event-queue pops (one per phase; events carry no label).
+#: Site used for simulated events (one per phase; events carry no
+#: label).  The string names the event queue that used to record
+#: events; it is kept verbatim so ledgers recorded before that queue
+#: was removed still diff cleanly against new ones.
 EVENT_SITE = "repro.simulator.events:EventQueue.pop#event"
 
 
@@ -115,9 +118,6 @@ class SanitizerState:
         self._target = self.ledger
         self._phases: List[str] = []
         self._phase_str = "main"
-        # Per-(target, phase) cached event entry: pops are by far the
-        # hottest record path, so they skip the dict walk entirely.
-        self._event_entry: Optional[Any] = None
 
     # -- phases ------------------------------------------------------
 
@@ -126,7 +126,6 @@ class SanitizerState:
 
     def _phase_changed(self) -> None:
         self._phase_str = "/".join(self._phases) if self._phases else "main"
-        self._event_entry = None
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -146,58 +145,16 @@ class SanitizerState:
     ) -> None:
         self._target.record(self._phase_str, site, draw_digest, stack)
 
-    def record_event(self, event: Any) -> None:
-        entry = self._event_entry
-        if entry is None:
-            entry = self._target.entry(self._phase_str, EVENT_SITE)
-            self._event_entry = entry
-        name = type(event).__name__
-        crc = _TYPE_CRC.get(name)
-        if crc is None:
-            crc = _TYPE_CRC[name] = zlib.crc32(name.encode("ascii"))
-        # hash() of a float is deterministic across processes (only
-        # str/bytes hashing is salted), and far cheaper than repr+crc.
-        entry.record((crc * 1000003) ^ (hash(event.timestamp_ms)
-                                        & _HASH_MASK))
-
-    def record_events(self, events: List[Any]) -> None:
-        """Batch :meth:`record_event` — the drained-loop fast path.
-
-        Folds the whole batch locally and writes the entry back once;
-        identical digest to per-event recording by construction.
-        """
-        if not events:
-            return
-        entry = self._event_entry
-        if entry is None:
-            entry = self._target.entry(self._phase_str, EVENT_SITE)
-            self._event_entry = entry
-        crc_cache = _TYPE_CRC
-        digest = entry.digest
-        for event in events:
-            name = type(event).__name__
-            crc = crc_cache.get(name)
-            if crc is None:
-                crc = crc_cache[name] = zlib.crc32(name.encode("ascii"))
-            draw = (crc * 1000003) ^ (hash(event.timestamp_ms) & _HASH_MASK)
-            digest = (digest * _POLY + draw) & _HASH_MASK
-        entry.digest = digest
-        entry.count += len(events)
-
     def record_event_stream(
         self, pairs: Iterator[Tuple[str, float]]
     ) -> None:
-        """Fold ``(type name, timestamp)`` pairs — the batched loop path.
+        """Fold ``(type name, timestamp)`` pairs in merged event order.
 
-        The batched event loop has no event objects for requests, so it
-        feeds the merged stream as name/timestamp pairs.  The digest is
-        identical to :meth:`record_events` over the event objects the
-        legacy loops would have popped, by construction.
+        The one event-recording path: the kernel and the reference
+        oracle both feed their merged stream through the column-ledger
+        hook, which calls this.
         """
-        entry = self._event_entry
-        if entry is None:
-            entry = self._target.entry(self._phase_str, EVENT_SITE)
-            self._event_entry = entry
+        entry = self._target.entry(self._phase_str, EVENT_SITE)
         crc_cache = _TYPE_CRC
         digest = entry.digest
         count = 0
@@ -205,6 +162,8 @@ class SanitizerState:
             crc = crc_cache.get(name)
             if crc is None:
                 crc = crc_cache[name] = zlib.crc32(name.encode("ascii"))
+            # hash() of a float is deterministic across processes (only
+            # str/bytes hashing is salted), and far cheaper than repr+crc.
             draw = (crc * 1000003) ^ (hash(timestamp_ms) & _HASH_MASK)
             digest = (digest * _POLY + draw) & _HASH_MASK
             count += 1
@@ -333,10 +292,9 @@ class _CaptureBox:
 class _ColumnLedgerHook:
     """Duck-typed hook handed to :mod:`repro.simulator.events`.
 
-    The batched event loop calls ``record_stream`` once per run with
-    the merged (type name, timestamp) stream; gating on the module
-    global keeps suspended sections (testbed-cache builds) out of the
-    ledger, exactly like the queue-pop patches.
+    The engine calls ``record_stream`` once per run with the merged
+    (type name, timestamp) stream; gating on the module global keeps
+    suspended sections (testbed-cache builds) out of the ledger.
     """
 
     def __init__(self, state: SanitizerState) -> None:
@@ -365,7 +323,6 @@ def _install(state: SanitizerState) -> List[_Patch]:
     from repro.runtime import scheduler as scheduler_module
     from repro.runtime.cache import TestbedCache
     from repro.simulator import events as events_module
-    from repro.simulator.events import EventQueue
     from repro.utils.rng import RngFactory
 
     patches: List[_Patch] = []
@@ -400,28 +357,6 @@ def _install(state: SanitizerState) -> List[_Patch]:
 
     patches.append(_Patch(RngFactory, "fork", fork))
 
-    original_pop = EventQueue.pop
-
-    def pop(self: EventQueue) -> Any:
-        event = original_pop(self)
-        active = _ACTIVE
-        if active is not None:
-            active.record_event(event)
-        return event
-
-    patches.append(_Patch(EventQueue, "pop", pop))
-
-    original_drain = EventQueue.drain_sorted
-
-    def drain_sorted(self: EventQueue) -> List[Any]:
-        events = original_drain(self)
-        active = _ACTIVE
-        if active is not None:
-            active.record_events(events)
-        return events
-
-    patches.append(_Patch(EventQueue, "drain_sorted", drain_sorted))
-
     original_get_or_build = TestbedCache.get_or_build
 
     def get_or_build(self: TestbedCache, key: str, build: Any) -> Any:
@@ -438,7 +373,7 @@ def _install(state: SanitizerState) -> List[_Patch]:
     patches.append(
         _Patch(scheduler_module, "_TASK_LEDGER", _TaskLedgerHook(state))
     )
-    # The batched loop's event-stream feed (set_column_ledger is the
+    # The engine's event-stream feed (set_column_ledger is the
     # equivalent public setter).
     patches.append(
         _Patch(events_module, "_COLUMN_LEDGER", _ColumnLedgerHook(state))

@@ -17,7 +17,6 @@ The top-level entry point is :func:`repro.simulator.runner.simulate`.
 from repro.simulator.events import (
     CacheFailEvent,
     CacheRecoverEvent,
-    EventQueue,
     OriginUpdateEvent,
     RequestEvent,
 )
@@ -37,7 +36,6 @@ from repro.simulator.engine import SimulationEngine
 from repro.simulator.runner import SimulationResult, simulate
 
 __all__ = [
-    "EventQueue",
     "RequestEvent",
     "OriginUpdateEvent",
     "CacheFailEvent",

@@ -1,11 +1,10 @@
-"""The data-oriented batched event loop (``event_loop="batched"``).
+"""The data-oriented event kernel behind :meth:`SimulationEngine.run`.
 
-The legacy loops (:mod:`repro.simulator.engine`'s ``"sorted"`` and
-``"heap"`` paths) dispatch one Python event object per step through a
-handler table, paying object construction, method dispatch, and
-per-event metric folds for every request.  This module replaces that
-hot path with a *slice kernel* over :class:`~repro.simulator.events.
-EventColumns`:
+The reference oracle (:func:`repro.simulator.engine.run_reference`)
+dispatches one Python event object per step through a handler table,
+paying object construction, method dispatch, and per-event metric
+folds for every request.  This module replaces that hot path with a
+*slice kernel* over :class:`~repro.simulator.events.EventColumns`:
 
 * Requests live as pre-extracted timestamp/cache/doc columns; no
   ``RequestEvent`` objects exist at all.
@@ -26,15 +25,16 @@ EventColumns`:
   run; instrumented runs buffer trace rows per slice and mirror the
   sampler's next-due tick in a local so observation costs one compare
   per event.
-* Barriers themselves run through the engine's legacy handlers — they
+* Barriers themselves run through the engine's event handlers — they
   are rare, and reusing the exact handler code on the exact shared
   state is what makes divergence structurally impossible there.
 
-The contract — pinned by ``tests/simulator/test_batched_loop.py`` and
-the PR 5 sanitize ledger — is that a batched run is *bit-identical* to
-a ``"sorted"`` run: every metric, trace record, sample, and archived
-figure byte.  Any optimisation that would change a single float
-operation's order does not belong here.
+The contract — pinned by the differential fuzz in
+``tests/simulator/test_batched_loop.py`` and the sanitize ledger — is
+that a kernel run is *bit-identical* to an oracle run: every metric,
+trace record, sample, archived figure byte, and ledger digest.  Any
+optimisation that would change a single float operation's order does
+not belong here.
 
 The inline fast path covers the default ``"utility"`` replacement
 policy and the ``"beacon"``/``"directory"`` protocols; LRU/LFU and
@@ -57,7 +57,7 @@ if TYPE_CHECKING:
     from repro.simulator.engine import SimulationEngine
 
 #: Shared empty holder sequence: the miss path yields it when the
-#: directory has no entry, mirroring the empty list the legacy
+#: directory has no entry, mirroring the empty list the protocol's
 #: comprehension builds.  A tuple (not a list) so the module-level
 #: sharing is immutable by construction — the effect analysis treats
 #: module-level mutable containers as shared state.
@@ -67,7 +67,7 @@ _NO_HOLDERS: Tuple[int, ...] = ()
 def _merged_stream(
     req_ts: list, barriers: tuple, positions: list
 ) -> Iterator[Tuple[str, float]]:
-    """(type name, timestamp) pairs in merged pop order (ledger feed)."""
+    """(type name, timestamp) pairs in merged event order (ledger feed)."""
     lo = 0
     for index, barrier in enumerate(barriers):
         hi = positions[index]
@@ -83,12 +83,12 @@ def run_batched(engine: "SimulationEngine") -> int:
     """Process the engine's event columns; returns the event count.
 
     Mutates the engine's shared state (store, policies, protocol,
-    metrics, observer) exactly as the legacy loops would; the engine's
-    ``run()`` wraps this with the common throughput/conservation
-    postlude.
+    metrics, observer) exactly as the reference oracle would; the
+    engine's ``run()`` wraps this with the common throughput/
+    conservation postlude.
     """
     columns = engine._columns
-    if columns is None or engine._columns_consumed:
+    if engine._columns_consumed:
         return 0
     engine._columns_consumed = True
 
@@ -103,9 +103,9 @@ def run_batched(engine: "SimulationEngine") -> int:
 
     hook = events_module.column_ledger()
     if hook is not None:
-        # Sorted runs record the full drained stream before processing;
-        # feeding the merged columns up front keeps ledger parity even
-        # for runs that fail mid-way.
+        # The whole merged stream is recorded before processing, as
+        # the oracle does, so ledgers agree even for runs that fail
+        # mid-way.
         hook.record_stream(_merged_stream(req_ts, barriers, positions))
 
     # -- shared state, bound to locals -------------------------------
@@ -278,7 +278,7 @@ def run_batched(engine: "SimulationEngine") -> int:
             ):
                 if next_tick <= ts:
                     # Flush every sample boundary preceding this event
-                    # (mirrors the legacy pre-event flush loop).
+                    # (mirrors the oracle's pre-event flush loop).
                     if window_totals:
                         sampler.observe_batch(
                             window_local, window_group, window_origin,
@@ -705,7 +705,7 @@ def run_batched(engine: "SimulationEngine") -> int:
         if barrier_index >= num_barriers:
             break
 
-        # ---- barrier event: legacy handler on the shared state ----
+        # ---- barrier event: engine handler on the shared state ----
         barrier = barriers[barrier_index]
         barrier_index += 1
         barrier_ts = barrier.timestamp_ms

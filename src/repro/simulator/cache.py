@@ -7,10 +7,11 @@ admitted (served pass-through), which matches standard proxy behaviour.
 
 Storage lives in a :class:`repro.simulator.state.CacheStore` — a
 struct-of-records table shared by every cache of a run — and the
-``EdgeCache`` is a thin per-node view over it.  The legacy event loops
-drive caches through the methods below; the batched loop mutates the
-same store records directly (see :mod:`repro.simulator.batched`), so
-both worlds observe identical state through this one API.
+``EdgeCache`` is a thin per-node view over it.  The event handlers and
+the reference oracle drive caches through the methods below; the
+batched kernel mutates the same store records directly (see
+:mod:`repro.simulator.batched`), so both worlds observe identical
+state through this one API.
 """
 
 from __future__ import annotations

@@ -25,12 +25,11 @@ from repro.simulator.events import (
     CacheFailEvent,
     CacheRecoverEvent,
     Event,
-    EventColumns,
-    EventQueue,
     OriginUpdateEvent,
     PartitionEndEvent,
     PartitionStartEvent,
     RequestEvent,
+    column_ledger,
     columns_from_arrays,
 )
 from repro.simulator.group_proto import GroupProtocol, LookupOutcome
@@ -43,13 +42,6 @@ from repro.simulator.state import CacheStore
 from repro.topology.network import EdgeCacheNetwork
 from repro.types import NodeId
 from repro.workload.ibm_synthetic import Workload
-
-#: Event loop used when the caller passes ``event_loop=None``.  The
-#: batched loop (:mod:`repro.simulator.batched`) is bit-identical to
-#: ``"sorted"`` on every metric, trace, and figure — pinned by the
-#: loop-equivalence tests — so it is safe as the default; tests
-#: monkeypatch this constant to pit the loops against each other.
-DEFAULT_EVENT_LOOP = "batched"
 
 #: Cumulative events processed by every engine run in this process.
 #: Updated once per completed run (never inside the hot loop), it lets
@@ -94,17 +86,8 @@ class SimulationEngine:
         group_protocol_mode: str = "beacon",
         failures: Sequence[Union[CacheFailEvent, CacheRecoverEvent]] = (),
         observer: Optional[Observer] = None,
-        event_loop: Optional[str] = None,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
-        if event_loop is None:
-            event_loop = DEFAULT_EVENT_LOOP
-        if event_loop not in ("sorted", "heap", "batched"):
-            raise SimulationError(
-                f"unknown event loop {event_loop!r} "
-                f"(expected 'sorted', 'heap', or 'batched')"
-            )
-        self._event_loop = event_loop
         self._config = config or SimulationConfig()
         # Single gate for all instrumentation: when no instrument is
         # attached the per-event overhead is one cached boolean check.
@@ -175,42 +158,23 @@ class SimulationEngine:
             for node in network.cache_nodes
         }
 
-        self._events = EventQueue()
-        self._columns: Optional[EventColumns] = None
-        self._columns_consumed = False
-        if event_loop == "batched":
-            # Columnar request stream: no RequestEvent objects at all.
-            # The membership check matches the legacy per-push check,
-            # reporting the first offender in workload order.
-            req_ts, req_cache, req_doc = workload.request_columns()
-            if req_cache.size:
-                member = np.isin(
-                    req_cache,
-                    np.fromiter(self._caches, dtype=np.int64),
+        # Columnar request stream: no RequestEvent objects at all.
+        # The membership check reports the first offender in workload
+        # order.
+        req_ts, req_cache, req_doc = workload.request_columns()
+        if req_cache.size:
+            member = np.isin(
+                req_cache, np.fromiter(self._caches, dtype=np.int64)
+            )
+            if not member.all():
+                bad = int(req_cache[int(np.argmax(~member))])
+                raise SimulationError(
+                    f"request targets cache {bad} which is "
+                    f"not in the network"
                 )
-                if not member.all():
-                    bad = int(req_cache[int(np.argmax(~member))])
-                    raise SimulationError(
-                        f"request targets cache {bad} which is "
-                        f"not in the network"
-                    )
-        else:
-            for request in workload.requests:
-                if request.cache_node not in self._caches:
-                    raise SimulationError(
-                        f"request targets cache {request.cache_node} "
-                        f"which is not in the network"
-                    )
-                self._events.push(
-                    RequestEvent(
-                        timestamp_ms=request.timestamp_ms,
-                        cache_node=request.cache_node,
-                        doc_id=request.doc_id,
-                    )
-                )
-        # Barrier events, in legacy push order (updates, failures,
-        # faults) so the columns' stable timestamp sort reproduces the
-        # queue's insertion-sequence tie-break.
+        # Barrier events in push order (updates, failures, faults): the
+        # columns' stable timestamp sort and the oracle's push-index
+        # tie-break both read this order.
         barrier_events: List[Event] = []
         for update in workload.updates:
             barrier_events.append(
@@ -245,13 +209,11 @@ class SimulationEngine:
                         f"{fault_event.cache_node}"
                     )
                 barrier_events.append(fault_event)
-        if event_loop == "batched":
-            self._columns = columns_from_arrays(
-                req_ts, req_cache, req_doc, barrier_events
-            )
-        else:
-            for event in barrier_events:
-                self._events.push(event)
+        self._barrier_events = tuple(barrier_events)
+        self._columns = columns_from_arrays(
+            req_ts, req_cache, req_doc, barrier_events
+        )
+        self._columns_consumed = False
 
         total_requests = len(workload.requests)
         self._warmup_remaining = int(
@@ -295,24 +257,17 @@ class SimulationEngine:
     def run(self) -> SimulationMetrics:
         """Process every event; returns the collected metrics.
 
-        The default ``"batched"`` path (see :mod:`repro.simulator.
-        batched`) runs the columnar slice kernel — no event objects for
-        requests at all.  ``"sorted"`` pre-merges the request, update,
-        and failure streams into one timestamp-sorted array — valid
-        because every event is known up front and nothing is ever
-        scheduled into the future — and dispatches through the per-type
-        handler table.  ``"heap"`` keeps the classic per-event ``heapq``
-        pop.  All three orders are identical by construction
-        (regression-tested bit-for-bit); the legacy paths remain as the
-        measurement baseline and paranoia fallback.
+        Runs the columnar slice kernel (:mod:`repro.simulator.batched`)
+        — no event objects for requests at all.  Every event is known
+        up front and nothing is ever scheduled into the future, which
+        is what lets the kernel pre-merge the streams.  The per-event
+        :func:`run_reference` oracle pins the kernel bit-for-bit in
+        the tests.
         """
         # Wall clock is profiling-only here: it feeds throughput
         # reporting, never event timestamps or simulated behaviour.
         started = perf_seconds()
-        if self._event_loop == "batched":
-            events_processed = run_batched(self)
-        else:
-            events_processed = self._run_event_objects()
+        events_processed = run_batched(self)
         global _EVENTS_TOTAL  # noqa: PLW0603 - merged counter, see absorb_events
         _EVENTS_TOTAL += events_processed
         if self._observer is not NULL_OBSERVER:
@@ -324,39 +279,6 @@ class SimulationEngine:
         if not self._metrics.conservation_holds():
             raise SimulationError("request conservation violated")
         return self._metrics
-
-    def _run_event_objects(self) -> int:
-        """The legacy per-event-object loops ("sorted" and "heap")."""
-        sampler = self._observer.sampler if self._instrumented else None
-        handlers = self._handlers
-        events_processed = 0
-        now = 0.0
-        if self._event_loop == "sorted":
-            pending = iter(self._events.drain_sorted())
-        else:
-            pending = self._heap_order()
-        for event in pending:
-            events_processed += 1
-            now = event.timestamp_ms
-            if sampler is not None:
-                # Flush every sample boundary that precedes this event,
-                # so sample times align with simulated (not host) time.
-                tick = sampler.next_due(now)
-                while tick is not None:
-                    sampler.flush(tick, **self._sample_gauges(tick))
-                    tick = sampler.next_due(now)
-            handler = handlers.get(type(event))
-            if handler is None:  # pragma: no cover - event union is closed
-                raise SimulationError(f"unknown event {event!r}")
-            handler(event)
-        if sampler is not None:
-            sampler.finalize(now, **self._sample_gauges(now))
-        return events_processed
-
-    def _heap_order(self):
-        """Yield events via per-event heap pops (the legacy loop body)."""
-        while self._events:
-            yield self._events.pop()
 
     def _sample_gauges(self, now_ms: float) -> Dict[str, float]:
         """Point-in-time gauges attached to each flushed sample."""
@@ -607,3 +529,55 @@ class SimulationEngine:
             dropped = self.cache(holder).invalidate(event.doc_id)
             if dropped:
                 self._metrics.record_invalidation(holder)
+
+
+def run_reference(engine: SimulationEngine) -> int:
+    """The per-event reference oracle for :func:`run_batched`.
+
+    Same signature and contract as the kernel, built from nothing the
+    kernel uses to order events: one :class:`RequestEvent` per workload
+    request (pushed first) and the engine's barrier events, sorted by
+    the key ``(timestamp, priority, push index)`` and dispatched one by
+    one through the engine's handler table.  Tests swap it in with
+    ``monkeypatch.setattr(repro.simulator.engine, "run_batched",
+    run_reference)`` and require byte-equal results.
+    """
+    if engine._columns_consumed:
+        return 0
+    engine._columns_consumed = True
+    pushed: List[Event] = [
+        RequestEvent(
+            timestamp_ms=request.timestamp_ms,
+            cache_node=request.cache_node,
+            doc_id=request.doc_id,
+        )
+        for request in engine._workload.requests
+    ]
+    pushed.extend(engine._barrier_events)
+    order = sorted(
+        range(len(pushed)),
+        key=lambda i: (pushed[i].timestamp_ms, pushed[i].priority, i),
+    )
+    events = [pushed[i] for i in order]
+    hook = column_ledger()
+    if hook is not None:
+        hook.record_stream(
+            (type(event).__name__, event.timestamp_ms) for event in events
+        )
+
+    sampler = engine._observer.sampler if engine._instrumented else None
+    handlers = engine._handlers
+    now = 0.0
+    for event in events:
+        now = event.timestamp_ms
+        if sampler is not None:
+            # Flush every sample boundary that precedes this event, so
+            # sample times align with simulated (not host) time.
+            tick = sampler.next_due(now)
+            while tick is not None:
+                sampler.flush(tick, **engine._sample_gauges(tick))
+                tick = sampler.next_due(now)
+        handlers[type(event)](event)
+    if sampler is not None:
+        sampler.finalize(now, **engine._sample_gauges(now))
+    return len(events)

@@ -1,4 +1,4 @@
-"""Simulation events and the time-ordered event queue.
+"""Simulation events and their merged, time-ordered columnar form.
 
 Two event kinds drive the simulation, mirroring the paper's setup
 ("caches are driven by request-log files, while the origin server reads
@@ -8,15 +8,14 @@ continuously from an update log file"):
 * :class:`OriginUpdateEvent` — the origin updates a document.
 
 Ties are broken by event priority (updates before requests at the same
-timestamp, so a request sees the freshest state) and then by insertion
+timestamp, so a request sees the freshest state) and then by push
 order, which keeps runs fully deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,96 +99,16 @@ Event = Union[
 ]
 
 
-class EventQueue:
-    """A deterministic min-heap of simulation events.
-
-    Ordering key: ``(timestamp_ms, priority, insertion_sequence)``.
-    Popping never goes backwards in time; pushing an event earlier than
-    the last popped timestamp raises :class:`SimulationError` (the
-    engine never schedules into the past).
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[tuple] = []
-        self._sequence = 0
-        self._last_popped_ms: float = -float("inf")
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, event: Event) -> None:
-        """Insert an event; must not precede the last popped timestamp."""
-        if event.timestamp_ms < 0:
-            raise SimulationError(
-                f"event timestamp must be >= 0, got {event.timestamp_ms}"
-            )
-        if event.timestamp_ms < self._last_popped_ms:
-            raise SimulationError(
-                f"cannot schedule into the past: {event.timestamp_ms} < "
-                f"{self._last_popped_ms}"
-            )
-        heapq.heappush(
-            self._heap,
-            (event.timestamp_ms, event.priority, self._sequence, event),
-        )
-        self._sequence += 1
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        if not self._heap:
-            raise SimulationError("pop from an empty event queue")
-        timestamp, _priority, _seq, event = heapq.heappop(self._heap)
-        self._last_popped_ms = timestamp
-        return event
-
-    def drain_sorted(self) -> List[Event]:
-        """Remove and return *all* events in pop order, in one shot.
-
-        The engine knows every event up front and never schedules into
-        the future, so the per-event heap discipline is pure overhead:
-        one ``sort`` over the ``(timestamp, priority, sequence)`` keys
-        yields exactly the sequence ``pop`` would produce.  Afterwards
-        the queue is empty and ``now_ms`` reports the final timestamp,
-        the same state a pop-until-empty loop leaves behind.
-        """
-        ordered = sorted(self._heap)
-        self._heap.clear()
-        if ordered:
-            self._last_popped_ms = ordered[-1][0]
-        return [entry[3] for entry in ordered]
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next event, or None when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    @property
-    def now_ms(self) -> SimMs:
-        """Timestamp of the most recently popped event (sim clock).
-
-        0.0 until the first pop — including for a queue that has had
-        events pushed but not yet popped — and thereafter the last
-        popped timestamp, even once the queue is exhausted.
-        """
-        if self._last_popped_ms == -float("inf"):
-            return 0.0
-        return self._last_popped_ms
-
-
 @dataclass(frozen=True)
 class EventColumns:
-    """The merged event stream in columnar form (batched loop input).
+    """The merged event stream in columnar form (the kernel's input).
 
     Requests — by far the bulk of any workload — live as three parallel
     numpy columns sorted by timestamp (stable, so ties keep workload
-    order, exactly like the queue's insertion-sequence tie-break).
-    The rare *barrier* events (origin updates, cache failures and
-    recoveries, partition edges — everything with priority 0) stay as
-    ordinary event objects, sorted stably by timestamp in push order.
+    order — the push-order tie-break).  The rare *barrier* events
+    (origin updates, cache failures and recoveries, partition edges —
+    everything with priority 0) stay as ordinary event objects, sorted
+    stably by timestamp in push order.
 
     ``barrier_positions[i]`` is the index of the first request that
     must be processed *after* barrier ``i``: barriers carry priority 0
@@ -206,36 +125,6 @@ class EventColumns:
     barriers: Tuple[Event, ...]
     barrier_positions: np.ndarray
 
-    @property
-    def num_requests(self) -> int:
-        return int(self.req_timestamps.size)
-
-    @property
-    def num_events(self) -> int:
-        return self.num_requests + len(self.barriers)
-
-
-def build_event_columns(
-    requests: Sequence[Any],
-    barrier_events: Sequence[Event],
-) -> EventColumns:
-    """Lower request records plus barrier events to :class:`EventColumns`.
-
-    ``requests`` is the workload's request log (records with
-    ``timestamp_ms``/``cache_node``/``doc_id``, already validated
-    non-negative); ``barrier_events`` must be given in the same order
-    the legacy loop would have pushed them, so the stable timestamp
-    sort reproduces the queue's insertion-sequence tie-break.
-    """
-    req_ts = np.asarray(
-        [r.timestamp_ms for r in requests], dtype=np.float64
-    )
-    req_cache = np.asarray(
-        [r.cache_node for r in requests], dtype=np.int64
-    )
-    req_doc = np.asarray([r.doc_id for r in requests], dtype=np.int64)
-    return columns_from_arrays(req_ts, req_cache, req_doc, barrier_events)
-
 
 def columns_from_arrays(
     req_ts: np.ndarray,
@@ -251,14 +140,16 @@ def columns_from_arrays(
         )
     # Workloads are generated time-sorted; only re-order when a caller
     # hands us a shuffled log (kind="stable" keeps ties in log order,
-    # matching the queue's insertion-sequence tie-break).
+    # the push-order tie-break).
     if req_ts.size and np.any(np.diff(req_ts) < 0):
         order = np.argsort(req_ts, kind="stable")
         req_ts = req_ts[order]
         req_cache = req_cache[order]
         req_doc = req_doc[order]
     for event in barrier_events:
-        if event.timestamp_ms < 0:
+        # Written so NaN fails too: it would compare false everywhere
+        # and land at an arbitrary position in the sorted barriers.
+        if not event.timestamp_ms >= 0:
             raise SimulationError(
                 f"event timestamp must be >= 0, got {event.timestamp_ms}"
             )
@@ -285,11 +176,10 @@ def columns_from_arrays(
 
 #: The event-stream ledger hook installed by ``repro.sanitize``
 #: (duck-typed: ``record_stream(pairs)`` with ``(type_name,
-#: timestamp_ms)`` pairs in merged event order).  The batched loop has
-#: no per-event queue pops to patch, so it feeds the draw ledger
-#: through this hook instead; None — the overwhelmingly common case —
-#: costs one global read per run, and this module never imports the
-#: sanitizer.
+#: timestamp_ms)`` pairs in merged event order).  The kernel and the
+#: reference oracle both feed the draw ledger through this one hook;
+#: None — the overwhelmingly common case — costs one global read per
+#: run, and this module never imports the sanitizer.
 _COLUMN_LEDGER: Optional[Any] = None
 
 

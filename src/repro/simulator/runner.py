@@ -94,15 +94,9 @@ def simulate(
     group_protocol_mode: str = "beacon",
     failures: Sequence = (),
     observer: Optional[Observer] = None,
-    event_loop: Optional[str] = None,
     faults: Optional["FaultSchedule"] = None,
 ) -> SimulationResult:
     """Run the cooperative edge cache network simulation to completion.
-
-    ``event_loop=None`` resolves to
-    :data:`repro.simulator.engine.DEFAULT_EVENT_LOOP` (the batched
-    columnar loop); pass ``"sorted"`` or ``"heap"`` for the legacy
-    per-event-object loops.
 
     >>> from repro.topology import build_network
     >>> from repro.core.groups import singleton_groups
@@ -129,7 +123,6 @@ def simulate(
         group_protocol_mode=group_protocol_mode,
         failures=failures,
         observer=observer,
-        event_loop=event_loop,
         faults=faults,
     )
     metrics = engine.run()

@@ -7,8 +7,8 @@ shared by the whole run, which is what lets the batched event loop
 (:mod:`repro.simulator.batched`) mutate cache state directly — no
 per-document objects, no per-operation method dispatch — while
 :class:`repro.simulator.cache.EdgeCache` stays alive as a thin
-per-node *view* over the same records for the legacy loops and for
-test/analysis inspection.
+per-node *view* over the same records for the event handlers, the
+reference oracle, and test/analysis inspection.
 
 Records are plain lists (not dataclasses) because the batched kernel
 creates one per admitted document on the hot path; index with the

@@ -42,7 +42,7 @@ Ms = float
 #: scheduler timeouts/backoff).
 Seconds = float
 #: An instant or duration on the *simulated* millisecond clock
-#: (``EventQueue.now_ms``, event ``timestamp_ms``, sampler ticks).
+#: (event ``timestamp_ms``, sampler ticks, RTTs).
 SimMs = float
 #: A unix-epoch timestamp in seconds (``RunManifest.created_unix``).
 UnixSeconds = float

@@ -26,8 +26,8 @@ def check_positive(
 def check_non_negative(
     name: str, value: Number, exc: Type[Exception] = ValueError
 ) -> None:
-    """Require ``value >= 0``."""
-    if value < 0:
+    """Require ``value >= 0`` (NaN fails, as in :func:`check_positive`)."""
+    if not value >= 0:
         raise exc(f"{name} must be >= 0, got {value}")
 
 

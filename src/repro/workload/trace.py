@@ -7,13 +7,14 @@ file-driven architecture.  Logs are plain text, one record per line:
 * request log: ``timestamp_ms <TAB> cache_node <TAB> doc_id``
 * update log:  ``timestamp_ms <TAB> doc_id``
 
-Lines starting with ``#`` are comments.  Timestamps must be
-non-decreasing within a file.
+Lines starting with ``#`` are comments.  Timestamps must be finite,
+non-negative, and non-decreasing within a file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 from typing import Iterable, List, Sequence, TextIO, Union
 
@@ -32,9 +33,11 @@ class RequestRecord:
     doc_id: DocumentId
 
     def __post_init__(self) -> None:
-        if self.timestamp_ms < 0:
+        # One chained compare rejects negatives, NaN, and infinity.
+        if not 0 <= self.timestamp_ms < inf:
             raise TraceFormatError(
-                f"request timestamp must be >= 0, got {self.timestamp_ms}"
+                f"request timestamp must be finite and >= 0, "
+                f"got {self.timestamp_ms}"
             )
         if self.cache_node < 1:
             raise TraceFormatError(
@@ -53,9 +56,10 @@ class UpdateRecord:
     doc_id: DocumentId
 
     def __post_init__(self) -> None:
-        if self.timestamp_ms < 0:
+        if not 0 <= self.timestamp_ms < inf:
             raise TraceFormatError(
-                f"update timestamp must be >= 0, got {self.timestamp_ms}"
+                f"update timestamp must be finite and >= 0, "
+                f"got {self.timestamp_ms}"
             )
         if self.doc_id < 0:
             raise TraceFormatError(f"doc_id must be >= 0, got {self.doc_id}")
@@ -95,7 +99,7 @@ def read_request_log(path: PathLike) -> List[RequestRecord]:
                     cache_node=int(fields[1]),
                     doc_id=int(fields[2]),
                 )
-            except ValueError as exc:
+            except (ValueError, TraceFormatError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
             records.append(record)
     _check_sorted([r.timestamp_ms for r in records], f"request log {path}")
@@ -116,7 +120,7 @@ def read_update_log(path: PathLike) -> List[UpdateRecord]:
                     timestamp_ms=float(fields[0]),
                     doc_id=int(fields[1]),
                 )
-            except ValueError as exc:
+            except (ValueError, TraceFormatError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
             records.append(record)
     _check_sorted([r.timestamp_ms for r in records], f"update log {path}")
@@ -133,9 +137,10 @@ def _data_lines(f: TextIO):
 
 
 def _check_sorted(timestamps: Iterable[float], what: str) -> None:
-    previous = -float("inf")
+    previous = -inf
     for i, t in enumerate(timestamps):
-        if t < previous:
+        # Written so a NaN fails rather than silently resetting order.
+        if not t >= previous:
             raise TraceFormatError(
                 f"{what} records out of time order at position {i}: "
                 f"{t} after {previous}"

@@ -50,7 +50,7 @@ class TestScenario:
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
-        result = _result(heap_events_per_sec=40_000.0)
+        result = _result(instrumented_events_per_sec=40_000.0)
         result.suite = {"jobs2": {"wall_s": 5.0, "events_per_sec": 400.0}}
         path = tmp_path / "bench.json"
         save_bench(result, path)
@@ -87,7 +87,7 @@ class TestMeasurement:
     def test_small_scenario_measures_throughput(self):
         result = run_bench(scenario=SMALL_SCENARIO, label="test")
         assert result.engine["events"] > 0
-        for name in ("plain", "instrumented", "heap"):
+        for name in ("plain", "instrumented"):
             assert result.engine[f"{name}_events_per_sec"] > 0
         metrics = result.metrics()
         assert "engine.plain_events_per_sec" in metrics
@@ -141,9 +141,11 @@ class TestGate:
 
     def test_one_sided_metrics_are_skipped_not_gated(self):
         baseline = _result()
-        candidate = _result(label="cand", heap_events_per_sec=40_000.0)
+        candidate = _result(
+            label="cand", instrumented_events_per_sec=40_000.0
+        )
         report = compare_bench(baseline, candidate)
-        assert report.skipped == ("engine.heap_events_per_sec",)
+        assert report.skipped == ("engine.instrumented_events_per_sec",)
         assert [c.name for c in report.checks] == [
             "engine.plain_events_per_sec"
         ]

@@ -53,6 +53,15 @@ class TestScheduleValidation:
         with pytest.raises(SimulationError, match="fault event time"):
             FaultSchedule(crashes=((-1.0, 2),)).validate()
 
+    def test_nan_event_time_rejected(self):
+        with pytest.raises(SimulationError, match="fault event time"):
+            FaultSchedule(crashes=((float("nan"), 2),)).validate()
+
+    def test_nan_partition_start_rejected(self):
+        spec = PartitionSpec(start_ms=float("nan"), end_ms=5.0, nodes=(1,))
+        with pytest.raises(SimulationError, match="start_ms must be >= 0"):
+            FaultSchedule(partitions=(spec,)).validate()
+
     def test_negative_cache_id_rejected(self):
         with pytest.raises(SimulationError, match="cache id"):
             FaultSchedule(recoveries=((5.0, -2),)).validate()

@@ -12,27 +12,49 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.core.groups import groups_from_labels, GroupingResult
-from repro.simulator import EventQueue, RequestEvent, simulate
+from repro.simulator import OriginUpdateEvent, simulate
 from repro.simulator.cache import EdgeCache
+from repro.simulator.events import columns_from_arrays
 from repro.simulator.replacement import make_policy
 from repro.topology import build_network
 from repro.workload import generate_workload
 
 
-class TestEventQueueProperties:
+class TestEventColumnsProperties:
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
             st.floats(min_value=0, max_value=1e6, allow_nan=False),
             min_size=0, max_size=60,
-        )
+        ),
+        st.lists(
+            st.floats(min_value=0, max_value=1e6, allow_nan=False),
+            min_size=0, max_size=10,
+        ),
     )
-    def test_pop_order_non_decreasing(self, times):
-        q = EventQueue()
-        for t in times:
-            q.push(RequestEvent(t, 1, 0))
-        popped = [q.pop().timestamp_ms for _ in range(len(times))]
-        assert popped == sorted(popped)
+    def test_merged_order_non_decreasing(self, times, barrier_times):
+        count = len(times)
+        merged = columns_from_arrays(
+            np.asarray(times, dtype=np.float64),
+            np.ones(count, dtype=np.int64),
+            np.arange(count, dtype=np.int64),
+            [OriginUpdateEvent(t, 0) for t in barrier_times],
+        )
+        requests = merged.req_timestamps.tolist()
+        assert requests == sorted(times)
+        # Stable: requests tied on a timestamp keep their log order.
+        docs = merged.req_docs.tolist()
+        for a, b in zip(docs, docs[1:]):
+            assert times[a] < times[b] or a < b
+        # Each barrier runs after every earlier request and before every
+        # request at or after its own timestamp.
+        stream, lo = [], 0
+        positions = merged.barrier_positions.tolist()
+        for position, barrier in zip(positions, merged.barriers):
+            stream += requests[lo:position] + [barrier.timestamp_ms]
+            lo = position
+        stream += requests[lo:]
+        assert stream == sorted(stream)
 
 
 class TestCacheProperties:

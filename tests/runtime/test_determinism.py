@@ -114,25 +114,3 @@ def get_stats():
     from repro.runtime import get_cache
 
     return get_cache().stats()
-
-
-class TestEngineFastPath:
-    def test_sorted_loop_matches_heap_loop(self):
-        from repro.core.groups import single_group
-        from repro.simulator.runner import simulate
-
-        testbed = build_testbed(25, 3, requests_per_cache=40)
-        grouping = single_group(testbed.network.cache_nodes)
-        fast = simulate(
-            testbed.network, grouping, testbed.workload,
-            event_loop="sorted",
-        )
-        slow = simulate(
-            testbed.network, grouping, testbed.workload,
-            event_loop="heap",
-        )
-        assert fast.average_latency_ms() == slow.average_latency_ms()
-        assert fast.hit_rates() == slow.hit_rates()
-        assert (
-            fast.metrics.latency_p95_ms() == slow.metrics.latency_p95_ms()
-        )

@@ -15,7 +15,7 @@ from repro.sanitize import (
     diff_ledgers,
     sanitize,
 )
-from repro.simulator.events import EventQueue, RequestEvent
+from repro.simulator.events import column_ledger
 from repro.utils.rng import RngFactory
 
 
@@ -88,44 +88,41 @@ class TestLedgerContents:
 
     def test_event_pops_are_recorded(self):
         with sanitize() as state:
-            queue = EventQueue()
-            for t in (3.0, 1.0, 2.0):
-                queue.push(RequestEvent(timestamp_ms=t, cache_node=0,
-                                        doc_id=1))
-            while queue:
-                queue.pop()
+            column_ledger().record_stream(
+                ("RequestEvent", t) for t in (1.0, 2.0, 3.0)
+            )
         [(phase, site, entry)] = list(state.ledger.sites())
         assert site == EVENT_SITE
         assert entry.count == 3
 
     def test_event_order_changes_the_digest(self):
-        def run(times):
+        def run(stream):
             with sanitize() as state:
-                queue = EventQueue()
-                for t in times:
-                    queue.push(RequestEvent(timestamp_ms=t, cache_node=0,
-                                            doc_id=1))
-                drained = queue.drain_sorted()
-            assert len(drained) == len(times)
+                column_ledger().record_stream(iter(stream))
             return state.ledger
 
-        same = diff_ledgers(run([1.0, 2.0]), run([2.0, 1.0]))
-        assert same.clean  # the queue sorts; order in == order out
-        different = diff_ledgers(run([1.0, 2.0]), run([1.0, 3.0]))
-        assert not different.clean
+        update, request = ("OriginUpdateEvent", 1.0), ("RequestEvent", 1.0)
+        same = diff_ledgers(run([update, request]), run([update, request]))
+        assert same.clean
+        swapped = diff_ledgers(run([update, request]), run([request, update]))
+        assert not swapped.clean
+        retimed = diff_ledgers(
+            run([("RequestEvent", 1.0)]), run([("RequestEvent", 3.0)])
+        )
+        assert not retimed.clean
 
 
 class TestLifecycle:
     def test_patches_are_restored_on_exit(self):
-        before = (RngFactory.stream, RngFactory.fork, EventQueue.pop,
-                  EventQueue.drain_sorted)
+        before = (RngFactory.stream, RngFactory.fork)
         with sanitize():
             assert RngFactory.stream is not before[0]
             assert task_ledger() is not None
-        after = (RngFactory.stream, RngFactory.fork, EventQueue.pop,
-                 EventQueue.drain_sorted)
+            assert column_ledger() is not None
+        after = (RngFactory.stream, RngFactory.fork)
         assert before == after
         assert task_ledger() is None
+        assert column_ledger() is None
 
     def test_patches_are_restored_after_an_exception(self):
         before = RngFactory.stream

@@ -1,18 +1,30 @@
-"""Bit-identity of the ``"batched"`` event loop against the legacy loops.
+"""Bit-identity of the event kernel against the reference oracle.
 
-The batched columnar loop (:mod:`repro.simulator.batched`) is a pure
-performance rewrite: every metric, trace record, sample, archived
-figure byte, and sanitize-ledger digest must equal the ``"sorted"``
-loop's exactly — not approximately.  These tests pin that contract
-across replacement policies, protocol modes, consistency modes,
-failures, and partitions, and through the figure/ sanitize layers that
+The columnar slice kernel (:mod:`repro.simulator.batched`) is a pure
+performance rewrite of the per-event oracle
+(:func:`repro.simulator.engine.run_reference`): every metric, trace
+record, sample, archived figure byte, and sanitize-ledger digest must
+equal the oracle's exactly — not approximately.  A fixed matrix of
+hand-picked configurations (plain, faulted, and per protocol mode) and
+a hypothesis differential fuzz over generated combinations of
+replacement policy, consistency, protocol mode, capacity, warm-up,
+failures, partitions, and instrumentation pin that contract; further
+fixed tests carry it through the figure and sanitize layers that
 consume the engine.
+
+Tests run the oracle by swapping it in for the kernel with
+``monkeypatch.setattr(repro.simulator.engine, "run_batched",
+run_reference)``; the engine has no user-facing loop switch.
 """
 
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.simulator.engine as engine_module
 from repro.config import (
     CacheConfig,
     DocumentConfig,
@@ -24,10 +36,9 @@ from repro.faults.schedule import FaultSchedule, PartitionSpec
 from repro.obs import MetricsSampler, Observer, TraceCollector
 from repro.sanitize import diff_ledgers, sanitize
 from repro.simulator import CacheFailEvent, CacheRecoverEvent, simulate
+from repro.simulator.engine import run_reference
 from repro.topology import build_network
 from repro.workload import generate_workload
-
-LOOPS = ("sorted", "heap", "batched")
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +62,50 @@ def testbed():
     return network, workload, grouping
 
 
+def fingerprint(result):
+    """Canonical JSON of every number a run produces (reprs keep bits).
+
+    Moments of an empty latency stream are undefined, so a cache (or a
+    run) with no counted requests contributes its counters only.
+    """
+    metrics = result.metrics
+    rows = []
+    for node in metrics.cache_nodes():
+        stats = metrics.cache_stats(node)
+        latency = stats.latency
+        moments = []
+        if latency.count:
+            moments = [
+                repr(latency.mean), repr(latency.variance),
+                repr(latency.minimum), repr(latency.maximum),
+            ]
+        rows.append([
+            node, stats.local_hits, stats.group_hits,
+            stats.origin_fetches, stats.query_messages, stats.peer_bytes,
+            stats.origin_bytes, stats.invalidations_received,
+            stats.stale_serves, stats.placement_skips,
+            stats.requests_while_down, stats.partition_timeouts,
+            latency.count, *moments,
+        ])
+    totals = [metrics.warmup_skipped, metrics.invalidation_messages]
+    if metrics.total_requests():
+        totals += [
+            repr(metrics.latency_p95_ms()),
+            repr(metrics.average_latency_ms()),
+        ]
+    rows.append(totals)
+    return json.dumps(rows)
+
+
+def kernel_and_oracle(run):
+    """``run()`` once on the kernel, then once with the oracle swapped in."""
+    kernel = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "run_batched", run_reference)
+        oracle = run()
+    return kernel, oracle
+
+
 def faults_for(network, workload):
     horizon = workload.horizon_ms
     nodes = network.cache_nodes
@@ -68,35 +123,6 @@ def faults_for(network, workload):
         ),
     )
     return failures, faults
-
-
-def fingerprint(result):
-    """Canonical JSON of every number a run produces (reprs keep bits)."""
-    metrics = result.metrics
-    rows = []
-    for node in metrics.cache_nodes():
-        stats = metrics.cache_stats(node)
-        latency = stats.latency
-        rows.append([
-            node, stats.local_hits, stats.group_hits,
-            stats.origin_fetches, stats.query_messages, stats.peer_bytes,
-            stats.origin_bytes, stats.invalidations_received,
-            stats.stale_serves, stats.placement_skips,
-            stats.requests_while_down, stats.partition_timeouts,
-            repr(latency.mean), repr(latency.variance),
-            repr(latency.minimum), repr(latency.maximum), latency.count,
-        ])
-    rows.append([
-        metrics.warmup_skipped,
-        metrics.invalidation_messages,
-        repr(metrics.latency_p95_ms()),
-        repr(
-            metrics.average_latency_ms()
-            if metrics.total_requests()
-            else None
-        ),
-    ])
-    return json.dumps(rows)
 
 
 ALL_CONFIGS = [
@@ -132,73 +158,250 @@ ALL_CONFIGS = [
 
 
 class TestMetricsEquivalence:
+    """Hand-picked configurations on a fixed testbed, kernel vs oracle."""
+
     @pytest.mark.parametrize("config", ALL_CONFIGS)
     def test_plain(self, testbed, config):
         network, workload, grouping = testbed
-        prints = {
-            loop: fingerprint(
-                simulate(
-                    network, grouping, workload, config, event_loop=loop
-                )
-            )
-            for loop in LOOPS
-        }
-        assert prints["batched"] == prints["sorted"] == prints["heap"]
+        kernel, oracle = kernel_and_oracle(
+            lambda: fingerprint(simulate(network, grouping, workload, config))
+        )
+        assert kernel == oracle
 
     @pytest.mark.parametrize("config", ALL_CONFIGS)
     def test_with_failures_and_partitions(self, testbed, config):
         network, workload, grouping = testbed
         failures, faults = faults_for(network, workload)
-        prints = {
-            loop: fingerprint(
+        kernel, oracle = kernel_and_oracle(
+            lambda: fingerprint(
                 simulate(
                     network, grouping, workload, config,
-                    failures=failures, faults=faults, event_loop=loop,
+                    failures=failures, faults=faults,
                 )
             )
-            for loop in LOOPS
-        }
-        assert prints["batched"] == prints["sorted"] == prints["heap"]
+        )
+        assert kernel == oracle
 
     @pytest.mark.parametrize(
         "mode", ["beacon", "directory", "multicast"]
     )
     def test_protocol_modes(self, testbed, mode):
         network, workload, grouping = testbed
-        prints = {
-            loop: fingerprint(
+        kernel, oracle = kernel_and_oracle(
+            lambda: fingerprint(
                 simulate(
-                    network, grouping, workload,
-                    group_protocol_mode=mode, event_loop=loop,
+                    network, grouping, workload, group_protocol_mode=mode
                 )
             )
-            for loop in ("sorted", "batched")
-        }
-        assert prints["batched"] == prints["sorted"]
-
-    def test_batched_is_the_default(self, testbed):
-        from repro.simulator.engine import DEFAULT_EVENT_LOOP
-
-        assert DEFAULT_EVENT_LOOP == "batched"
-        network, workload, grouping = testbed
-        default = fingerprint(simulate(network, grouping, workload))
-        explicit = fingerprint(
-            simulate(network, grouping, workload, event_loop="batched")
         )
-        assert default == explicit
+        assert kernel == oracle
 
-    def test_unknown_loop_rejected(self, testbed):
-        from repro.errors import SimulationError
 
-        network, workload, grouping = testbed
-        with pytest.raises(SimulationError, match="unknown event loop"):
-            simulate(
-                network, grouping, workload, event_loop="vectorised"
+# -- the differential fuzz ------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def fuzz_network(num_caches):
+    return build_network(num_caches=num_caches, seed=7)
+
+
+def event_time(data, request_times, horizon):
+    """A fault time: often exactly on a request (barrier-before-request)."""
+    return data.draw(
+        st.one_of(
+            st.sampled_from(request_times),
+            st.floats(0.0, horizon, allow_nan=False, allow_infinity=False),
+        ),
+        label="time",
+    )
+
+
+def draw_scenario(data):
+    """Everything one differential run needs, drawn piece by piece."""
+    network = fuzz_network(
+        data.draw(st.sampled_from([4, 8, 12]), label="caches")
+    )
+    nodes = network.cache_nodes
+    workload = generate_workload(
+        nodes,
+        WorkloadConfig(
+            documents=DocumentConfig(
+                num_documents=data.draw(st.integers(5, 60), label="documents"),
+                dynamic_fraction=data.draw(
+                    st.sampled_from([0.0, 0.3, 0.6, 1.0]), label="dynamic"
+                ),
+            ),
+            requests_per_cache=data.draw(
+                st.integers(3, 40), label="requests per cache"
+            ),
+            # Down to a few ms between updates: slices of a request or
+            # two between barriers.
+            mean_update_interarrival_ms=data.draw(
+                st.sampled_from([5.0, 40.0, 400.0, 5_000.0]),
+                label="update gap ms",
+            ),
+        ),
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+    )
+    num_groups = data.draw(st.integers(1, 4), label="groups")
+    grouping = GroupingResult(
+        scheme="fuzz",
+        groups=groups_from_labels(nodes, [n % num_groups for n in nodes]),
+    )
+
+    consistency = data.draw(
+        st.sampled_from(["invalidate", "ttl", "disabled"]),
+        label="consistency",
+    )
+    config = SimulationConfig(
+        cache=CacheConfig(
+            # The smallest fractions hold only a few documents (or
+            # none), forcing evictions and rejected admissions.
+            capacity_fraction=data.draw(
+                st.sampled_from([0.001, 0.01, 0.05, 0.2, 1.0]),
+                label="capacity",
+            ),
+            replacement_policy=data.draw(
+                st.sampled_from(["utility", "lru", "lfu"]), label="policy"
+            ),
+            cooperative_placement=data.draw(
+                st.booleans(), label="cooperative"
+            ),
+            placement_rtt_threshold_ms=data.draw(
+                st.sampled_from([5.0, 15.0, 60.0]), label="placement rtt"
+            ),
+        ),
+        warmup_fraction=data.draw(
+            st.sampled_from([0.0, 0.1, 0.5]), label="warmup"
+        ),
+        consistency_enabled=consistency != "disabled",
+        consistency_mode="ttl" if consistency == "ttl" else "invalidate",
+        ttl_ms=data.draw(
+            st.sampled_from([50.0, 800.0, 5_000.0]), label="ttl ms"
+        ),
+        origin_queueing=data.draw(st.booleans(), label="queueing"),
+        origin_capacity_rps=data.draw(
+            st.sampled_from([20.0, 200.0]), label="origin rps"
+        ),
+    )
+    protocol = data.draw(
+        st.sampled_from(["beacon", "directory", "multicast"]),
+        label="protocol",
+    )
+
+    request_times = [r.timestamp_ms for r in workload.requests]
+    horizon = workload.horizon_ms
+    failures = []
+    crashes, recoveries = [], []
+    crashed = data.draw(
+        st.lists(st.sampled_from(nodes), unique=True, max_size=3),
+        label="crashed",
+    )
+    for node in crashed:
+        fail_at = event_time(data, request_times, horizon)
+        recover_at = None
+        if data.draw(st.booleans(), label="recovers"):
+            recover_at = fail_at + data.draw(
+                st.floats(1.0, horizon + 1.0), label="downtime"
             )
+        if data.draw(st.booleans(), label="via schedule"):
+            crashes.append((fail_at, node))
+            if recover_at is not None:
+                recoveries.append((recover_at, node))
+        else:
+            failures.append(CacheFailEvent(fail_at, node))
+            if recover_at is not None:
+                failures.append(CacheRecoverEvent(recover_at, node))
+    partitions = []
+    free = list(nodes) + [network.origin]
+    for _ in range(data.draw(st.integers(0, 2), label="partitions")):
+        cut = data.draw(
+            st.lists(st.sampled_from(free), unique=True, min_size=1,
+                     max_size=3),
+            label="cut",
+        )
+        free = [node for node in free if node not in cut]
+        start = event_time(data, request_times, horizon)
+        end = start + data.draw(st.floats(1.0, horizon + 1.0), label="span")
+        partitions.append(PartitionSpec(start, end, nodes=tuple(cut)))
+    faults = None
+    if crashes or partitions:
+        faults = FaultSchedule(
+            crashes=tuple(crashes),
+            recoveries=tuple(recoveries),
+            partitions=tuple(partitions),
+            partition_timeout_ms=data.draw(
+                st.sampled_from([1.0, 500.0]), label="partition timeout"
+            ),
+        )
+
+    trace_capacity = data.draw(
+        st.sampled_from(["off", "unbounded", 7, 60]), label="trace"
+    )
+    sample_ms = data.draw(
+        st.sampled_from([None, 25.0, 1_000.0]), label="sample ms"
+    )
+    return dict(
+        network=network, workload=workload, grouping=grouping,
+        config=config, protocol=protocol, failures=tuple(failures),
+        faults=faults, trace_capacity=trace_capacity, sample_ms=sample_ms,
+    )
+
+
+def observed_run(scenario, trace_path):
+    """Run one scenario under the sanitizer; every output, comparable."""
+    capacity = scenario["trace_capacity"]
+    trace = None
+    if capacity != "off":
+        trace = TraceCollector(
+            capacity=None if capacity == "unbounded" else capacity
+        )
+    sampler = None
+    if scenario["sample_ms"] is not None:
+        sampler = MetricsSampler(interval_ms=scenario["sample_ms"])
+    observer = None
+    if trace is not None or sampler is not None:
+        observer = Observer(trace=trace, sampler=sampler)
+    with sanitize() as state:
+        result = simulate(
+            scenario["network"], scenario["grouping"],
+            scenario["workload"], scenario["config"],
+            group_protocol_mode=scenario["protocol"],
+            failures=scenario["failures"], faults=scenario["faults"],
+            observer=observer,
+        )
+    outputs = {
+        "metrics": fingerprint(result),
+        "ledger": json.dumps(state.ledger.to_dict(), sort_keys=True),
+    }
+    if trace is not None:
+        trace.write_jsonl(trace_path)
+        outputs["trace"] = trace_path.read_bytes()
+        outputs["trace_counts"] = (trace.total_recorded, trace.dropped)
+    if sampler is not None:
+        outputs["samples"] = json.dumps(
+            result.timeseries().to_dict(), sort_keys=True
+        )
+    return outputs
+
+
+class TestKernelMatchesOracle:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_generated_runs_are_byte_equal(self, data, tmp_path_factory):
+        scenario = draw_scenario(data)
+        trace_path = tmp_path_factory.getbasetemp() / "fuzz-trace.jsonl"
+        kernel, oracle = kernel_and_oracle(
+            lambda: observed_run(scenario, trace_path)
+        )
+        assert kernel == oracle
+
+
+# -- fixed layers on top of the engine ------------------------------------
 
 
 class TestInstrumentedEquivalence:
-    def run(self, testbed, loop, capacity=None):
+    def run(self, testbed, capacity=None):
         network, workload, grouping = testbed
         trace = (
             TraceCollector(capacity=capacity)
@@ -208,78 +411,72 @@ class TestInstrumentedEquivalence:
         observer = Observer(
             trace=trace, sampler=MetricsSampler(interval_ms=500.0)
         )
-        result = simulate(
-            network, grouping, workload,
-            observer=observer, event_loop=loop,
-        )
+        result = simulate(network, grouping, workload, observer=observer)
         return result, trace
 
     @pytest.mark.parametrize("capacity", [None, 300])
     def test_trace_jsonl_is_byte_identical(
         self, testbed, tmp_path, capacity
     ):
-        paths = {}
-        for loop in ("sorted", "batched"):
-            _, trace = self.run(testbed, loop, capacity=capacity)
-            paths[loop] = tmp_path / f"{loop}-{capacity}.jsonl"
-            trace.write_jsonl(paths[loop])
-        assert (
-            paths["sorted"].read_bytes() == paths["batched"].read_bytes()
-        )
+        def jsonl():
+            _, trace = self.run(testbed, capacity=capacity)
+            path = tmp_path / f"{capacity}.jsonl"
+            trace.write_jsonl(path)
+            return path.read_bytes()
+
+        kernel, oracle = kernel_and_oracle(jsonl)
+        assert kernel == oracle
 
     def test_sampled_series_is_identical(self, testbed):
-        series = {}
-        for loop in ("sorted", "batched"):
-            result, _ = self.run(testbed, loop)
-            series[loop] = json.dumps(
+        def series():
+            result, _ = self.run(testbed)
+            return json.dumps(
                 result.timeseries().to_dict(), sort_keys=True
             )
-        assert series["sorted"] == series["batched"]
+
+        kernel, oracle = kernel_and_oracle(series)
+        assert kernel == oracle
 
 
 class TestFigureArchive:
     """The figure layer on top of the engine archives identical bytes."""
 
-    def archive(self, tmp_path, monkeypatch, loop):
-        import repro.simulator.engine as engine_module
+    def test_fig3_archive_bytes_match(self, tmp_path):
         from repro.experiments import run_fig3
         from repro.persist import save_result
 
-        monkeypatch.setattr(engine_module, "DEFAULT_EVENT_LOOP", loop)
-        result = run_fig3(
-            num_caches=16, group_sizes=(1, 4, 16), subset_count=3, seed=9
-        )
-        path = tmp_path / f"fig3-{loop}.json"
-        save_result(result, path)
-        return path.read_bytes()
+        def archive():
+            result = run_fig3(
+                num_caches=16, group_sizes=(1, 4, 16), subset_count=3,
+                seed=9,
+            )
+            path = tmp_path / "fig3.json"
+            save_result(result, path)
+            return path.read_bytes()
 
-    def test_fig3_archive_bytes_match(self, tmp_path, monkeypatch):
-        archives = {
-            loop: self.archive(tmp_path, monkeypatch, loop)
-            for loop in ("sorted", "batched")
-        }
-        assert archives["sorted"] == archives["batched"]
+        kernel, oracle = kernel_and_oracle(archive)
+        assert kernel == oracle
 
 
 class TestSanitizeLedger:
-    """The draw ledger sees the same event stream from every loop."""
-
-    def ledger_for(self, testbed, loop):
-        network, workload, grouping = testbed
-        with sanitize() as state:
-            simulate(network, grouping, workload, event_loop=loop)
-        return state.ledger
+    """The draw ledger sees the same event stream from kernel and oracle."""
 
     def test_ledger_matches_across_loops(self, testbed):
-        ledgers = {
-            loop: self.ledger_for(testbed, loop) for loop in LOOPS
-        }
-        for loop in ("heap", "batched"):
-            result = diff_ledgers(ledgers["sorted"], ledgers[loop])
-            assert result.clean, "\n".join(
-                divergence.describe()
-                for divergence in result.divergences
-            )
+        network, workload, grouping = testbed
+        failures = (
+            CacheFailEvent(workload.horizon_ms * 0.2, network.cache_nodes[4]),
+        )
+
+        def ledger():
+            with sanitize() as state:
+                simulate(network, grouping, workload, failures=failures)
+            return state.ledger
+
+        kernel, oracle = kernel_and_oracle(ledger)
+        result = diff_ledgers(kernel, oracle)
+        assert result.clean, "\n".join(
+            divergence.describe() for divergence in result.divergences
+        )
 
     def test_fig3_serial_vs_jobs2_zero_divergence(self):
         from repro.experiments import run_fig3

@@ -1,126 +1,76 @@
-"""Tests for simulation events and the event queue."""
+"""Tests for simulation events and their merged columnar form."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator import EventQueue, OriginUpdateEvent, RequestEvent
+from repro.simulator import (
+    CacheFailEvent,
+    CacheRecoverEvent,
+    OriginUpdateEvent,
+)
+from repro.simulator.events import columns_from_arrays
 
 
-class TestEventQueue:
-    def test_time_order(self):
-        q = EventQueue()
-        q.push(RequestEvent(5.0, 1, 0))
-        q.push(RequestEvent(1.0, 2, 0))
-        q.push(RequestEvent(3.0, 3, 0))
-        times = [q.pop().timestamp_ms for _ in range(3)]
-        assert times == [1.0, 3.0, 5.0]
-
-    def test_updates_before_requests_at_same_time(self):
-        q = EventQueue()
-        q.push(RequestEvent(2.0, 1, 0))
-        q.push(OriginUpdateEvent(2.0, 0))
-        first = q.pop()
-        assert isinstance(first, OriginUpdateEvent)
-
-    def test_insertion_order_tiebreak(self):
-        q = EventQueue()
-        a = RequestEvent(1.0, 1, 0)
-        b = RequestEvent(1.0, 2, 0)
-        q.push(a)
-        q.push(b)
-        assert q.pop() is a
-        assert q.pop() is b
-
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert not q
-        assert len(q) == 0
-        q.push(RequestEvent(1.0, 1, 0))
-        assert q
-        assert len(q) == 1
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(RequestEvent(4.0, 1, 0))
-        assert q.peek_time() == 4.0
-
-    def test_no_scheduling_into_past(self):
-        q = EventQueue()
-        q.push(RequestEvent(5.0, 1, 0))
-        q.pop()
-        with pytest.raises(SimulationError):
-            q.push(RequestEvent(4.0, 1, 0))
-
-    def test_scheduling_at_current_time_allowed(self):
-        q = EventQueue()
-        q.push(RequestEvent(5.0, 1, 0))
-        q.pop()
-        q.push(RequestEvent(5.0, 1, 0))
-        assert q.pop().timestamp_ms == 5.0
-
-    def test_negative_timestamp_rejected(self):
-        q = EventQueue()
-        with pytest.raises(SimulationError):
-            q.push(RequestEvent(-1.0, 1, 0))
+def columns(timestamps, barriers=(), caches=None, docs=None):
+    """Columns for requests at ``timestamps`` (cache i+1, doc i)."""
+    count = len(timestamps)
+    return columns_from_arrays(
+        np.asarray(timestamps, dtype=np.float64),
+        np.asarray(
+            caches if caches is not None else range(1, count + 1),
+            dtype=np.int64,
+        ),
+        np.asarray(docs if docs is not None else range(count), dtype=np.int64),
+        barriers,
+    )
 
 
-class TestNowMs:
-    """Regression tests: ``now_ms`` before any pop used to be -inf."""
+class TestEventColumns:
+    def test_barrier_sorts_before_request_at_equal_timestamp(self):
+        update = OriginUpdateEvent(2.0, 0)
+        merged = columns([1.0, 2.0, 3.0], [update])
+        assert merged.barriers == (update,)
+        # The barrier runs before request index 1 (the one at t=2.0).
+        assert merged.barrier_positions.tolist() == [1]
 
-    def test_empty_queue_is_time_zero(self):
-        assert EventQueue().now_ms == 0.0
-
-    def test_pushed_but_never_popped_is_time_zero(self):
-        q = EventQueue()
-        q.push(RequestEvent(5.0, 1, 0))
-        assert q.now_ms == 0.0
-
-    def test_tracks_last_pop(self):
-        q = EventQueue()
-        q.push(RequestEvent(5.0, 1, 0))
-        q.push(RequestEvent(2.0, 1, 0))
-        q.pop()
-        assert q.now_ms == 2.0
-        q.pop()
-        assert q.now_ms == 5.0
-
-    def test_exhausted_queue_keeps_final_time(self):
-        q = EventQueue()
-        q.push(RequestEvent(7.0, 1, 0))
-        q.pop()
-        assert q.now_ms == 7.0
-
-
-class TestDrainSorted:
-    def test_matches_pop_order(self):
-        events = [
-            RequestEvent(5.0, 1, 0),
-            OriginUpdateEvent(2.0, 0),
-            RequestEvent(2.0, 2, 0),
-            RequestEvent(2.0, 3, 0),
+    def test_equal_timestamp_barriers_keep_push_order(self):
+        pushed = [
+            CacheRecoverEvent(5.0, 3),
+            OriginUpdateEvent(5.0, 7),
+            CacheFailEvent(1.0, 2),
+            OriginUpdateEvent(5.0, 1),
         ]
-        by_pop = EventQueue()
-        by_drain = EventQueue()
-        for event in events:
-            by_pop.push(event)
-            by_drain.push(event)
-        popped = [by_pop.pop() for _ in range(len(events))]
-        assert by_drain.drain_sorted() == popped
+        merged = columns([0.5, 5.0], pushed)
+        assert merged.barriers == (
+            pushed[2], pushed[0], pushed[1], pushed[3],
+        )
+        assert merged.barrier_positions.tolist() == [1, 1, 1, 1]
 
-    def test_empties_queue_and_advances_clock(self):
-        q = EventQueue()
-        q.push(RequestEvent(9.0, 1, 0))
-        q.push(RequestEvent(3.0, 1, 0))
-        q.drain_sorted()
-        assert len(q) == 0
-        assert q.now_ms == 9.0
+    def test_shuffled_request_log_is_resorted_stably(self):
+        merged = columns(
+            [5.0, 1.0, 3.0, 1.0, 5.0],
+            caches=[1, 2, 3, 4, 5],
+            docs=[10, 11, 12, 13, 14],
+        )
+        assert merged.req_timestamps.tolist() == [1.0, 1.0, 3.0, 5.0, 5.0]
+        # Equal timestamps keep their log order.
+        assert merged.req_caches.tolist() == [2, 4, 3, 1, 5]
+        assert merged.req_docs.tolist() == [11, 13, 12, 10, 14]
 
-    def test_empty_drain(self):
-        q = EventQueue()
-        assert q.drain_sorted() == []
-        assert q.now_ms == 0.0
+    def test_negative_barrier_timestamp_rejected(self):
+        with pytest.raises(SimulationError, match=">= 0"):
+            columns([1.0], [OriginUpdateEvent(-1.0, 0)])
+
+    def test_nan_barrier_timestamp_rejected(self):
+        with pytest.raises(SimulationError, match="got nan"):
+            columns([1.0], [CacheFailEvent(float("nan"), 1)])
+
+    def test_unequal_request_columns_rejected(self):
+        with pytest.raises(SimulationError, match="disagree on length"):
+            columns_from_arrays(
+                np.asarray([1.0, 2.0]),
+                np.asarray([1], dtype=np.int64),
+                np.asarray([0, 0], dtype=np.int64),
+                (),
+            )

@@ -132,6 +132,14 @@ class TestFailure:
         with pytest.raises(SimulationError):
             engine.run()
 
+    def test_nan_failure_time_rejected(self, network, catalog):
+        requests = [RequestRecord(0.0, 1, 0)]
+        with pytest.raises(SimulationError, match="got nan"):
+            engine_for(
+                network, catalog, requests,
+                [CacheFailEvent(float("nan"), 1)],
+            )
+
     def test_unknown_cache_rejected(self, network, catalog):
         requests = [RequestRecord(0.0, 1, 0)]
         with pytest.raises(SimulationError):

@@ -31,6 +31,10 @@ class TestCheckNonNegative:
         with pytest.raises(ValueError, match="x"):
             check_non_negative("x", -0.001)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+            check_non_negative("x", float("nan"))
+
 
 class TestCheckFraction:
     def test_accepts_bounds(self):

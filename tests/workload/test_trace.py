@@ -38,6 +38,15 @@ class TestRecords:
         with pytest.raises(TraceFormatError):
             UpdateRecord(timestamp_ms=-0.1, doc_id=0)
 
+    @pytest.mark.parametrize(
+        "timestamp", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    def test_non_finite_timestamps_rejected(self, timestamp):
+        with pytest.raises(TraceFormatError, match="finite"):
+            RequestRecord(timestamp, 1, 0)
+        with pytest.raises(TraceFormatError, match="finite"):
+            UpdateRecord(timestamp, 0)
+
     def test_records_order_by_time(self):
         a = RequestRecord(1.0, 1, 0)
         b = RequestRecord(2.0, 1, 0)
@@ -104,6 +113,20 @@ class TestFormatErrors:
         path = tmp_path / "bad.log"
         path.write_text("1.0\t2\t3\n")
         with pytest.raises(TraceFormatError, match="expected 2 fields"):
+            read_update_log(path)
+
+    def test_nan_timestamp_names_file_and_line(self, tmp_path):
+        # NaN compares false, so an unchecked NaN would also hide the
+        # out-of-order 0.5 that follows it from the order check.
+        path = tmp_path / "nan.log"
+        path.write_text("1.0\t1\t0\nnan\t1\t0\n0.5\t1\t0\n")
+        with pytest.raises(TraceFormatError, match=r"nan\.log:2: .*finite"):
+            read_request_log(path)
+
+    def test_nan_update_timestamp_names_file_and_line(self, tmp_path):
+        path = tmp_path / "nan-updates.log"
+        path.write_text("# header\nnan\t3\n")
+        with pytest.raises(TraceFormatError, match="nan-updates.log:2"):
             read_update_log(path)
 
     def test_error_names_file_and_line(self, tmp_path):
