@@ -41,7 +41,9 @@ sanitize-smoke:
 	rm -f .sanitize_serial.json .sanitize_jobs2.json
 
 # Fault-tolerance half: the same figure under deterministic worker
-# kills must exit 0 and archive byte-identical results to a clean run
+# kills must exit 0 and archive byte-identical results to a clean run,
+# and an interrupted sweep (4 journaled units plus a torn line) must
+# resume to the same bytes, as in CI's chaos-smoke job
 # (docs/robustness.md#runtime-fault-tolerance).
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli experiment fig6 \
@@ -50,7 +52,21 @@ chaos-smoke:
 		--repetitions 1 --seed 7 --kill-rate 0.2 --jobs 2 \
 		--out .chaos_chaotic.json
 	cmp .chaos_clean.json .chaos_chaotic.json
-	rm -f .chaos_clean.json .chaos_chaotic.json
+	rm -rf .chaos_registry
+	PYTHONPATH=src $(PYTHON) -m repro.cli experiment fig6 \
+		--repetitions 1 --seed 7 --jobs 2 --registry .chaos_registry \
+		--out .chaos_full.json
+	JOURNAL=$$(ls .chaos_registry/journals/*.jsonl) && \
+		head -n 4 "$$JOURNAL" > .chaos_journal.tmp && \
+		printf '{"fn": "torn' >> .chaos_journal.tmp && \
+		mv .chaos_journal.tmp "$$JOURNAL"
+	PYTHONPATH=src $(PYTHON) -m repro.cli experiment fig6 \
+		--repetitions 1 --seed 7 --jobs 2 --registry .chaos_registry \
+		--resume auto --out .chaos_resumed.json > .chaos_resume.log
+	grep resumed .chaos_resume.log
+	cmp .chaos_full.json .chaos_resumed.json
+	rm -rf .chaos_clean.json .chaos_chaotic.json .chaos_full.json \
+		.chaos_resumed.json .chaos_resume.log .chaos_registry
 
 check: lint test sanitize-smoke chaos-smoke
 
@@ -71,5 +87,6 @@ suite:
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks
 	rm -f .sanitize_serial.json .sanitize_jobs2.json lint-effects.json \
-		lint-units.json
+		lint-units.json .chaos_*.json .chaos_resume.log
+	rm -rf .chaos_registry
 	find . -name __pycache__ -type d -exec rm -rf {} +

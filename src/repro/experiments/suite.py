@@ -31,8 +31,7 @@ from repro.runtime.cache import (
 from repro.runtime.scheduler import (
     TaskScheduler,
     active_scheduler,
-    set_perf_hook,
-    set_task_journal,
+    task_hooks,
     use_scheduler,
 )
 
@@ -121,18 +120,9 @@ def run_figure(
     cache_before = cache.stats()
     scheduler = active_scheduler()
     retry_before = scheduler.retry_stats() if scheduler is not None else {}
-    previous_hook = set_perf_hook(collector) if collector is not None else None
-    previous_journal = (
-        set_task_journal(journal) if journal is not None else None
-    )
-    try:
-        with activate(registry), registry.time(experiment_id):
-            result = REGISTRY[experiment_id](**kwargs)
-    finally:
-        if collector is not None:
-            set_perf_hook(previous_hook)
-        if journal is not None:
-            set_task_journal(previous_journal)
+    hooks = [hook for hook in (collector, journal) if hook is not None]
+    with task_hooks(*hooks), activate(registry), registry.time(experiment_id):
+        result = REGISTRY[experiment_id](**kwargs)
     cache_stats = stats_delta(cache_before, cache.stats())
     manifest = build_manifest(
         label=experiment_id, seed=kwargs.get("seed"), registry=registry
@@ -143,20 +133,19 @@ def run_figure(
         f"testbed_cache_{name}": float(cache_stats.get(name, 0))
         for name in STAT_FIELDS
     })
+    retry_after = scheduler.retry_stats() if scheduler is not None else {}
+    retries = {
+        f"worker_{kind}": float(
+            retry_after.get(kind, 0) - retry_before.get(kind, 0)
+        )
+        for kind in ("retries", "timeouts")
+    }
     if collector is not None:
+        # The worker_* summary always carries the retry counts.
         manifest.run_stats.update(collector.summary())
-    if scheduler is not None:
-        retry_after = scheduler.retry_stats()
-        merge_sparse_stats(manifest, {
-            "worker_retries": float(
-                retry_after.get("retries", 0)
-                - retry_before.get("retries", 0)
-            ),
-            "worker_timeouts": float(
-                retry_after.get("timeouts", 0)
-                - retry_before.get("timeouts", 0)
-            ),
-        })
+        manifest.run_stats.update(retries)
+    else:
+        merge_sparse_stats(manifest, retries)
     if journal is not None:
         merge_sparse_stats(manifest, {
             "journal_hits": float(journal.hits),

@@ -28,7 +28,9 @@ Four rules consume those views (all pragma-suppressible at both the
 anchored definition line and the offending effect-site line):
 
 * ``shared-mutable-global`` — task-reachable code writes a module-level
-  global with no entry in :data:`MERGE_BACK_REGISTRY`;
+  global that no ``register_counter("module:_GLOBAL", ...)`` call
+  (:func:`repro.obs.profiling.register_counter`) registers for
+  merge-back;
 * ``cache-key-escape`` — a cache builder transitively reads stateful
   module globals or ambient IO (environment, files, sockets);
 * ``impure-event-handler`` — an event handler transitively writes
@@ -88,25 +90,6 @@ EFFECT_RULES: Tuple[Rule, ...] = (
     Rule(FORK_HELD_RESOURCE,
          "pre-fork module-level OS resource used in task-reachable code"),
 )
-
-#: Module-level globals whose worker-side mutations are *deliberately*
-#: reconciled at join time.  Every entry documents where the merge-back
-#: lives; ``shared-mutable-global`` skips these.
-MERGE_BACK_REGISTRY: Dict[str, str] = {
-    "repro.simulator.engine:_EVENTS_TOTAL":
-        "worker deltas ride back in TaskOutcome and are folded into the "
-        "parent counter by TaskScheduler.map via engine.absorb_events()",
-    "repro.runtime.cache:_DEFAULT":
-        "hit/miss counter deltas ride back in TaskOutcome and are folded "
-        "in task order via TestbedCache.absorb_stats()",
-    "repro.sanitize.instrument:_TYPE_CRC":
-        "content-keyed CRC memo: worker-local entries are recomputed "
-        "identically on demand, so dropping them at join loses nothing",
-    "repro.runtime.chaos:_DELAYS_INJECTED":
-        "injected-delay counter: worker deltas ride back in TaskOutcome "
-        "and are folded into the parent by TaskScheduler.map via "
-        "chaos.absorb_delays()",
-}
 
 #: Hand-audited runtime machinery: the sanctioned clock, the entropy
 #: boundary, and the cache/scheduler whose *job* is cross-process state
@@ -222,6 +205,9 @@ class EffectAnalysis:
     task_entries: List[EntryPoint]
     cache_builders: List[EntryPoint]
     event_handlers: List[str]
+    #: ``"module:_GLOBAL" -> "register_counter at path:line"``: globals
+    #: whose worker-side mutations the scheduler folds back at join.
+    merge_backs: Dict[str, str]
 
     def classify(self, key: str) -> str:
         """Lattice point of one function: pure < read < mutates < io."""
@@ -720,6 +706,30 @@ def _discover_entries(
     )
 
 
+def _collect_merge_backs(model: ProjectModel) -> Dict[str, str]:
+    """String-literal names of every ``register_counter(...)`` call."""
+    merge_backs: Dict[str, str] = {}
+    for name in sorted(model.modules):
+        info = model.modules[name]
+        for raw in info.raw_calls:
+            node = raw.node
+            callee = info.source.resolve(node.func) or (
+                node.func.id if isinstance(node.func, ast.Name) else ""
+            )
+            first = node.args[0] if node.args else None
+            if (
+                callee.rpartition(".")[2] == "register_counter"
+                and isinstance(first, ast.Constant)
+                and isinstance(first.value, str)
+            ):
+                merge_backs.setdefault(
+                    first.value,
+                    f"register_counter at {info.source.display_path}:"
+                    f"{node.lineno}",
+                )
+    return merge_backs
+
+
 def _discover_handlers(
     model: ProjectModel, registered: Set[str]
 ) -> List[str]:
@@ -868,6 +878,7 @@ def analyze(model: ProjectModel) -> EffectAnalysis:
         task_entries=task_entries,
         cache_builders=cache_builders,
         event_handlers=handlers,
+        merge_backs=_collect_merge_backs(model),
     )
 
 
@@ -908,7 +919,7 @@ def check_shared_mutable_globals(
             if effect is None:
                 continue
             for target in sorted(effect.writes):
-                if target in MERGE_BACK_REGISTRY:
+                if target in analysis.merge_backs:
                     continue
                 var = analysis.globals.get(target)
                 if var is not None and var.kind == "contextvar":
@@ -934,7 +945,7 @@ def check_shared_mutable_globals(
                         f"{chain}; worker-local mutations are dropped at "
                         f"join — return the state with the task result "
                         f"or register a merge-back "
-                        f"(repro.lint.effects.MERGE_BACK_REGISTRY)"
+                        f"(repro.obs.profiling.register_counter)"
                     ),
                 ))
     return findings
@@ -1167,7 +1178,7 @@ def effect_report(
             "line": var.line,
             "kind": var.kind,
             "stateful": key in analysis.stateful,
-            "merge_back": MERGE_BACK_REGISTRY.get(key),
+            "merge_back": analysis.merge_backs.get(key),
         })
     return {
         "functions": functions,

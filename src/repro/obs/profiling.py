@@ -14,15 +14,25 @@ Nested timers produce slash-qualified names: timing ``"probe"`` inside
 an active ``"landmarks"`` phase records under ``"landmarks/probe"`` (and
 the inner time is *also* part of the outer phase's total, as wall-clock
 nesting implies).
+
+Process-wide counters (engine events, testbed-cache hits, injected
+chaos delays) register here with :func:`register_counter`, one line
+next to the counter.  The task scheduler snapshots every registered
+counter around each work unit (:func:`read_counters`,
+:func:`counter_deltas`) and folds worker deltas back into the parent
+(:func:`absorb_counters`), so a pooled run's counters end where a
+serial run's would.  The lint's effect pass reads the same
+registrations to know which task-reachable globals are merged back.
 """
 
 from __future__ import annotations
 
+import importlib
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 def perf_seconds() -> float:
@@ -137,3 +147,59 @@ def phase_timer(name: str) -> Iterator[None]:
         return
     with registry.time(name):
         yield
+
+
+#: ``"module:_GLOBAL" -> (read, absorb)`` for every registered counter.
+_COUNTERS: Dict[str, Tuple[Callable[[], Any], Callable[[Any], None]]] = {}
+
+
+def register_counter(
+    name: str, read: Callable[[], Any], absorb: Callable[[Any], None]
+) -> None:
+    """Register a process-wide counter whose worker deltas merge back.
+
+    ``name`` is the counter's ``"module:_GLOBAL"`` key: the parent
+    imports ``module`` to find the registration when a worker reports a
+    delta for a counter the parent has not loaded yet.  ``read()``
+    returns the cumulative value, either an ``int`` or a flat
+    ``{field: int}`` dict; ``absorb(delta)`` adds a delta of the same
+    shape.  Call it at module level, with a string literal name, next
+    to the counter — the effect lint reads these calls.
+    """
+    _COUNTERS[name] = (read, absorb)
+
+
+def read_counters() -> Dict[str, Any]:
+    """Snapshot of every registered counter."""
+    return {name: read() for name, (read, _absorb) in _COUNTERS.items()}
+
+
+def counter_deltas(before: Dict[str, Any]) -> Dict[str, Any]:
+    """Non-zero ``now - before`` per counter (and per dict field).
+
+    A counter registered since ``before`` was taken (its module was
+    imported in between) counts from zero.
+    """
+    deltas: Dict[str, Any] = {}
+    for name, (read, _absorb) in _COUNTERS.items():
+        after = read()
+        if isinstance(after, dict):
+            old = before.get(name, {})
+            delta: Any = {
+                key: value - old.get(key, 0)
+                for key, value in after.items()
+                if value != old.get(key, 0)
+            }
+        else:
+            delta = after - before.get(name, 0)
+        if delta:
+            deltas[name] = delta
+    return deltas
+
+
+def absorb_counters(deltas: Dict[str, Any]) -> None:
+    """Fold counter deltas from another process into this one's."""
+    for name, delta in deltas.items():
+        if name not in _COUNTERS:
+            importlib.import_module(name.partition(":")[0])
+        _COUNTERS[name][1](delta)

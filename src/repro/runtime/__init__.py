@@ -25,15 +25,11 @@ from repro.runtime.cache import (
     testbed_key,
 )
 from repro.runtime.scheduler import (
+    TaskHook,
     TaskScheduler,
     active_scheduler,
-    chaos_policy,
     map_tasks,
-    perf_hook,
-    set_chaos_policy,
-    set_perf_hook,
-    set_task_journal,
-    task_journal,
+    task_hooks,
     use_scheduler,
 )
 
@@ -42,27 +38,23 @@ from repro.runtime.scheduler import (
 # (ChaosPolicy) are NOT re-exported here on purpose: this package sits
 # on the experiment hot path, and disabled telemetry/checkpointing/
 # fault-injection must cost zero imports.  Callers that enable them
-# import lazily; the scheduler talks to all three through duck-typed
-# hook slots.
+# import lazily and install them with task_hooks(); the scheduler only
+# knows the TaskHook base class they all derive from.
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "TestbedCache",
+    "TaskHook",
     "TaskScheduler",
     "active_scheduler",
     "cached_network",
-    "chaos_policy",
     "configure_cache",
     "get_cache",
     "map_tasks",
     "network_key",
-    "perf_hook",
     "reset_cache",
-    "set_chaos_policy",
-    "set_perf_hook",
-    "set_task_journal",
     "stats_delta",
-    "task_journal",
+    "task_hooks",
     "testbed_key",
     "use_scheduler",
 ]

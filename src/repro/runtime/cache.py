@@ -35,6 +35,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Union, cast
 
+from repro.obs.profiling import register_counter
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.topology.network import EdgeCacheNetwork
 
@@ -200,6 +202,12 @@ _DEFAULT: TestbedCache = TestbedCache()
 def get_cache() -> TestbedCache:
     """The process-wide cache used by the cached build helpers."""
     return _DEFAULT
+
+
+register_counter(
+    "repro.runtime.cache:_DEFAULT",
+    lambda: _DEFAULT.stats(), lambda delta: _DEFAULT.absorb_stats(delta),
+)
 
 
 def configure_cache(

@@ -11,21 +11,22 @@ chaos runs with the same seed kill the same attempts of the same
 tasks; no draw is taken from any science stream, so the surviving
 results are bit-identical to a clean run.
 
-The policy is installed in the parent via
-:func:`repro.runtime.scheduler.set_chaos_policy`; fork workers inherit
-the module global and consult it at the task boundary, *before* the
-work unit takes any draw.  A kill is ``os._exit`` — the honest
-simulation of a segfault/OOM-kill: no finally blocks, no queue
-goodbye, the parent just sees ``BrokenProcessPool``.  By default a
-task's faults fire only on attempt 0 (``faults_per_task=1``), so a
-bounded retry budget always converges; raise it to test retry
-exhaustion.
+The policy is a :class:`~repro.runtime.scheduler.TaskHook`, installed
+in the parent with :func:`repro.runtime.scheduler.task_hooks` ahead of
+every other hook; fork workers inherit the hook list and the policy
+enters at the task boundary, *before* the work unit takes any draw.
+A kill is ``os._exit`` — the honest simulation of a segfault/OOM-kill:
+no finally blocks, no queue goodbye, the parent just sees
+``BrokenProcessPool``.  By default a task's faults fire only on
+attempt 0 (``faults_per_task=1``), so a bounded retry budget always
+converges; raise it to test retry exhaustion.
 
 ``_DELAYS_INJECTED`` is this module's cumulative injected-delay
 counter, mirrored across workers exactly like the engine's event
-counter: each task's delta rides back in ``TaskOutcome`` and the
-parent folds it in via :func:`absorb_delays` (registered in the
-effect-analysis merge-back registry).
+counter: it is registered with
+:func:`repro.obs.profiling.register_counter`, so each task's delta
+rides back with the task and the parent folds it in via
+:func:`absorb_delays`.
 
 Wired as ``repro chaos run`` — see :mod:`repro.runtime.chaos_cli` and
 docs/robustness.md.
@@ -36,9 +37,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.obs.profiling import register_counter
+from repro.runtime.scheduler import TaskHook
 from repro.utils.rng import RngFactory
 
 #: Exit status a chaos-killed worker dies with (a recognisable corpse
@@ -47,9 +50,9 @@ from repro.utils.rng import RngFactory
 KILL_EXIT_CODE = 86
 
 #: Cumulative count of delays this process has injected.  Worker-local
-#: increments ride back to the parent as TaskOutcome deltas (see
-#: scheduler._absorb_chaos_delays), so after a chaos run the parent
-#: counter equals the number of delays actually served.
+#: increments ride back to the parent as counter deltas (registered
+#: below), so after a chaos run the parent counter equals the number of
+#: delays actually served.
 _DELAYS_INJECTED = 0
 
 
@@ -62,6 +65,9 @@ def absorb_delays(count: int) -> None:
     """Fold a worker's injected-delay delta into this counter."""
     global _DELAYS_INJECTED  # noqa: PLW0603 - registered merge-back counter
     _DELAYS_INJECTED += int(count)
+
+
+register_counter("repro.runtime.chaos:_DELAYS_INJECTED", delays_total, absorb_delays)
 
 
 def _bump_delays() -> None:
@@ -116,7 +122,7 @@ class ChaosConfig:
             )
 
 
-class ChaosPolicy:
+class ChaosPolicy(TaskHook):
     """Content-derived fault plan, consulted at worker task boundaries.
 
     ``plan`` is a pure function of ``(seed, task index, attempt)`` —
@@ -158,14 +164,20 @@ class ChaosPolicy:
                 delays.append(index)
         return {"kills": kills, "delays": delays}
 
-    def apply(self, index: int, attempt: int) -> None:
+    def enter(
+        self, index: int, attempt: int, submitted_at: Optional[float]
+    ) -> None:
         """Serve the planned faults for this attempt (worker side).
 
         Delay first, then kill: a task planned for both stalls and
         *then* dies, which exercises deadline and crash recovery in one
         attempt.  The kill is ``os._exit`` — deliberately not an
         exception — so the parent experiences a genuine broken pool.
+        A unit run inline (``submitted_at`` is None) runs in the parent
+        itself, with no pool to supervise it, so it runs undisturbed.
         """
+        if submitted_at is None:
+            return
         action = self.plan(index, attempt)
         if action.delay_s > 0:
             _bump_delays()

@@ -135,7 +135,7 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     from repro.obs.manifest import merge_sparse_stats
     from repro.runtime import TaskScheduler, configure_cache, use_scheduler
     from repro.runtime import chaos as chaos_module
-    from repro.runtime.scheduler import set_chaos_policy
+    from repro.runtime.scheduler import task_hooks
 
     if args.jobs < 2:
         print(
@@ -163,22 +163,19 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         max_retries=args.max_retries,
         retry_backoff_s=args.retry_backoff,
     )
-    previous = set_chaos_policy(policy)
-    try:
-        with scheduler, use_scheduler(scheduler):
-            try:
-                result, manifest = run_figure(
-                    args.figure, kwargs, jobs=args.jobs, worker_perf=True,
-                )
-            except TypeError:
-                # e.g. fig3 takes no --repetitions (mirrors
-                # `repro experiment`).
-                kwargs.pop("repetitions", None)
-                result, manifest = run_figure(
-                    args.figure, kwargs, jobs=args.jobs, worker_perf=True,
-                )
-    finally:
-        set_chaos_policy(previous)
+    # Installed outermost, so the policy enters before every other hook.
+    with task_hooks(policy), scheduler, use_scheduler(scheduler):
+        try:
+            result, manifest = run_figure(
+                args.figure, kwargs, jobs=args.jobs, worker_perf=True,
+            )
+        except TypeError:
+            # e.g. fig3 takes no --repetitions (mirrors
+            # `repro experiment`).
+            kwargs.pop("repetitions", None)
+            result, manifest = run_figure(
+                args.figure, kwargs, jobs=args.jobs, worker_perf=True,
+            )
 
     manifest.label = f"chaos:{args.figure}"
     manifest.config.update({

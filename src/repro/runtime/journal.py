@@ -9,13 +9,15 @@ payload, so its result can be keyed by content exactly the way
 :class:`~repro.runtime.cache.TestbedCache` keys built testbeds
 (canonical serialisation, SHA-256).
 
-:class:`TaskJournal` is that checkpoint store.  The scheduler (see
-:func:`repro.runtime.scheduler.set_task_journal`) asks it before
-dispatching each unit and records each completed unit after folding its
-observability back.  On disk it is a JSONL file of completed units —
-one ``O_APPEND`` write per line, same torn-line-tolerant discipline as
-the run registry's ``index.jsonl`` — living under the registry root at
-``journals/<sweep_id>.jsonl``.  A parent process SIGKILLed mid-sweep
+:class:`TaskJournal` is that checkpoint store, installed like every
+other :class:`~repro.runtime.scheduler.TaskHook` with
+:func:`repro.runtime.scheduler.task_hooks`.  It decides whether a unit
+runs at all: the scheduler asks its ``lookup`` before dispatching each
+unit and calls its ``record`` for each completed unit, in task order,
+after folding the unit's observability back.  On disk it is a JSONL
+file of completed units — one ``O_APPEND`` write per line, same
+torn-line-tolerant discipline as the run registry's ``index.jsonl`` —
+living under the registry root at ``journals/<sweep_id>.jsonl``.  A parent process SIGKILLed mid-sweep
 therefore leaves a journal whose every line is a finished unit;
 ``repro experiment … --resume <sweep-id>`` reloads it, re-runs only the
 missing units, and archives byte for byte what the uninterrupted run
@@ -37,6 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple, Union
 
 from repro.errors import JournalError
+from repro.runtime.scheduler import TaskHook
 
 PathLike = Union[str, Path]
 
@@ -96,7 +99,7 @@ def sweep_id_for(figure: str, kwargs: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-class TaskJournal:
+class TaskJournal(TaskHook):
     """Append-only ledger of completed work units for one sweep.
 
     ``resume=False`` (the default when a sweep first runs) records

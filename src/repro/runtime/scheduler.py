@@ -16,11 +16,15 @@ when none is active).  Task functions must be module-level (picklable)
 and take a single argument.
 
 Worker-side observability is not lost: each task runs under a fresh
-:class:`~repro.obs.profiling.PhaseRegistry` and the scheduler merges
-the per-phase totals back into the parent's ambient registry, so the
-figure's :class:`~repro.obs.manifest.RunManifest` still carries
-``testbed/*`` and ``simulate`` timings.  Testbed-cache hit/miss deltas
-are merged the same way (see :mod:`repro.runtime.cache`).
+:class:`~repro.obs.profiling.PhaseRegistry`, and every counter
+registered with :func:`~repro.obs.profiling.register_counter` (engine
+events, testbed-cache hits, chaos delays) is snapshotted around it.
+The parent folds phase totals and counter deltas back in task order,
+so the figure's :class:`~repro.obs.manifest.RunManifest` carries the
+``testbed/*`` and ``simulate`` timings and the counters a serial run
+would.  Everything else that rides along a task — the sanitizer's draw
+ledger, worker perf telemetry, chaos faults, the checkpoint journal —
+is a :class:`TaskHook` in the one list :func:`task_hooks` installs.
 
 The pool prefers the ``fork`` start method (cheap workers that inherit
 the parent's warm in-memory cache); where only ``spawn`` is available
@@ -41,9 +45,9 @@ docs/robustness.md ("Runtime fault tolerance").
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import pickle
-import sys
 import time
 import traceback
 from collections import deque
@@ -63,6 +67,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -70,296 +75,203 @@ from typing import (
 
 from repro.errors import SchedulerError
 from repro.types import Seconds
-from repro.obs.profiling import PhaseRegistry, activate, current_registry, perf_seconds
-from repro.runtime.cache import get_cache, stats_delta
-
-#: A task's remote outcome: (value, phase totals, cache counter delta,
-#: draw-ledger segment or None, perf record or None, engine event-count
-#: delta, injected chaos-delay count).  The event and chaos deltas are
-#: always measured — the parent folds them back into the respective
-#: cumulative counters so ``events_total()``/``chaos.delays_total()``
-#: after a parallel map match a serial run.
-TaskOutcome = Tuple[
-    Any, Dict[str, float], Dict[str, int], Optional[Dict[str, Any]],
-    Optional[Dict[str, float]], int, int,
-]
-
-#: The draw-ledger hook installed by ``repro.sanitize`` (duck-typed:
-#: ``capture()`` context manager yielding a box with ``.payload``, and
-#: ``absorb(payload)``).  None — the overwhelmingly common case — costs
-#: one global read per task; the scheduler never imports the sanitizer.
-_TASK_LEDGER: Optional[Any] = None
+from repro.obs.profiling import (
+    PhaseRegistry,
+    absorb_counters,
+    activate,
+    counter_deltas,
+    current_registry,
+    perf_seconds,
+    read_counters,
+)
 
 
-def set_task_ledger(hook: Optional[Any]) -> Optional[Any]:
-    """Install (or clear, with None) the task draw-ledger hook.
+class TaskHook:
+    """One concern riding along every task; each method is a no-op here.
 
-    Returns the previously-installed hook so callers can restore it.
+    Subclasses override what they need.  Per fan, in the parent:
+    ``on_map_begin(total)`` before the first unit runs and
+    ``on_map_end(elapsed_s)`` after the last.  Per unit, in the parent
+    before dispatch: ``lookup(fn, arg)`` may serve the unit's value
+    without running it (the checkpoint journal).  Per attempt, in
+    whichever process runs it: ``enter(index, attempt, submitted_at)``
+    in list order before the unit, ``exit()`` in reverse order after
+    it; ``exit``'s return value is the hook's payload.  Per completed
+    unit, in the parent and in task order: ``absorb(index, payload,
+    counters)`` with the unit's counter deltas, then ``record(fn, arg,
+    value)``.
+
+    ``submitted_at`` is the parent's :func:`perf_seconds` stamp at
+    submission to the pool, or None when the unit runs inline, in the
+    parent.  ``perf_counter`` is CLOCK_MONOTONIC on Linux, shared across
+    forked processes, so a worker-side difference is a genuine queue
+    wait.
     """
-    global _TASK_LEDGER  # noqa: PLW0603 - parent-installed hook slot
-    previous = _TASK_LEDGER
-    _TASK_LEDGER = hook
-    return previous
+
+    def on_map_begin(self, total: int) -> None:
+        """A fan with ``total`` units to run starts (parent)."""
+
+    def lookup(self, fn: Callable[[Any], Any], arg: Any) -> Tuple[bool, Any]:
+        """``(True, value)`` serves a unit without running it (parent)."""
+        return False, None
+
+    def enter(
+        self, index: int, attempt: int, submitted_at: Optional[float]
+    ) -> None:
+        """An attempt of unit ``index`` is about to run (worker)."""
+
+    def exit(self) -> Any:
+        """The attempt finished; returns this hook's payload (worker)."""
+        return None
+
+    def absorb(
+        self, index: int, payload: Any, counters: Dict[str, Any]
+    ) -> None:
+        """Fold one unit's payload and counter deltas back (parent)."""
+
+    def record(self, fn: Callable[[Any], Any], arg: Any, value: Any) -> None:
+        """Unit ``arg`` completed with ``value`` (parent)."""
+
+    def on_map_end(self, elapsed_s: Seconds) -> None:
+        """The fan finished ``elapsed_s`` after it began (parent)."""
 
 
-def task_ledger() -> Optional[Any]:
-    """The currently-installed draw-ledger hook, if any."""
-    return _TASK_LEDGER
+#: The installed hooks, outermost install first.  Fork workers inherit
+#: the tuple; the scheduler never imports the modules defining hooks.
+_HOOKS: Tuple[TaskHook, ...] = ()
 
 
-#: The worker-perf hook installed by ``run_suite``/the CLI (duck-typed:
-#: ``on_map_begin(total)``, ``record_task(index, perf, cache_delta)``,
-#: ``on_map_end(elapsed_s)``, optionally ``record_retry(index, kind)``
-#: — see ``repro.runtime.telemetry``).  None costs one global read per
-#: map; the scheduler never imports the telemetry module.
-_PERF_HOOK: Optional[Any] = None
+@contextmanager
+def task_hooks(*hooks: TaskHook) -> Iterator[None]:
+    """Install ``hooks`` after those already installed, for the block.
 
-
-def set_perf_hook(hook: Optional[Any]) -> Optional[Any]:
-    """Install (or clear, with None) the worker-perf telemetry hook.
-
-    Returns the previously-installed hook so callers can restore it.
+    Hooks enter in list order, so an outer install enters first:
+    ``repro chaos run`` installs its policy outermost, and a killed
+    attempt dies before any other hook has entered.  Fork workers get
+    the list when the pool starts, so install hooks before a
+    scheduler's first pooled map.
     """
-    global _PERF_HOOK  # noqa: PLW0603 - parent-installed hook slot
-    previous = _PERF_HOOK
-    _PERF_HOOK = hook
-    return previous
+    global _HOOKS  # noqa: PLW0603 - the one parent-installed hook slot
+    previous = _HOOKS
+    _HOOKS = previous + hooks
+    try:
+        yield
+    finally:
+        _HOOKS = previous
 
 
-def perf_hook() -> Optional[Any]:
-    """The currently-installed worker-perf hook, if any."""
-    return _PERF_HOOK
+def installed_hooks() -> Tuple[TaskHook, ...]:
+    """The installed hooks, outermost first."""
+    return _HOOKS
 
 
-#: The checkpoint journal installed by the CLI for resumable sweeps
-#: (duck-typed: ``lookup(fn, arg) -> (hit, value)`` and
-#: ``record(fn, arg, value)`` — see ``repro.runtime.journal``).  None
-#: costs one global read per map; the scheduler never imports the
-#: journal module.
-_TASK_JOURNAL: Optional[Any] = None
+class TaskOutcome(NamedTuple):
+    """What one completed attempt sends back to the parent."""
 
-
-def set_task_journal(journal: Optional[Any]) -> Optional[Any]:
-    """Install (or clear, with None) the checkpoint task journal.
-
-    Returns the previously-installed journal so callers can restore it.
-    """
-    global _TASK_JOURNAL  # noqa: PLW0603 - parent-installed hook slot
-    previous = _TASK_JOURNAL
-    _TASK_JOURNAL = journal
-    return previous
-
-
-def task_journal() -> Optional[Any]:
-    """The currently-installed checkpoint journal, if any."""
-    return _TASK_JOURNAL
-
-
-#: The fault-injection policy installed by ``repro chaos run``
-#: (duck-typed: ``apply(index, attempt)`` called at the task boundary
-#: in the worker — see ``repro.runtime.chaos``).  Fork workers inherit
-#: the slot; None — every non-chaos run — costs one global read per
-#: task and the scheduler never imports the chaos module.
-_CHAOS_POLICY: Optional[Any] = None
-
-
-def set_chaos_policy(policy: Optional[Any]) -> Optional[Any]:
-    """Install (or clear, with None) the worker fault-injection policy.
-
-    Returns the previously-installed policy so callers can restore it.
-    """
-    global _CHAOS_POLICY  # noqa: PLW0603 - parent-installed hook slot
-    previous = _CHAOS_POLICY
-    _CHAOS_POLICY = policy
-    return previous
-
-
-def chaos_policy() -> Optional[Any]:
-    """The currently-installed fault-injection policy, if any."""
-    return _CHAOS_POLICY
-
-
-def _events_total() -> int:
-    """The engine's cumulative event counter, without importing it.
-
-    The scheduler must not pull the simulator in (layering, and tasks
-    that never simulate should not pay the import); reading the counter
-    through ``sys.modules`` observes it exactly when the task actually
-    ran the engine.
-    """
-    module = sys.modules.get("repro.simulator.engine")
-    if module is None:
-        return 0
-    return int(module.events_total())
-
-
-def _absorb_events(count: int) -> None:
-    """Fold a worker's event delta into the parent engine counter.
-
-    The import stays lazy for the same layering reason as
-    :func:`_events_total` — but a non-zero delta proves a worker *did*
-    simulate, so materialising the engine module here never makes a
-    non-simulating run pay for it.
-    """
-    if count <= 0:
-        return
-    module = sys.modules.get("repro.simulator.engine")
-    if module is None:
-        import importlib
-
-        module = importlib.import_module("repro.simulator.engine")
-    module.absorb_events(count)
-
-
-def _chaos_delays_total() -> int:
-    """The chaos harness's cumulative delay counter, without importing it.
-
-    Same ``sys.modules`` pattern as :func:`_events_total`: non-chaos
-    runs never load :mod:`repro.runtime.chaos`, so the read costs one
-    dict lookup and returns 0.
-    """
-    module = sys.modules.get("repro.runtime.chaos")
-    if module is None:
-        return 0
-    return int(module.delays_total())
-
-
-def _absorb_chaos_delays(count: int) -> None:
-    """Fold a worker's injected-delay delta into the parent counter."""
-    if count <= 0:
-        return
-    module = sys.modules.get("repro.runtime.chaos")
-    if module is None:
-        import importlib
-
-        module = importlib.import_module("repro.runtime.chaos")
-    module.absorb_delays(count)
+    value: Any
+    phases: Dict[str, float]
+    counters: Dict[str, Any]
+    payloads: List[Any]
 
 
 def run_task(
-    payload: Tuple[Callable[[Any], Any], Any, Optional[float], int, int]
+    payload: Tuple[Callable[[Any], Any], Any, int, int, Optional[float]]
 ) -> TaskOutcome:
-    """Execute one task in a worker, capturing its observability.
+    """Run one attempt of one unit under every installed hook.
 
-    Module-level so it is picklable by every start method.  The task
-    runs under a private :class:`PhaseRegistry`; its phase totals, the
-    worker cache's counter delta, (when a sanitizer is active) its
-    draw-ledger segment, and (when perf telemetry is on) its wall /
-    queue-wait / event measurements ride back with the value.
-
-    ``submitted_at`` is the parent's :func:`perf_seconds` stamp at
-    submission, or None when telemetry is off — ``perf_counter`` is
-    CLOCK_MONOTONIC on Linux, shared across forked processes, so the
-    worker-side difference is a genuine queue wait.
-
-    ``index``/``attempt`` identify the work unit and its retry round.
-    An installed chaos policy is consulted first, *before* any draws:
-    a killed attempt therefore leaves no partial ledger segment, no
-    cache delta, and no event count — the retried attempt reproduces
-    the unit from scratch, which is what keeps chaos runs bit-identical
-    to clean ones.
+    The per-task wrapper of both the inline and the pooled map
+    (module-level, so every start method can pickle it).  Counters are
+    read before any hook enters, so delays a chaos hook serves count;
+    a chaos kill (``os._exit``) ends the attempt before anything — a
+    ledger segment, a counter delta, a perf record — goes back.
     """
-    fn, arg, submitted_at, index, attempt = payload
-    chaos_before = _chaos_delays_total()
-    chaos = _CHAOS_POLICY
-    if chaos is not None:
-        chaos.apply(index, attempt)
-    cache_before = get_cache().stats()
-    perf: Optional[Dict[str, float]] = None
-    events_before = _events_total()
-    if submitted_at is not None:
-        started = perf_seconds()
+    fn, arg, index, attempt, submitted_at = payload
+    hooks = _HOOKS
+    before = read_counters()
     registry = PhaseRegistry()
-    hook = _TASK_LEDGER
-    ledger_segment: Optional[Dict[str, Any]] = None
-    if hook is None:
+    for hook in hooks:
+        hook.enter(index, attempt, submitted_at)
+    try:
         with activate(registry):
             value = fn(arg)
-    else:
-        with activate(registry), hook.capture() as box:
-            value = fn(arg)
-        ledger_segment = box.payload
-    delta = stats_delta(cache_before, get_cache().stats())
-    events_delta = _events_total() - events_before
-    chaos_delta = _chaos_delays_total() - chaos_before
-    if submitted_at is not None:
-        perf = {
-            "wall_s": perf_seconds() - started,
-            "queue_wait_s": max(0.0, started - submitted_at),
-            "events": float(events_delta),
-        }
-    return (value, registry.total_seconds(), delta, ledger_segment, perf,
-            events_delta, chaos_delta)
+    finally:
+        payloads = [hook.exit() for hook in reversed(hooks)]
+    payloads.reverse()
+    return TaskOutcome(
+        value, registry.total_seconds(), counter_deltas(before), payloads
+    )
 
 
-def _journal_partition(
-    fn: Callable[[Any], Any], items: Sequence[Any]
-) -> Tuple[List[Any], List[int]]:
-    """Split a fan into (prefilled values, indices still to run).
+#: ``fold(index, outcome)``: hand one outcome back to the parent.
+Fold = Callable[[int, TaskOutcome], None]
 
-    With no journal installed every index runs.  With one installed,
-    completed work units (by content key) are served from the journal
-    and only the remainder is dispatched — the checkpoint/resume path.
+
+def _fan(
+    fn: Callable[[Any], Any],
+    items: List[Any],
+    execute: Callable[[List[int], Fold], None],
+    pooled: bool,
+) -> List[Any]:
+    """Serve hook lookups, run the rest, and fold outcomes back.
+
+    ``execute(indices, fold)`` must call ``fold`` once per index, in
+    ``indices`` order — task order, which is serial order, so phase
+    totals, counters, ledger segments and journal lines come out bit
+    for bit as a serial run's.  Only ``pooled`` outcomes carry counter
+    deltas from another process that this one must absorb.
     """
+    hooks = _HOOKS
     values: List[Any] = [None] * len(items)
-    journal = _TASK_JOURNAL
-    if journal is None:
-        return values, list(range(len(items)))
     remaining: List[int] = []
     for index, arg in enumerate(items):
-        hit, value = journal.lookup(fn, arg)
-        if hit:
-            values[index] = value
+        for hook in hooks:
+            hit, value = hook.lookup(fn, arg)
+            if hit:
+                values[index] = value
+                break
         else:
             remaining.append(index)
-    return values, remaining
+    if not remaining:
+        return values
+    registry = current_registry()
+    prefix = registry.current_path() if registry is not None else ""
 
+    def fold(index: int, outcome: TaskOutcome) -> None:
+        if registry is not None and outcome.phases:
+            registry.merge_totals(outcome.phases, prefix=prefix)
+        if pooled:
+            absorb_counters(outcome.counters)
+        for hook, payload in zip(hooks, outcome.payloads):
+            hook.absorb(index, payload, outcome.counters)
+            hook.record(fn, items[index], outcome.value)
+        values[index] = outcome.value
 
-def _map_inline(fn: Callable[[Any], Any], args: Sequence[Any]) -> List[Any]:
-    """Serial map, honouring the ledger/perf/journal hooks like a pool.
-
-    Capturing each unit as its own segment (instead of recording
-    straight into the parent ledger) keeps phase attribution identical
-    between ``jobs=1`` and ``jobs=N`` — both record units under the
-    ``task`` phase and fold segments back in task order.
-    """
-    hook = _TASK_LEDGER
-    perf = _PERF_HOOK
-    if hook is None and perf is None and _TASK_JOURNAL is None:
-        return [fn(arg) for arg in args]
-    items = list(args)
-    journal = _TASK_JOURNAL
-    values, remaining = _journal_partition(fn, items)
-    if perf is not None:
-        perf.on_map_begin(len(remaining))
-        map_started = perf_seconds()
-    for index in remaining:
-        arg = items[index]
-        if perf is not None:
-            cache_before = get_cache().stats()
-            started = perf_seconds()
-            events_before = _events_total()
-        if hook is None:
-            values[index] = fn(arg)
-        else:
-            with hook.capture() as box:
-                values[index] = fn(arg)
-            hook.absorb(box.payload)
-        if journal is not None:
-            journal.record(fn, arg, values[index])
-        if perf is not None:
-            perf.record_task(
-                index,
-                {
-                    "wall_s": perf_seconds() - started,
-                    "queue_wait_s": 0.0,
-                    "events": float(_events_total() - events_before),
-                },
-                stats_delta(cache_before, get_cache().stats()),
-            )
-    if perf is not None:
-        perf.on_map_end(perf_seconds() - map_started)
+    for hook in hooks:
+        hook.on_map_begin(len(remaining))
+    started = perf_seconds()
+    execute(remaining, fold)
+    elapsed = perf_seconds() - started
+    for hook in hooks:
+        hook.on_map_end(elapsed)
     return values
+
+
+def _map_inline(fn: Callable[[Any], Any], items: List[Any]) -> List[Any]:
+    """Serial map; with hooks installed, through the per-task wrapper.
+
+    Wrapping each unit like a pooled one (its own segment, phase
+    registry and counter deltas) keeps ``jobs=1`` and ``jobs=N``
+    identical: both record units under the ``task`` phase and fold them
+    back in task order.
+    """
+    if not _HOOKS:
+        return [fn(arg) for arg in items]
+
+    def execute(indices: List[int], fold: Fold) -> None:
+        for index in indices:
+            fold(index, run_task((fn, items[index], index, 0, None)))
+
+    return _fan(fn, items, execute, pooled=False)
 
 
 def _qualname(fn: Callable[[Any], Any]) -> str:
@@ -386,6 +298,12 @@ def _is_pickling_failure(error: BaseException) -> bool:
     return False
 
 
+def _crash_cause(error: BaseException) -> str:
+    """``": <exception line>"``, appended to a crash's retry detail."""
+    text = traceback.format_exception_only(type(error), error)
+    return ": " + "".join(text).strip()
+
+
 class TaskScheduler:
     """Order-preserving, supervised map over independent work units.
 
@@ -399,7 +317,8 @@ class TaskScheduler:
     rebuilt, and the unit is re-dispatched.  ``max_retries`` bounds the
     *extra* attempts any single unit may consume across crashes and
     timeouts; ``retry_backoff_s`` doubles per consecutive failure up to
-    ``retry_backoff_cap_s`` before the re-dispatch.  Exhaustion raises
+    ``retry_backoff_cap_s`` before the re-dispatch.  All three times
+    must be finite.  Exhaustion raises
     :class:`~repro.errors.SchedulerError`; exceptions raised by the task
     function itself propagate unwrapped.
     """
@@ -414,14 +333,21 @@ class TaskScheduler:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if task_timeout_s is not None and task_timeout_s <= 0:
+        if task_timeout_s is not None and not (
+            task_timeout_s > 0 and math.isfinite(task_timeout_s)
+        ):
             raise ValueError(
-                f"task_timeout_s must be positive, got {task_timeout_s}"
+                f"task_timeout_s must be positive and finite, "
+                f"got {task_timeout_s}"
             )
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff_s < 0 or retry_backoff_cap_s < 0:
-            raise ValueError("retry backoff values must be >= 0")
+        for backoff in (retry_backoff_s, retry_backoff_cap_s):
+            if not (backoff >= 0 and math.isfinite(backoff)):
+                raise ValueError(
+                    f"retry backoff values must be finite and >= 0, "
+                    f"got {backoff}"
+                )
         self._jobs = jobs
         self._task_timeout_s = task_timeout_s
         self._max_retries = max_retries
@@ -468,36 +394,11 @@ class TaskScheduler:
         items = list(args)
         if self._jobs == 1 or len(items) <= 1:
             return _map_inline(fn, items)
-
-        journal = _TASK_JOURNAL
-        values, remaining = _journal_partition(fn, items)
-        if not remaining:
-            return values
-        outcomes = self._execute(fn, items, remaining)
-        registry = current_registry()
-        prefix = registry.current_path() if registry is not None else ""
-        cache = get_cache()
-        hook = _TASK_LEDGER
-        # Folding in task order (== serial order) reproduces the serial
-        # phase totals, cache counters, and draw ledger bit for bit —
-        # regardless of the completion order the supervised fan saw.
-        for index in remaining:
-            (value, phase_totals, cache_delta, ledger_segment, _task_perf,
-             events_delta, chaos_delta) = outcomes[index]
-            if registry is not None and phase_totals:
-                registry.merge_totals(phase_totals, prefix=prefix)
-            if cache_delta:
-                cache.absorb_stats(cache_delta)
-            # Worker engines bumped *their* cumulative counters; fold
-            # the deltas back so the parent matches a serial run.
-            _absorb_events(events_delta)
-            _absorb_chaos_delays(chaos_delta)
-            if hook is not None and ledger_segment is not None:
-                hook.absorb(ledger_segment)
-            if journal is not None:
-                journal.record(fn, items[index], value)
-            values[index] = value
-        return values
+        return _fan(
+            fn, items,
+            lambda indices, fold: self._execute(fn, items, indices, fold),
+            pooled=True,
+        )
 
     # -- supervised fan -------------------------------------------------
 
@@ -505,44 +406,77 @@ class TaskScheduler:
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        indices: Sequence[int],
-    ) -> Dict[int, TaskOutcome]:
+        indices: List[int],
+        fold: Fold,
+    ) -> None:
         """Run the selected task indices under supervision.
 
         Keeps at most ``jobs`` attempts in flight, watches deadlines,
         and survives worker crashes by rebuilding the pool and
-        re-dispatching.  Returns outcomes keyed by task index; the
-        caller folds them back in task order.
+        re-dispatching.  Each outcome is folded as soon as every earlier
+        index has been, so progress and the journal advance during the
+        fan while the fold order stays task order.
         """
-        perf = _PERF_HOOK
-        if perf is not None:
-            perf.on_map_begin(len(indices))
-        map_started = perf_seconds()
-        outcomes: Dict[int, TaskOutcome] = {}
-        attempts: Dict[int, int] = {index: 0 for index in indices}
-        last_error: Dict[int, str] = {}
+        attempts: Dict[int, int] = dict.fromkeys(indices, 0)
         queue: Deque[int] = deque(indices)
         inflight: Dict["Future[TaskOutcome]", Tuple[int, float]] = {}
+        finished: Dict[int, TaskOutcome] = {}
+        unfolded: Deque[int] = deque(indices)
         failures = 0
+
+        def recover(
+            charged: List[int], kind: str, what: str, cause: str = ""
+        ) -> None:
+            """Rebuild the pool; charge ``charged``, requeue all in flight.
+
+            The pool cannot say which worker held which task, so after a
+            crash every in-flight task is charged (a task whose attempt
+            actually finished is pure: re-running it is wasteful but
+            harmless).  After a timeout only the expired tasks are
+            charged; the healthy ones are requeued for free, because the
+            only safe reclaim of a wedged fork worker is a new pool.
+            """
+            nonlocal failures
+            failures += 1
+            survivors = sorted(
+                index for index, _stamp in inflight.values()
+                if index not in charged
+            )
+            inflight.clear()
+            self._discard_pool()
+            for index in charged:
+                attempts[index] += 1
+                self._retry_totals[kind] += 1
+                if attempts[index] > self._max_retries:
+                    detail = f"{what} (attempt {attempts[index]}){cause}"
+                    raise SchedulerError(
+                        f"task {index} ({_qualname(fn)}) failed after "
+                        f"{attempts[index]} attempt(s) "
+                        f"(max_retries={self._max_retries}); last error: "
+                        f"{detail}",
+                        task_index=index,
+                        qualname=_qualname(fn),
+                        attempts=attempts[index],
+                        last_error=detail,
+                    )
+            queue.extendleft(reversed(charged + survivors))
+            self._backoff_sleep(failures)
+
         while queue or inflight:
             while queue and len(inflight) < self._jobs:
                 index = queue.popleft()
                 stamp = perf_seconds()
-                payload = (
-                    fn, items[index],
-                    stamp if perf is not None else None,
-                    index, attempts[index],
-                )
+                payload = (fn, items[index], index, attempts[index], stamp)
                 try:
                     future = self._pool().submit(run_task, payload)
                 except BrokenExecutor as exc:
                     # The pool died before accepting the task (a worker
                     # crashed while idle, or a prior fan broke it).
-                    failures += 1
-                    self._recover_crash(
-                        exc, [index], inflight, queue, attempts,
-                        last_error, fn, perf, failures,
+                    charged = sorted(
+                        {index} | {i for i, _stamp in inflight.values()}
                     )
+                    recover(charged, "retries", "worker crashed",
+                            _crash_cause(exc))
                     continue
                 inflight[future] = (index, stamp)
             if not inflight:
@@ -555,30 +489,23 @@ class TaskScheduler:
             if not done:
                 expired = self._expired(inflight)
                 if expired:
-                    failures += 1
-                    self._recover_timeout(
-                        expired, inflight, queue, attempts, last_error,
-                        fn, perf, failures,
+                    recover(
+                        expired, "timeouts",
+                        f"deadline of {self._task_timeout_s}s expired",
                     )
                 continue
             crash: Optional[BaseException] = None
-            crashed: List[int] = []
             for future in done:
-                index, _stamp = inflight.pop(future)
+                index, _stamp = inflight[future]
                 error = future.exception()
                 if error is None:
-                    outcome = future.result()
-                    outcomes[index] = outcome
-                    if perf is not None and outcome[4] is not None:
-                        perf.record_task(index, outcome[4], outcome[2])
-                    continue
-                if isinstance(error, BrokenExecutor):
+                    del inflight[future]
+                    finished[index] = future.result()
+                elif isinstance(error, BrokenExecutor):
                     # The whole pool is gone; every sibling future will
-                    # fail the same way.  Collect and recover once.
+                    # fail the same way.  Recover once, below.
                     crash = error
-                    crashed.append(index)
-                    continue
-                if _is_pickling_failure(error):
+                elif _is_pickling_failure(error):
                     self._discard_pool()
                     raise SchedulerError(
                         f"task {index} ({_qualname(fn)}) cannot cross the "
@@ -589,20 +516,20 @@ class TaskScheduler:
                         attempts=attempts[index] + 1,
                         last_error=str(error),
                     ) from error
-                # The task function itself raised: propagate unwrapped,
-                # exactly as a serial run would (retrying user errors
-                # would mask deterministic bugs).
-                self._discard_pool()
-                raise error
+                else:
+                    # The task function itself raised: propagate
+                    # unwrapped, exactly as a serial run would
+                    # (retrying user errors would mask deterministic
+                    # bugs).
+                    self._discard_pool()
+                    raise error
             if crash is not None:
-                failures += 1
-                self._recover_crash(
-                    crash, crashed, inflight, queue, attempts, last_error,
-                    fn, perf, failures,
-                )
-        if perf is not None:
-            perf.on_map_end(perf_seconds() - map_started)
-        return outcomes
+                charged = sorted(index for index, _ in inflight.values())
+                recover(charged, "retries", "worker crashed",
+                        _crash_cause(crash))
+            while unfolded and unfolded[0] in finished:
+                index = unfolded.popleft()
+                fold(index, finished.pop(index))
 
     def _poll_timeout(
         self, inflight: Dict["Future[TaskOutcome]", Tuple[int, float]]
@@ -625,108 +552,6 @@ class TaskScheduler:
             index for index, stamp in inflight.values()
             if now - stamp >= self._task_timeout_s
         )
-
-    def _charge(
-        self,
-        index: int,
-        kind: str,
-        detail: str,
-        attempts: Dict[int, int],
-        last_error: Dict[int, str],
-        fn: Callable[[Any], Any],
-        perf: Optional[Any],
-    ) -> None:
-        """Charge one failed attempt; raise when the budget is spent."""
-        attempts[index] += 1
-        key = "timeouts" if kind == "timeout" else "retries"
-        self._retry_totals[key] += 1
-        last_error[index] = detail
-        if perf is not None:
-            record_retry = getattr(perf, "record_retry", None)
-            if record_retry is not None:
-                record_retry(index, kind)
-        if attempts[index] > self._max_retries:
-            raise SchedulerError(
-                f"task {index} ({_qualname(fn)}) failed after "
-                f"{attempts[index]} attempt(s) "
-                f"(max_retries={self._max_retries}); last error: "
-                f"{last_error[index]}",
-                task_index=index,
-                qualname=_qualname(fn),
-                attempts=attempts[index],
-                last_error=last_error[index],
-            )
-
-    def _recover_crash(
-        self,
-        exc: BaseException,
-        crashed: Sequence[int],
-        inflight: Dict["Future[TaskOutcome]", Tuple[int, float]],
-        queue: Deque[int],
-        attempts: Dict[int, int],
-        last_error: Dict[int, str],
-        fn: Callable[[Any], Any],
-        perf: Optional[Any],
-        failures: int,
-    ) -> None:
-        """Rebuild after ``BrokenProcessPool`` and requeue the fallout.
-
-        Every task in flight at the moment of the crash is charged an
-        attempt — the pool cannot say which worker held which task, and
-        a task whose attempt actually finished is pure, so re-running
-        it is wasteful but harmless.
-        """
-        affected = sorted(set(crashed) | {
-            index for index, _stamp in inflight.values()
-        })
-        inflight.clear()
-        self._discard_pool()
-        cause = "".join(
-            traceback.format_exception_only(type(exc), exc)
-        ).strip()
-        for index in affected:
-            self._charge(
-                index, "crash",
-                f"worker crashed (attempt {attempts[index] + 1}): {cause}",
-                attempts, last_error, fn, perf,
-            )
-        queue.extendleft(reversed(affected))
-        self._backoff_sleep(failures)
-
-    def _recover_timeout(
-        self,
-        expired: Sequence[int],
-        inflight: Dict["Future[TaskOutcome]", Tuple[int, float]],
-        queue: Deque[int],
-        attempts: Dict[int, int],
-        last_error: Dict[int, str],
-        fn: Callable[[Any], Any],
-        perf: Optional[Any],
-        failures: int,
-    ) -> None:
-        """Rebuild after an expired deadline and requeue the fallout.
-
-        A worker that blew its deadline may be wedged for good, and the
-        only safe reclaim under fork is to rebuild the pool — so still-
-        healthy in-flight tasks are requeued too, without being charged
-        an attempt.
-        """
-        expired_set = set(expired)
-        survivors = sorted(
-            index for index, _stamp in inflight.values()
-            if index not in expired_set
-        )
-        inflight.clear()
-        self._discard_pool()
-        for index in sorted(expired_set):
-            self._charge(
-                index, "timeout",
-                f"deadline of {self._task_timeout_s}s expired "
-                f"(attempt {attempts[index] + 1})",
-                attempts, last_error, fn, perf,
-            )
-        queue.extendleft(reversed(sorted(expired_set) + survivors))
-        self._backoff_sleep(failures)
 
     def _backoff_sleep(self, failures: int) -> None:
         """Capped exponential pause before re-dispatching after failure."""

@@ -1,15 +1,16 @@
 """Cross-worker performance telemetry for the task scheduler.
 
-:class:`PerfCollector` is the parent-side aggregator behind the
-scheduler's duck-typed perf hook (see
-:func:`repro.runtime.scheduler.set_perf_hook`): for every work unit it
-receives the worker-measured wall seconds (via the sanctioned
-:func:`repro.obs.profiling.perf_seconds`), the queue wait between
-submission and worker pickup, the unit's testbed-cache counter delta,
-and the number of engine events it processed.  The collector reduces
-those into a deterministic-keyed ``worker_*`` summary — utilization,
-straggler ratio, aggregate events/s — that ``run_suite`` merges into
-each figure's :class:`~repro.obs.manifest.RunManifest`.
+:class:`PerfCollector` is the scheduler's perf
+:class:`~repro.runtime.scheduler.TaskHook` (installed with
+:func:`repro.runtime.scheduler.task_hooks`): around every work unit it
+measures, in the worker, the wall seconds (via the sanctioned
+:func:`repro.obs.profiling.perf_seconds`) and the queue wait between
+submission and worker pickup; back in the parent it takes the unit's
+testbed-cache and engine-event counts from the counter deltas the
+scheduler already carries.  The collector reduces those into a
+deterministic-keyed ``worker_*`` summary — utilization, straggler
+ratio, aggregate events/s — that ``run_suite`` merges into each
+figure's :class:`~repro.obs.manifest.RunManifest`.
 
 :class:`ProgressReporter` is the opt-in heartbeat for long sweeps
 (``repro experiment … --progress``): a throttled one-line status on
@@ -17,19 +18,23 @@ stderr with tasks done/total, ETA, and aggregate events/s.  It writes
 only to a stream — never into results — so enabling it cannot perturb
 determinism.
 
-Neither class is imported by the scheduler (the hook is duck-typed) nor
-by any simulation path: a run without ``--worker-perf``/``--progress``
-never loads this module.
+Neither class is imported by the scheduler nor by any simulation path:
+a run without ``--worker-perf``/``--progress`` never loads this module.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TextIO
+from typing import Any, Dict, List, Optional, TextIO
 
 from repro.obs.profiling import perf_seconds
+from repro.runtime.scheduler import TaskHook
 from repro.types import Seconds
+
+#: The registered counters a unit's perf record is read from.
+_EVENTS_COUNTER = "repro.simulator.engine:_EVENTS_TOTAL"
+_CACHE_COUNTER = "repro.runtime.cache:_DEFAULT"
 
 
 @dataclass(frozen=True)
@@ -93,12 +98,12 @@ class ProgressReporter:
         print(" ".join(parts), file=self.stream)
 
 
-class PerfCollector:
+class PerfCollector(TaskHook):
     """Aggregates per-task perf records into a ``worker_*`` summary.
 
-    Implements the scheduler's perf-hook protocol (``on_map_begin`` /
-    ``record_task`` / ``on_map_end``); one collector normally spans one
-    figure, across however many ``map_tasks`` fans it issues.
+    One collector normally spans one figure, across however many
+    ``map_tasks`` fans it issues.  Retries and timeouts are the
+    scheduler's to count (``TaskScheduler.retry_stats``).
     """
 
     def __init__(
@@ -115,29 +120,42 @@ class PerfCollector:
         self._tasks: List[TaskPerf] = []
         self._span_s = 0.0
         self._total_announced = 0
-        self._retries = 0
-        self._timeouts = 0
+        self._started = 0.0
+        self._queue_wait_s = 0.0
 
-    # -- the scheduler-facing hook protocol -----------------------------
+    # -- the task hook ----------------------------------------------------
 
     def on_map_begin(self, total: int) -> None:
         self._total_announced += total
 
-    def record_retry(self, index: int, kind: str = "crash") -> None:
-        """Charge one supervised-mode re-dispatch to this collector.
+    def enter(
+        self, index: int, attempt: int, submitted_at: Optional[float]
+    ) -> None:
+        self._started = perf_seconds()
+        self._queue_wait_s = (
+            0.0 if submitted_at is None
+            else max(0.0, self._started - submitted_at)
+        )
 
-        ``kind`` is ``"crash"`` (worker died, ``BrokenProcessPool``) or
-        ``"timeout"`` (per-task deadline expired); the two are summed
-        separately into ``worker_retries``/``worker_timeouts``.  The
-        task index is accepted for symmetry with ``record_task`` but
-        retries are charged in aggregate — a retried attempt that later
-        completes still reports its own ``record_task``.
-        """
-        del index
-        if kind == "timeout":
-            self._timeouts += 1
-        else:
-            self._retries += 1
+    def exit(self) -> Dict[str, float]:
+        return {
+            "wall_s": perf_seconds() - self._started,
+            "queue_wait_s": self._queue_wait_s,
+        }
+
+    def absorb(
+        self, index: int, payload: Dict[str, float], counters: Dict[str, Any]
+    ) -> None:
+        self.record_task(
+            index,
+            {**payload, "events": float(counters.get(_EVENTS_COUNTER, 0))},
+            counters.get(_CACHE_COUNTER),
+        )
+
+    def on_map_end(self, elapsed_s: Seconds) -> None:
+        self._span_s += elapsed_s
+
+    # -- reduction ------------------------------------------------------
 
     def record_task(
         self,
@@ -162,11 +180,6 @@ class PerfCollector:
                 total=max(self._total_announced, len(self._tasks)),
                 events=sum(t.events for t in self._tasks),
             )
-
-    def on_map_end(self, elapsed_s: Seconds) -> None:
-        self._span_s += elapsed_s
-
-    # -- reduction ------------------------------------------------------
 
     @property
     def tasks(self) -> List[TaskPerf]:
@@ -225,8 +238,6 @@ class PerfCollector:
             ),
             "worker_events": float(events),
             "worker_events_per_sec": (events / span_s) if span_s else 0.0,
-            "worker_retries": float(self._retries),
-            "worker_timeouts": float(self._timeouts),
             "worker_cache_hits": float(sum(t.cache_hits for t in tasks)),
             "worker_cache_misses": float(
                 sum(t.cache_misses for t in tasks)

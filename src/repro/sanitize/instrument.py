@@ -4,7 +4,8 @@ Nothing in this module is imported by the runtime's hot paths:
 ``repro.utils.rng`` and ``repro.simulator.events`` do not know the
 sanitizer exists, so a run without ``sanitize()`` pays exactly zero
 overhead.  Entering the context installs the instrumentation by
-patching and hook slots, and leaving restores every original:
+patching, the column-ledger hook slot and a task hook, and leaving
+restores every original:
 
 * ``RngFactory.stream`` — the returned generator is replaced (in the
   factory's stream cache, so it stays identity-stable) by a
@@ -22,10 +23,10 @@ patching and hook slots, and leaving restores every original:
   builds: a serial run builds each testbed once and reuses it, while
   every pool worker may rebuild it, so build-time draws legitimately
   differ between equivalent runs and must not enter the ledger.
-* the task scheduler's ledger hook — each work unit records into a
-  fresh segment (under the phase ``"task"``, both inline and pooled)
-  and the parent folds segments back **in task order**, which the
-  rolling hash makes equivalent to serial recording.
+* a task hook (:func:`repro.runtime.scheduler.task_hooks`) — each
+  work unit records into a fresh segment (under the phase ``"task"``,
+  both inline and pooled) and the parent folds segments back **in task
+  order**, which the rolling hash makes equivalent to serial recording.
 
 ``sanitize()`` does not nest and is not thread-safe — it guards one
 run at a time, which is how the CLI and CI use it.
@@ -40,6 +41,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.runtime.scheduler import TaskHook, task_hooks
 from repro.sanitize.ledger import _POLY, Ledger, value_digest
 
 #: The active sanitizer, or None.  Module-global (not a ContextVar):
@@ -161,6 +163,10 @@ class SanitizerState:
         for name, timestamp_ms in pairs:
             crc = crc_cache.get(name)
             if crc is None:
+                # Not a counter: a content-keyed memo whose worker-local
+                # entries are recomputed identically on demand, so
+                # dropping them at join loses nothing.
+                # repro-lint: allow[shared-mutable-global]
                 crc = crc_cache[name] = zlib.crc32(name.encode("ascii"))
             # hash() of a float is deterministic across processes (only
             # str/bytes hashing is salted), and far cheaper than repr+crc.
@@ -253,40 +259,45 @@ def _suspended() -> Iterator[None]:
         _ACTIVE = saved
 
 
-class _TaskLedgerHook:
-    """Duck-typed hook handed to :mod:`repro.runtime.scheduler`.
+class _TaskLedgerHook(TaskHook):
+    """The task hook that records each work unit as its own segment.
 
-    ``capture()`` wraps one work unit: records go into a private
+    ``enter``/``exit`` bracket one attempt: records go into a private
     segment whose dict payload rides back over the pool; ``absorb``
-    folds a payload into the parent ledger.  The scheduler only ever
-    sees this object — it never imports the sanitizer.
+    folds a payload into the parent ledger.  The scheduler never
+    imports the sanitizer.
     """
 
     def __init__(self, state: SanitizerState) -> None:
         self._state = state
+        self._capture: Optional[
+            Tuple[SanitizerState, Tuple[Ledger, List[str]]]
+        ] = None
 
-    @contextmanager
-    def capture(self) -> Iterator["_CaptureBox"]:
-        box = _CaptureBox()
+    def enter(
+        self, index: int, attempt: int, submitted_at: Optional[float]
+    ) -> None:
         state = _ACTIVE
-        if state is None:  # suspended (e.g. inside a cache build)
-            yield box
-            return
-        saved = state.begin_capture()
-        try:
-            yield box
-        finally:
-            box.payload = state.end_capture(saved).to_dict()
+        # Suspended (e.g. inside a cache build): nothing to capture.
+        self._capture = (
+            None if state is None else (state, state.begin_capture())
+        )
 
-    def absorb(self, payload: Optional[Dict[str, Any]]) -> None:
+    def exit(self) -> Optional[Dict[str, Any]]:
+        if self._capture is None:
+            return None
+        state, saved = self._capture
+        self._capture = None
+        return state.end_capture(saved).to_dict()
+
+    def absorb(
+        self,
+        index: int,
+        payload: Optional[Dict[str, Any]],
+        counters: Dict[str, Any],
+    ) -> None:
         if payload:
             self._state.ledger.absorb(Ledger.from_dict(payload))
-
-
-class _CaptureBox:
-    """Carries one task's ledger segment out of ``capture()``."""
-
-    payload: Optional[Dict[str, Any]] = None
 
 
 class _ColumnLedgerHook:
@@ -320,7 +331,6 @@ class _Patch:
 
 
 def _install(state: SanitizerState) -> List[_Patch]:
-    from repro.runtime import scheduler as scheduler_module
     from repro.runtime.cache import TestbedCache
     from repro.simulator import events as events_module
     from repro.utils.rng import RngFactory
@@ -368,11 +378,6 @@ def _install(state: SanitizerState) -> List[_Patch]:
 
     patches.append(_Patch(TestbedCache, "get_or_build", get_or_build))
 
-    # Module-global assignment and set_task_ledger are equivalent; the
-    # patch records the previous hook and restores it on undo.
-    patches.append(
-        _Patch(scheduler_module, "_TASK_LEDGER", _TaskLedgerHook(state))
-    )
     # The engine's event-stream feed (set_column_ledger is the
     # equivalent public setter).
     patches.append(
@@ -403,7 +408,8 @@ def sanitize(
     patches = _install(state)
     _ACTIVE = state
     try:
-        yield state
+        with task_hooks(_TaskLedgerHook(state)):
+            yield state
     finally:
         _ACTIVE = None
         for patch in reversed(patches):

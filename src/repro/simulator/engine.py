@@ -18,7 +18,7 @@ from repro.core.groups import GroupingResult
 from repro.errors import SimulationError
 from repro.faults.schedule import FaultSchedule
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.profiling import perf_seconds
+from repro.obs.profiling import perf_seconds, register_counter
 from repro.simulator.batched import run_batched
 from repro.simulator.cache import EdgeCache
 from repro.simulator.events import (
@@ -62,16 +62,17 @@ def events_total() -> int:
 def absorb_events(count: int) -> None:
     """Fold a worker's event-count delta into this process's counter.
 
-    :meth:`repro.runtime.scheduler.TaskScheduler.map` calls this while
-    reassembling pool results, so the parent's :func:`events_total`
-    after a parallel map matches what a serial run would report.  This
-    is the registered merge-back hook for ``_EVENTS_TOTAL`` — see
-    ``repro.lint.effects.MERGE_BACK_REGISTRY`` (the
-    ``shared-mutable-global`` rule flags task-reachable counters
-    without one).
+    The task scheduler calls this (through the counter registration
+    below) while folding pool results back in task order, so the
+    parent's :func:`events_total` after a parallel map matches what a
+    serial run would report.  Without the registration the lint's
+    ``shared-mutable-global`` rule flags every task that simulates.
     """
     global _EVENTS_TOTAL  # noqa: PLW0603 - the sanctioned merge-back site
     _EVENTS_TOTAL += int(count)
+
+
+register_counter("repro.simulator.engine:_EVENTS_TOTAL", events_total, absorb_events)
 
 
 class SimulationEngine:

@@ -17,7 +17,6 @@ from repro.lint.effects import (
     CACHE_KEY_ESCAPE,
     FORK_HELD_RESOURCE,
     IMPURE_EVENT_HANDLER,
-    MERGE_BACK_REGISTRY,
     SHARED_MUTABLE_GLOBAL,
     analyze,
     effect_findings,
@@ -74,6 +73,30 @@ WORK = (
 )
 
 
+def _registered_work(name):
+    """``WORK`` plus one module-level ``register_counter(name, ...)``."""
+    return (
+        "src/repro/exp/work.py",
+        """\
+        from repro.obs.profiling import register_counter
+
+        _TOTALS = {}
+
+
+        def unit(item):
+            _bump(item)
+            return item
+
+
+        def _bump(item):
+            _TOTALS[item] = 1
+
+
+        register_counter(%r, _TOTALS.copy, _TOTALS.update)
+        """ % name,
+    )
+
+
 class TestSharedMutableGlobal:
     def test_task_reachable_write_is_reported_with_chain(self):
         triples, findings = effect_triples(build_analysis(DRIVER, WORK))
@@ -85,7 +108,7 @@ class TestSharedMutableGlobal:
             "unit -> _bump -> repro.exp.work:_TOTALS "
             "(src/repro/exp/work.py:10)"
         ) in finding.message
-        assert "MERGE_BACK_REGISTRY" in finding.message
+        assert "register_counter" in finding.message
 
     def test_unreached_write_is_not_reported(self):
         # Same worker module, but nothing dispatches it to a pool.
@@ -93,35 +116,24 @@ class TestSharedMutableGlobal:
         assert triples == []
 
     def test_merge_back_registry_exempts_the_write(self):
-        registered = "repro.simulator.engine:_EVENTS_TOTAL"
-        assert registered in MERGE_BACK_REGISTRY
-        triples, _ = effect_triples(build_analysis(
-            (
-                "src/repro/exp/driver.py",
-                """\
-                from repro.runtime.scheduler import map_tasks
-
-                from repro.simulator.engine import tick
-
-
-                def run():
-                    return map_tasks(tick, [(1,)])
-                """,
-            ),
-            (
-                "src/repro/simulator/engine.py",
-                """\
-                _EVENTS_TOTAL = 0
-
-
-                def tick(n):
-                    global _EVENTS_TOTAL
-                    _EVENTS_TOTAL += n
-                    return n
-                """,
-            ),
+        analysis = build_analysis(DRIVER, _registered_work(
+            "repro.exp.work:_TOTALS"
         ))
+        triples, _ = effect_triples(analysis)
         assert triples == []
+        assert analysis.merge_backs == {
+            "repro.exp.work:_TOTALS":
+                "register_counter at src/repro/exp/work.py:15",
+        }
+
+    def test_registration_of_another_global_does_not_exempt(self):
+        triples, findings = effect_triples(build_analysis(
+            DRIVER, _registered_work("repro.exp.work:_OTHER")
+        ))
+        assert triples == [
+            (SHARED_MUTABLE_GLOBAL, "src/repro/exp/work.py", 6)
+        ]
+        assert "repro.exp.work:_TOTALS" in findings[0].message
 
     def test_scheduler_method_dispatch_is_an_entry(self):
         analysis = build_analysis(

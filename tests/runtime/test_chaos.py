@@ -13,7 +13,7 @@ from repro.runtime import TaskScheduler, map_tasks, use_scheduler
 from repro.runtime import chaos as chaos_module
 from repro.runtime.cache import reset_cache
 from repro.runtime.chaos import ChaosAction, ChaosConfig, ChaosPolicy
-from repro.runtime.scheduler import set_chaos_policy
+from repro.runtime.scheduler import installed_hooks, task_hooks
 from repro.sanitize import diff_ledgers, sanitize
 from repro.utils.rng import RngFactory
 
@@ -27,10 +27,10 @@ def fresh_cache():
 
 @pytest.fixture()
 def no_ambient_policy():
-    """Guarantee the hook slot is clean before and after each test."""
-    previous = set_chaos_policy(None)
+    """Guarantee no hook is installed before and after each test."""
+    assert installed_hooks() == ()
     yield
-    set_chaos_policy(previous)
+    assert installed_hooks() == ()
 
 
 def _unit(payload):
@@ -132,8 +132,7 @@ class TestChaosUnderThePool:
 
     def test_killed_workers_retry_to_clean_values(self, no_ambient_policy):
         expected = self.run_clean_serial()
-        set_chaos_policy(_killing_policy())
-        with TaskScheduler(
+        with task_hooks(_killing_policy()), TaskScheduler(
             2, max_retries=5, retry_backoff_s=0.01
         ) as scheduler, use_scheduler(scheduler):
             values = map_tasks(_unit, _payloads())
@@ -143,14 +142,13 @@ class TestChaosUnderThePool:
     def test_delays_are_injected_and_counted(self, no_ambient_policy):
         expected = self.run_clean_serial()
         before = chaos_module.delays_total()
-        set_chaos_policy(ChaosPolicy(
-            ChaosConfig(delay_rate=1.0, delay_s=0.01, seed=0)
-        ))
-        with TaskScheduler(2, retry_backoff_s=0.01) as scheduler, \
-                use_scheduler(scheduler):
+        policy = ChaosPolicy(ChaosConfig(delay_rate=1.0, delay_s=0.01, seed=0))
+        with task_hooks(policy), TaskScheduler(
+            2, retry_backoff_s=0.01
+        ) as scheduler, use_scheduler(scheduler):
             values = map_tasks(_unit, _payloads())
         assert values == expected
-        # Worker-local bumps rode back in TaskOutcome and were absorbed.
+        # Worker-local bumps rode back as counter deltas and were absorbed.
         assert chaos_module.delays_total() - before == len(_payloads())
 
     def test_chaotic_ledger_matches_clean_serial_ledger(
@@ -159,8 +157,7 @@ class TestChaosUnderThePool:
         with sanitize() as clean_state:
             clean_values = self.run_clean_serial()
 
-        set_chaos_policy(_killing_policy())
-        with sanitize() as chaos_state:
+        with task_hooks(_killing_policy()), sanitize() as chaos_state:
             with TaskScheduler(
                 2, max_retries=5, retry_backoff_s=0.01
             ) as scheduler, use_scheduler(scheduler):

@@ -13,7 +13,7 @@ from repro.runtime.journal import (
     sweep_id_for,
     task_key,
 )
-from repro.runtime.scheduler import set_task_journal
+from repro.runtime.scheduler import task_hooks
 from repro.utils.rng import RngFactory
 
 
@@ -128,12 +128,9 @@ class TestJournalStore:
 
 class TestSchedulerResume:
     def _run(self, journal, jobs=2):
-        previous = set_task_journal(journal)
-        try:
+        with task_hooks(journal):
             with TaskScheduler(jobs, retry_backoff_s=0.01) as scheduler:
                 return scheduler.map(_unit, _payloads())
-        finally:
-            set_task_journal(previous)
 
     def test_partial_journal_resumes_only_missing_units(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

@@ -1,15 +1,26 @@
 """Tests for the process-pool task scheduler."""
 
+import importlib
+import sys
+import textwrap
+
 import pytest
 
+from repro.obs import profiling
 from repro.obs.profiling import PhaseRegistry, activate, phase_timer
 from repro.runtime.cache import get_cache, reset_cache
+from repro.runtime.journal import TaskJournal
 from repro.runtime.scheduler import (
     TaskScheduler,
     active_scheduler,
     map_tasks,
+    task_hooks,
     use_scheduler,
 )
+from repro.runtime.telemetry import PerfCollector
+from repro.sanitize import diff_ledgers, sanitize
+from repro.simulator.engine import events_total
+from repro.utils.rng import RngFactory
 
 
 @pytest.fixture(autouse=True)
@@ -95,6 +106,108 @@ class TestTaskScheduler:
         scheduler.map(_square, [1, 2])
         scheduler.shutdown()
         scheduler.shutdown()
+
+
+def _observed_unit(x):
+    """Draws, a testbed-cache miss and engine events in one unit."""
+    rng = RngFactory(x).stream("unit")
+    get_cache().get_or_build(f"parity-{x}", lambda: x)
+    _bump_engine_counter(10 + x)
+    return float(rng.random(3).sum())
+
+
+def _bump_helper_counter(payload):
+    # Imported here, in the worker, for the first time in any process.
+    module = importlib.import_module(payload["module"])
+    module.bump(payload["n"])
+    return payload["n"]
+
+
+_HELPER = """
+from repro.obs.profiling import register_counter
+
+_TOTAL = 0
+
+
+def total():
+    return _TOTAL
+
+
+def absorb(count):
+    global _TOTAL
+    _TOTAL += count
+
+
+def bump(count):
+    absorb(count)
+
+
+register_counter("{name}:_TOTAL", total, absorb)
+"""
+
+
+class TestHookParity:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_inline_and_pooled_maps_fold_the_same_state(
+        self, jobs, tmp_path
+    ):
+        """Sanitizer, perf collector and journal all installed at once."""
+
+        def run(jobs, label):
+            reset_cache()
+            cache_before = get_cache().stats()
+            events_before = events_total()
+            collector = PerfCollector(jobs=jobs)
+            journal = TaskJournal(tmp_path / f"{label}.jsonl")
+            with sanitize() as state, task_hooks(collector, journal):
+                with TaskScheduler(jobs) as scheduler:
+                    values = scheduler.map(_observed_unit, list(range(5)))
+            cache_after = get_cache().stats()
+            return {
+                "values": values,
+                "ledger": state.ledger,
+                "cache": {
+                    name: cache_after[name] - cache_before[name]
+                    for name in cache_after
+                },
+                "events": events_total() - events_before,
+                "perf_tasks": [task.index for task in collector.tasks],
+                "perf_events": sum(task.events for task in collector.tasks),
+                "recorded": journal.recorded,
+            }
+
+        serial, observed = run(1, "serial"), run(jobs, "observed")
+        assert observed["values"] == serial["values"]
+        assert diff_ledgers(serial["ledger"], observed["ledger"]).clean
+        for key in ("cache", "events", "perf_tasks", "perf_events",
+                    "recorded"):
+            assert observed[key] == serial[key], key
+        assert serial["cache"]["misses"] == 5
+        assert serial["events"] == serial["perf_events"] == 60
+        assert serial["perf_tasks"] == [0, 1, 2, 3, 4]
+        assert serial["recorded"] == 5
+
+    def test_counter_registered_only_in_workers_is_absorbed_lazily(
+        self, tmp_path, monkeypatch
+    ):
+        name = "repro_lazy_counter_helper"
+        (tmp_path / f"{name}.py").write_text(
+            textwrap.dedent(_HELPER).format(name=name)
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        # Registrations made here are dropped again after the test.
+        monkeypatch.setattr(profiling, "_COUNTERS", dict(profiling._COUNTERS))
+        assert name not in sys.modules
+        payloads = [{"module": name, "n": n} for n in (3, 4, 5)]
+        try:
+            with TaskScheduler(2) as scheduler:
+                assert scheduler.map(_bump_helper_counter, payloads) == [
+                    3, 4, 5
+                ]
+            # The parent imported the helper to absorb its deltas.
+            assert sys.modules[name].total() == 12
+        finally:
+            sys.modules.pop(name, None)
 
 
 class TestAmbientScheduler:

@@ -14,7 +14,8 @@ import pytest
 
 from repro.errors import SchedulerError
 from repro.runtime.cache import reset_cache
-from repro.runtime.scheduler import TaskScheduler
+from repro.runtime.scheduler import TaskScheduler, task_hooks
+from repro.runtime.telemetry import PerfCollector
 
 
 @pytest.fixture(autouse=True)
@@ -62,26 +63,6 @@ def _return_unpicklable(x):
     return lambda: x  # a result that cannot cross the process boundary
 
 
-class _RetryRecorder:
-    """Minimal perf hook capturing the retry protocol."""
-
-    def __init__(self):
-        self.retries = []
-        self.tasks = []
-
-    def on_map_begin(self, total):
-        self.total = total
-
-    def record_task(self, index, perf, cache_delta=None):
-        self.tasks.append(index)
-
-    def on_map_end(self, elapsed_s):
-        self.elapsed = elapsed_s
-
-    def record_retry(self, index, kind):
-        self.retries.append((index, kind))
-
-
 class TestCrashRecovery:
     def test_killed_worker_is_retried_and_results_match_serial(
         self, tmp_path
@@ -101,20 +82,17 @@ class TestCrashRecovery:
             {"x": x, "dir": str(tmp_path), "kill": x == 0}
             for x in range(4)
         ]
-        recorder = _RetryRecorder()
-        from repro.runtime.scheduler import set_perf_hook
-
-        previous = set_perf_hook(recorder)
-        try:
+        collector = PerfCollector(jobs=2)
+        with task_hooks(collector):
             with TaskScheduler(2, retry_backoff_s=0.01) as scheduler:
                 values = scheduler.map(_crash_once, payloads)
-        finally:
-            set_perf_hook(previous)
         assert values == [0, 1, 4, 9]
-        assert recorder.retries, "the crash must reach the perf hook"
-        assert all(kind == "crash" for _index, kind in recorder.retries)
-        # Every task eventually completed and reported its perf record.
-        assert sorted(set(recorder.tasks)) == [0, 1, 2, 3]
+        # One crash charges each task then in flight (at most jobs=2)
+        # exactly once, and all of it counts as a crash retry.
+        assert 1 <= scheduler.retry_stats()["retries"] <= 2
+        assert scheduler.retry_stats()["timeouts"] == 0
+        # Every task completed once and was folded back once, in order.
+        assert [task.index for task in collector.tasks] == [0, 1, 2, 3]
 
     def test_retry_exhaustion_raises_scheduler_error(self, tmp_path):
         with TaskScheduler(
@@ -190,6 +168,16 @@ class TestErrorTaxonomy:
             TaskScheduler(2, max_retries=-1)
         with pytest.raises(ValueError):
             TaskScheduler(2, retry_backoff_s=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", ["task_timeout_s", "retry_backoff_s", "retry_backoff_cap_s"]
+    )
+    def test_non_finite_times_rejected(self, name, value):
+        # A NaN deadline never expires and makes the parent busy-poll;
+        # an infinite one overflows wait().  Both fail up front.
+        with pytest.raises(ValueError, match="finite"):
+            TaskScheduler(2, **{name: value})
 
 
 class TestClose:

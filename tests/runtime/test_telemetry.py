@@ -8,16 +8,19 @@ serial run — telemetry observes the computation, it never joins it.
 from __future__ import annotations
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import ExperimentResult, SeriesResult
 from repro.experiments.fig6_num_landmarks import run_fig6
 from repro.experiments.registry import REGISTRY
-from repro.experiments.suite import run_suite
-from repro.runtime import TaskScheduler, reset_cache, use_scheduler
-from repro.runtime.scheduler import map_tasks, perf_hook, set_perf_hook
+from repro.experiments.suite import run_figure, run_suite
+from repro.runtime import TaskHook, TaskScheduler, reset_cache, use_scheduler
+from repro.runtime.scheduler import installed_hooks, map_tasks, task_hooks
 from repro.runtime.telemetry import PerfCollector, ProgressReporter
 
 
@@ -31,7 +34,7 @@ def fresh_cache():
 @pytest.fixture(autouse=True)
 def no_leaked_hook():
     yield
-    assert perf_hook() is None, "a test leaked the scheduler perf hook"
+    assert installed_hooks() == (), "a test leaked a scheduler hook"
 
 
 def _small_fig6(**kwargs):
@@ -84,19 +87,31 @@ class TestPerfCollectorMath:
         with pytest.raises(ValueError):
             PerfCollector(jobs=0)
 
-    def test_retries_and_timeouts_flow_into_the_summary(self):
-        collector = PerfCollector(jobs=2)
-        collector.record_retry(0, kind="crash")
-        collector.record_retry(1, kind="crash")
-        collector.record_retry(2, kind="timeout")
-        summary = collector.summary()
-        assert summary["worker_retries"] == 2.0
-        assert summary["worker_timeouts"] == 1.0
+    def test_retries_and_timeouts_flow_into_the_summary(
+        self, tmp_path, monkeypatch
+    ):
+        # The scheduler is the one counter of retries: the manifest's
+        # worker_* summary takes the figure's retry_stats() delta.
+        monkeypatch.setitem(REGISTRY, "fig3", _crashing_figure(tmp_path))
+        with TaskScheduler(2, retry_backoff_s=0.01) as scheduler, \
+                use_scheduler(scheduler):
+            _result, manifest = run_figure(
+                "fig3", {}, jobs=2, worker_perf=True
+            )
+        stats = scheduler.retry_stats()
+        assert stats["retries"] >= 1
+        assert manifest.run_stats["worker_retries"] == stats["retries"]
+        assert manifest.run_stats["worker_timeouts"] == 0.0
+        assert manifest.run_stats["worker_tasks"] == 4.0
 
     def test_clean_runs_report_zero_retries(self):
-        summary = PerfCollector(jobs=2).summary()
-        assert summary["worker_retries"] == 0.0
-        assert summary["worker_timeouts"] == 0.0
+        _result, manifest = run_figure(
+            "fig3",
+            {"num_caches": 20, "group_sizes": (5,)},
+            worker_perf=True,
+        )
+        assert manifest.run_stats["worker_retries"] == 0.0
+        assert manifest.run_stats["worker_timeouts"] == 0.0
 
     def test_stragglers_names_outlier_task_indices(self):
         collector = PerfCollector(jobs=4)
@@ -141,15 +156,34 @@ def _square(x):
     return x * x
 
 
+def _crash_once(payload):
+    """Die hard (os._exit) on the first attempt of the flagged payload."""
+    marker = Path(payload["dir"]) / f"kill-{payload['x']}.marker"
+    if payload["kill"] and not marker.exists():
+        marker.write_text("died here")
+        os._exit(86)
+    return payload["x"]
+
+
+def _crashing_figure(tmp_path):
+    def figure():
+        payloads = [
+            {"x": x, "dir": str(tmp_path), "kill": x == 1} for x in range(4)
+        ]
+        values = tuple(float(v) for v in map_tasks(_crash_once, payloads))
+        return ExperimentResult(
+            "fig3", "x", (0.0, 1.0, 2.0, 3.0), (SeriesResult("x", values),)
+        )
+
+    return figure
+
+
 class TestSchedulerIntegration:
     def _collect(self, jobs):
         collector = PerfCollector(jobs=jobs)
-        previous = set_perf_hook(collector)
-        try:
+        with task_hooks(collector):
             with TaskScheduler(jobs) as sched, use_scheduler(sched):
                 values = map_tasks(_square, [1, 2, 3, 4])
-        finally:
-            set_perf_hook(previous)
         assert values == [1, 4, 9, 16]
         return collector.summary()
 
@@ -168,19 +202,14 @@ class TestSchedulerIntegration:
         assert summary["worker_span_s"] > 0.0
 
     def test_hook_restored_after_run_figure(self):
-        from repro.experiments.suite import run_figure
-
-        sentinel = object()
-        previous = set_perf_hook(sentinel)
-        try:
+        sentinel = TaskHook()
+        with task_hooks(sentinel):
             run_figure(
                 "fig3",
                 {"num_caches": 20, "group_sizes": (5,)},
                 worker_perf=True,
             )
-            assert perf_hook() is sentinel
-        finally:
-            set_perf_hook(previous)
+            assert installed_hooks() == (sentinel,)
 
 
 class TestTelemetryTransparency:
@@ -236,27 +265,21 @@ class TestTelemetryTransparency:
         parallel = tmp_path / "parallel.json"
 
         collector = PerfCollector(jobs=1)
-        previous = set_perf_hook(collector)
-        try:
+        with task_hooks(collector):
             args = parser.parse_args([
                 "sanitize", "run", "--figure", "fig6",
                 "--repetitions", "1", "--out", str(serial),
             ])
             assert run_sanitize(args, stdout=io.StringIO()) == 0
-        finally:
-            set_perf_hook(previous)
         reset_cache()
 
         collector = PerfCollector(jobs=4)
-        previous = set_perf_hook(collector)
-        try:
+        with task_hooks(collector):
             args = parser.parse_args([
                 "sanitize", "run", "--figure", "fig6",
                 "--repetitions", "1", "--jobs", "4", "--out", str(parallel),
             ])
             assert run_sanitize(args, stdout=io.StringIO()) == 0
-        finally:
-            set_perf_hook(previous)
 
         args = parser.parse_args([
             "sanitize", "diff", str(serial), str(parallel),
@@ -281,6 +304,7 @@ REGISTRY["fig6"] = small
 run_suite(figures=["fig6"], repetitions=1, seed=5, jobs=2)
 for forbidden in (
     "repro.runtime.telemetry", "repro.obs.registry", "repro.bench",
+    "repro.runtime.journal", "repro.runtime.chaos",
 ):
     assert forbidden not in sys.modules, f"hot path imported {forbidden}"
 print("clean")
@@ -290,9 +314,6 @@ print("clean")
 class TestZeroCostDisabled:
     def test_disabled_telemetry_imports_nothing(self):
         """A plain suite run must never load the new subsystems."""
-        import os
-        from pathlib import Path
-
         proc = subprocess.run(
             [sys.executable, "-c", _PROBE],
             capture_output=True, text=True, timeout=600,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import TaskScheduler, map_tasks, use_scheduler
-from repro.runtime.scheduler import task_ledger
+from repro.runtime.scheduler import installed_hooks
 from repro.sanitize import (
     EVENT_SITE,
     SanitizeError,
@@ -117,11 +117,11 @@ class TestLifecycle:
         before = (RngFactory.stream, RngFactory.fork)
         with sanitize():
             assert RngFactory.stream is not before[0]
-            assert task_ledger() is not None
+            assert len(installed_hooks()) == 1
             assert column_ledger() is not None
         after = (RngFactory.stream, RngFactory.fork)
         assert before == after
-        assert task_ledger() is None
+        assert installed_hooks() == ()
         assert column_ledger() is None
 
     def test_patches_are_restored_after_an_exception(self):
@@ -130,7 +130,7 @@ class TestLifecycle:
             with sanitize():
                 raise RuntimeError("boom")
         assert RngFactory.stream is before
-        assert task_ledger() is None
+        assert installed_hooks() == ()
 
     def test_nesting_raises(self):
         with sanitize():
