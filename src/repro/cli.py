@@ -75,7 +75,11 @@ from repro.errors import ReproError
 from repro.experiments import REGISTRY
 from repro.lint.cli import configure_parser as configure_lint_parser
 from repro.obs.registry_cli import configure_parser as configure_runs_parser
-from repro.runtime.chaos_cli import configure_parser as configure_chaos_parser
+from repro.runtime.chaos_cli import (
+    backoff_seconds,
+    configure_parser as configure_chaos_parser,
+    timeout_seconds,
+)
 from repro.sanitize.cli import configure_parser as configure_sanitize_parser
 from repro.persist import (
     load_grouping,
@@ -242,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
              "aggregate events/s) while a figure's units run",
     )
     exp.add_argument(
-        "--task-timeout", type=float, metavar="S",
+        "--task-timeout", type=timeout_seconds, metavar="S",
         help="per-attempt deadline in seconds; an attempt running "
              "longer is presumed wedged and re-dispatched (with "
              "--jobs > 1)",
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
              "before the run fails (default 3)",
     )
     exp.add_argument(
-        "--retry-backoff", type=float, default=0.1, metavar="S",
+        "--retry-backoff", type=backoff_seconds, default=0.1, metavar="S",
         help="base pause before re-dispatching after a worker failure, "
              "doubling per consecutive failure up to 5s (default 0.1)",
     )

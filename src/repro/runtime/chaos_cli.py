@@ -23,8 +23,33 @@ failure (e.g. retry budget exhausted); ``2`` — usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any, Dict, Optional, TextIO
+
+
+def timeout_seconds(text: str) -> float:
+    """``argparse`` type of ``--task-timeout``: positive, finite seconds.
+
+    Shared by ``repro experiment`` and ``repro chaos run`` so a bad value
+    is a usage error (exit 2) rather than the scheduler's ``ValueError``.
+    """
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite seconds, got {text!r}"
+        )
+    return value
+
+
+def backoff_seconds(text: str) -> float:
+    """``argparse`` type of ``--retry-backoff``: finite seconds >= 0."""
+    value = float(text)
+    if not (value >= 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be finite seconds >= 0, got {text!r}"
+        )
+    return value
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -54,7 +79,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
              "'repro experiment')",
     )
     run.add_argument(
-        "--task-timeout", type=float, metavar="S",
+        "--task-timeout", type=timeout_seconds, metavar="S",
         help="per-attempt deadline in seconds (needed for --delay-rate "
              "to actually trigger timeout recovery)",
     )
@@ -63,7 +88,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="extra attempts each task may consume (default 5)",
     )
     run.add_argument(
-        "--retry-backoff", type=float, default=0.05, metavar="S",
+        "--retry-backoff", type=backoff_seconds, default=0.05, metavar="S",
         help="base backoff before re-dispatch, doubling per consecutive "
              "failure (default 0.05)",
     )

@@ -25,9 +25,18 @@ folds for every request.  This module replaces that hot path with a
   run; instrumented runs buffer trace rows per slice and mirror the
   sampler's next-due tick in a local so observation costs one compare
   per event.
-* Barriers themselves run through the engine's event handlers — they
-  are rare, and reusing the exact handler code on the exact shared
-  state is what makes divergence structurally impossible there.
+* Origin updates under the utility policy with no partition active —
+  the barriers a write-heavy run is made of — are applied inline too:
+  the origin's version dict (:meth:`~repro.simulator.origin.
+  OriginServer.hot_state`) is bumped and the invalidation fan-out pops
+  the document's holder-directory entry and drops each copy with the
+  same dict operations the method path makes, counting invalidations
+  in a flat per-cache slot.  Every other barrier (failures, recoveries,
+  partition edges, updates under LRU/LFU or an active partition) runs
+  through the engine's event handler on the same shared state.
+* Nothing here may create a reference cycle: :meth:`SimulationEngine.
+  run` pauses the cyclic collector around the kernel, so cyclic
+  garbage made here would live until the caller's next collection.
 
 The contract — pinned by the differential fuzz in
 ``tests/simulator/test_batched_loop.py`` and the sanitize ledger — is
@@ -49,6 +58,7 @@ from heapq import heappop, heappush
 from math import inf
 from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
 
+from repro.errors import SimulationError
 from repro.obs.trace import KIND_REQUEST, TraceRecord
 from repro.simulator import events as events_module
 from repro.simulator.events import OriginUpdateEvent
@@ -187,9 +197,21 @@ def run_batched(engine: "SimulationEngine") -> int:
         fetch0_by[node] = rtt_by[node][origin_node] + origin_processing
 
     origin = engine._origin
-    sizes = origin.catalog.sizes.tolist()
-    origin_version = [0] * len(sizes)
-    origin_version_of = origin.version_of
+    catalog = origin.catalog
+    sizes = catalog.sizes.tolist()
+    num_docs = len(sizes)
+    origin_versions = origin.hot_state()["versions"]
+    origin_version = [0] * num_docs
+    for doc, doc_version in origin_versions.items():
+        origin_version[doc] = doc_version
+    dynamic = [False] * num_docs
+    for doc in catalog.dynamic_ids():
+        dynamic[doc] = True
+    updates_applied = 0
+    invalidate_mode = (
+        config.consistency_enabled
+        and config.consistency_mode == "invalidate"
+    )
 
     ttl_mode = (
         config.consistency_enabled and config.consistency_mode == "ttl"
@@ -222,6 +244,7 @@ def run_batched(engine: "SimulationEngine") -> int:
     m_skips = [0] * size_index
     m_down = [0] * size_index
     m_ptimeout = [0] * size_index
+    m_inval = [0] * size_index
 
     hist = metrics._latency_hist
     hist_width = hist.bin_width
@@ -248,7 +271,7 @@ def run_batched(engine: "SimulationEngine") -> int:
     next_tick = sampler.next_tick_ms if sampler is not None else inf
     sample_gauges = engine._sample_gauges
 
-    handlers = engine._handlers
+    handlers = engine._HANDLERS
 
     # -- the slice loop ----------------------------------------------
     # Each barrier slice is further split at the warm-up boundary so
@@ -705,7 +728,7 @@ def run_batched(engine: "SimulationEngine") -> int:
         if barrier_index >= num_barriers:
             break
 
-        # ---- barrier event: engine handler on the shared state ----
+        # ---- barrier event ----
         barrier = barriers[barrier_index]
         barrier_index += 1
         barrier_ts = barrier.timestamp_ms
@@ -734,11 +757,64 @@ def run_batched(engine: "SimulationEngine") -> int:
                 for row in trace_buf
             ])
             trace_buf = []
-        handlers[type(barrier)](barrier)
-        if type(barrier) is OriginUpdateEvent:
-            origin_version[barrier.doc_id] = origin_version_of(
-                barrier.doc_id
-            )
+        if (
+            util_mode
+            and not partition_of
+            and type(barrier) is OriginUpdateEvent
+        ):
+            # Origin update, inline: OriginServer.apply_update (same
+            # checks, same messages) then the engine's invalidation
+            # fan-out, replaying EdgeCache.invalidate/_remove,
+            # UtilityPolicy.on_invalidation_feedback/on_remove and
+            # GroupProtocol.drop_copy on the shared state.  With no
+            # partition active every holder is reachable.
+            doc = barrier.doc_id
+            if not 0 <= doc < num_docs:
+                raise SimulationError(
+                    f"unknown document {doc} (catalog size {num_docs})"
+                )
+            if not dynamic[doc]:
+                raise SimulationError(
+                    f"update log targets static document {doc}"
+                )
+            doc_version = origin_versions.get(doc, 0) + 1
+            origin_versions[doc] = doc_version
+            origin_version[doc] = doc_version
+            updates_applied += 1
+            if instrumented:
+                observer.on_origin_update(barrier_ts, doc)
+            if invalidate_mode:
+                # The directory lists exactly the caches whose store
+                # holds the document (every path that adds or drops a
+                # copy keeps both in step), so every holder drops its
+                # copy and the whole directory entry goes at once.
+                by_group = holders_map.pop(doc, None)
+                if by_group:
+                    for held in by_group.values():
+                        for h in held:
+                            held_record = docs_by[h].pop(doc)
+                            pinv_h = pinv_by[h]
+                            pinv_h[doc] = pinv_h.get(doc, 0) + 1
+                            left = used[h] - held_record[0]
+                            used[h] = left
+                            if left < 0:
+                                raise SimulationError(
+                                    f"cache {h} accounting went negative"
+                                )
+                            del acc_by[h][doc]
+                            del psz_by[h][doc]
+                            del pfc_by[h][doc]
+                            del pver_by[h][doc]
+                            m_inval[h] += 1
+        else:
+            # Every other barrier (failures, partition edges, updates
+            # under LRU/LFU or an active partition): the engine's
+            # handler on the shared state.
+            handlers[type(barrier)](engine, barrier)
+            if type(barrier) is OriginUpdateEvent:
+                origin_version[barrier.doc_id] = origin_versions[
+                    barrier.doc_id
+                ]
 
     # -- postlude ----------------------------------------------------
     if total_requests:
@@ -782,6 +858,7 @@ def run_batched(engine: "SimulationEngine") -> int:
                 del pend_node[:]
 
     engine._processed_requests = total_requests
+    origin.absorb_updates(updates_applied)
 
     rows = {}
     for node in nodes:
@@ -791,7 +868,7 @@ def run_batched(engine: "SimulationEngine") -> int:
             m_local[node], m_group[node], m_origin[node],
             m_queries[node], m_peer_bytes[node], m_origin_bytes[node],
             m_stale[node], m_skips[node], m_down[node],
-            m_ptimeout[node],
+            m_ptimeout[node], m_inval[node],
         )
     metrics.absorb_batched(
         rows,

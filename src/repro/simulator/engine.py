@@ -9,6 +9,7 @@ per-event control flow.
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, Optional, Sequence, Set, Union
 
 import numpy as np
@@ -222,17 +223,6 @@ class SimulationEngine:
         )
         self._processed_requests = 0
 
-        # Exact-type handler table: the event union is closed, so a
-        # single dict lookup replaces the isinstance chain in run().
-        self._handlers = {
-            RequestEvent: self._handle_request,
-            OriginUpdateEvent: self._handle_update,
-            CacheFailEvent: self._handle_fail,
-            CacheRecoverEvent: self._handle_recover,
-            PartitionStartEvent: self._handle_partition_start,
-            PartitionEndEvent: self._handle_partition_end,
-        }
-
     @property
     def metrics(self) -> SimulationMetrics:
         return self._metrics
@@ -268,7 +258,19 @@ class SimulationEngine:
         # Wall clock is profiling-only here: it feeds throughput
         # reporting, never event timestamps or simulated behaviour.
         started = perf_seconds()
-        events_processed = run_batched(self)
+        # The kernel allocates a container per request but creates no
+        # reference cycles, so the cyclic collector's passes (each one
+        # rescanning every object the caller keeps alive) could free
+        # nothing.  Pause it for the kernel and restore the caller's
+        # setting; the engine is acyclic too (see _HANDLERS), so it is
+        # freed by reference counting once the caller drops it.
+        collector_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            events_processed = run_batched(self)
+        finally:
+            if collector_was_enabled:
+                gc.enable()
         global _EVENTS_TOTAL  # noqa: PLW0603 - merged counter, see absorb_events
         _EVENTS_TOTAL += events_processed
         if self._observer is not NULL_OBSERVER:
@@ -531,6 +533,21 @@ class SimulationEngine:
             if dropped:
                 self._metrics.record_invalidation(holder)
 
+    #: Exact-type handler table: the event union is closed, so one dict
+    #: lookup replaces an isinstance chain.  The values are plain
+    #: functions, called as ``handler(engine, event)``: bound methods
+    #: stored on the instance would make every engine a reference cycle,
+    #: kept alive (with its store, policies and heaps) until the next
+    #: full collection.
+    _HANDLERS = {
+        RequestEvent: _handle_request,
+        OriginUpdateEvent: _handle_update,
+        CacheFailEvent: _handle_fail,
+        CacheRecoverEvent: _handle_recover,
+        PartitionStartEvent: _handle_partition_start,
+        PartitionEndEvent: _handle_partition_end,
+    }
+
 
 def run_reference(engine: SimulationEngine) -> int:
     """The per-event reference oracle for :func:`run_batched`.
@@ -567,7 +584,7 @@ def run_reference(engine: SimulationEngine) -> int:
         )
 
     sampler = engine._observer.sampler if engine._instrumented else None
-    handlers = engine._handlers
+    handlers = engine._HANDLERS
     now = 0.0
     for event in events:
         now = event.timestamp_ms
@@ -578,7 +595,7 @@ def run_reference(engine: SimulationEngine) -> int:
             while tick is not None:
                 sampler.flush(tick, **engine._sample_gauges(tick))
                 tick = sampler.next_due(now)
-        handlers[type(event)](event)
+        handlers[type(event)](engine, event)
     if sampler is not None:
         sampler.finalize(now, **engine._sample_gauges(now))
     return len(events)

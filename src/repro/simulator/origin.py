@@ -60,6 +60,20 @@ class OriginServer:
         self._updates_applied += 1
         return new_version
 
+    def hot_state(self) -> Dict[str, object]:
+        """The origin's mutable internals, for inline (batched) driving.
+
+        ``{"versions"}`` — the live ``doc -> version`` dict (documents
+        never updated are absent).  The batched kernel applies update
+        barriers inline on it, replaying :meth:`apply_update` exactly,
+        and folds the count back through :meth:`absorb_updates`.
+        """
+        return {"versions": self._versions}
+
+    def absorb_updates(self, count: int) -> None:
+        """Add updates the batched kernel applied through :meth:`hot_state`."""
+        self._updates_applied += count
+
     def _check(self, doc_id: DocumentId) -> None:
         if not 0 <= doc_id < len(self._catalog):
             raise SimulationError(

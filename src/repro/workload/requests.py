@@ -47,8 +47,10 @@ def generate_request_log(
         for cache in cache_nodes
     }
 
-    records: List[RequestRecord] = []
     per_cache = config.requests_per_cache
+    time_columns: List[np.ndarray] = []
+    cache_columns: List[np.ndarray] = []
+    doc_columns: List[np.ndarray] = []
     for cache in cache_nodes:
         # Poisson arrivals: exponential inter-arrival times.
         gaps = rng.exponential(config.mean_interarrival_ms, size=per_cache)
@@ -57,15 +59,27 @@ def generate_request_log(
         global_docs = global_sampler.sample(rng, size=per_cache)
         local_docs = local_samplers[cache].sample(rng, size=per_cache)
         docs = np.where(use_global, global_docs, local_docs)
-        for t, doc in zip(times, docs):
-            if config.duration_ms is not None and t > config.duration_ms:
-                break
-            records.append(
-                RequestRecord(
-                    timestamp_ms=float(t),
-                    cache_node=cache,
-                    doc_id=int(doc),
-                )
-            )
-    records.sort()
-    return records
+        if config.duration_ms is not None:
+            # Each cache's stream stops at its first arrival past the
+            # duration.
+            late = np.flatnonzero(times > config.duration_ms)
+            if late.size:
+                times = times[: late[0]]
+                docs = docs[: late[0]]
+        time_columns.append(times)
+        cache_columns.append(np.full(times.size, cache, dtype=np.int64))
+        doc_columns.append(docs)
+    times = np.concatenate(time_columns)
+    caches = np.concatenate(cache_columns)
+    docs = np.concatenate(doc_columns)
+    # Time-sorted in RequestRecord order (timestamp, cache, doc): records
+    # with equal keys are equal, so this is the list sorted() would give.
+    order = np.lexsort((docs, caches, times))
+    return [
+        RequestRecord(timestamp_ms=t, cache_node=c, doc_id=d)
+        for t, c, d in zip(
+            times[order].tolist(),
+            caches[order].tolist(),
+            docs[order].tolist(),
+        )
+    ]

@@ -4,13 +4,15 @@ The columnar slice kernel (:mod:`repro.simulator.batched`) is a pure
 performance rewrite of the per-event oracle
 (:func:`repro.simulator.engine.run_reference`): every metric, trace
 record, sample, archived figure byte, and sanitize-ledger digest must
-equal the oracle's exactly — not approximately.  A fixed matrix of
+equal the oracle's exactly — not approximately — and so must the
+post-run state the kernel writes inline.  A fixed matrix of
 hand-picked configurations (plain, faulted, and per protocol mode) and
-a hypothesis differential fuzz over generated combinations of
-replacement policy, consistency, protocol mode, capacity, warm-up,
-failures, partitions, and instrumentation pin that contract; further
-fixed tests carry it through the figure and sanitize layers that
-consume the engine.
+two hypothesis differential fuzzes — one over generated combinations
+of replacement policy, consistency, protocol mode, capacity, warm-up,
+failures, partitions, and instrumentation, one pinned to the
+write-heavy inline update path — pin that contract; further fixed
+tests carry it through the figure and sanitize layers that consume the
+engine.
 
 Tests run the oracle by swapping it in for the kernel with
 ``monkeypatch.setattr(repro.simulator.engine, "run_batched",
@@ -35,7 +37,12 @@ from repro.core.groups import GroupingResult, groups_from_labels
 from repro.faults.schedule import FaultSchedule, PartitionSpec
 from repro.obs import MetricsSampler, Observer, TraceCollector
 from repro.sanitize import diff_ledgers, sanitize
-from repro.simulator import CacheFailEvent, CacheRecoverEvent, simulate
+from repro.simulator import (
+    CacheFailEvent,
+    CacheRecoverEvent,
+    SimulationEngine,
+    simulate,
+)
 from repro.simulator.engine import run_reference
 from repro.topology import build_network
 from repro.workload import generate_workload
@@ -62,13 +69,12 @@ def testbed():
     return network, workload, grouping
 
 
-def fingerprint(result):
+def fingerprint(metrics):
     """Canonical JSON of every number a run produces (reprs keep bits).
 
     Moments of an empty latency stream are undefined, so a cache (or a
     run) with no counted requests contributes its counters only.
     """
-    metrics = result.metrics
     rows = []
     for node in metrics.cache_nodes():
         stats = metrics.cache_stats(node)
@@ -94,6 +100,43 @@ def fingerprint(result):
             repr(metrics.average_latency_ms()),
         ]
     rows.append(totals)
+    return json.dumps(rows)
+
+
+def state_fingerprint(engine):
+    """Canonical JSON of the post-run state both loops write.
+
+    Covers what the kernel mutates inline: origin versions and update
+    count, each cache's used bytes and store records, each replacement
+    policy's maps (in insertion order), and the holder directory.  A
+    policy heap is compared as a multiset: the kernel defers pushes,
+    which changes the heap's array layout but not its pop order.
+    """
+    origin = engine.origin
+    rows = [
+        origin.updates_applied,
+        list(origin.hot_state()["versions"].items()),
+    ]
+    for node in engine.metrics.cache_nodes():
+        cache = engine.cache(node)
+        records = [
+            [doc, size, repr(stored_at), version]
+            for doc, (size, stored_at, version) in (
+                cache.store.docs[node].items()
+            )
+        ]
+        policy = []
+        for key, value in sorted(cache.policy.hot_state().items()):
+            if key == "heap":
+                value = sorted(value)
+            else:
+                value = list(value.items())
+            policy.append([key, repr(value)])
+        rows.append([node, cache.used_bytes, records, policy])
+    rows.append([
+        [doc, [[group, sorted(held)] for group, held in by_group.items()]]
+        for doc, by_group in engine.protocol.hot_state()["holders"].items()
+    ])
     return json.dumps(rows)
 
 
@@ -164,7 +207,9 @@ class TestMetricsEquivalence:
     def test_plain(self, testbed, config):
         network, workload, grouping = testbed
         kernel, oracle = kernel_and_oracle(
-            lambda: fingerprint(simulate(network, grouping, workload, config))
+            lambda: fingerprint(
+                simulate(network, grouping, workload, config).metrics
+            )
         )
         assert kernel == oracle
 
@@ -177,7 +222,7 @@ class TestMetricsEquivalence:
                 simulate(
                     network, grouping, workload, config,
                     failures=failures, faults=faults,
-                )
+                ).metrics
             )
         )
         assert kernel == oracle
@@ -191,7 +236,7 @@ class TestMetricsEquivalence:
             lambda: fingerprint(
                 simulate(
                     network, grouping, workload, group_protocol_mode=mode
-                )
+                ).metrics
             )
         )
         assert kernel == oracle
@@ -216,8 +261,14 @@ def event_time(data, request_times, horizon):
     )
 
 
-def draw_scenario(data):
-    """Everything one differential run needs, drawn piece by piece."""
+def draw_scenario(data, write_heavy=False):
+    """Everything one differential run needs, drawn piece by piece.
+
+    ``write_heavy`` pins the kernel's inline update barrier: utility
+    replacement, server-driven invalidation, a mostly dynamic catalog
+    and frequent updates (partitions still hand some barriers to the
+    engine's handler).
+    """
     network = fuzz_network(
         data.draw(st.sampled_from([4, 8, 12]), label="caches")
     )
@@ -228,7 +279,10 @@ def draw_scenario(data):
             documents=DocumentConfig(
                 num_documents=data.draw(st.integers(5, 60), label="documents"),
                 dynamic_fraction=data.draw(
-                    st.sampled_from([0.0, 0.3, 0.6, 1.0]), label="dynamic"
+                    st.sampled_from(
+                        [0.6, 1.0] if write_heavy else [0.0, 0.3, 0.6, 1.0]
+                    ),
+                    label="dynamic",
                 ),
             ),
             requests_per_cache=data.draw(
@@ -237,7 +291,10 @@ def draw_scenario(data):
             # Down to a few ms between updates: slices of a request or
             # two between barriers.
             mean_update_interarrival_ms=data.draw(
-                st.sampled_from([5.0, 40.0, 400.0, 5_000.0]),
+                st.sampled_from(
+                    [5.0, 40.0] if write_heavy
+                    else [5.0, 40.0, 400.0, 5_000.0]
+                ),
                 label="update gap ms",
             ),
         ),
@@ -250,7 +307,8 @@ def draw_scenario(data):
     )
 
     consistency = data.draw(
-        st.sampled_from(["invalidate", "ttl", "disabled"]),
+        st.just("invalidate") if write_heavy
+        else st.sampled_from(["invalidate", "ttl", "disabled"]),
         label="consistency",
     )
     config = SimulationConfig(
@@ -262,7 +320,9 @@ def draw_scenario(data):
                 label="capacity",
             ),
             replacement_policy=data.draw(
-                st.sampled_from(["utility", "lru", "lfu"]), label="policy"
+                st.just("utility") if write_heavy
+                else st.sampled_from(["utility", "lru", "lfu"]),
+                label="policy",
             ),
             cooperative_placement=data.draw(
                 st.booleans(), label="cooperative"
@@ -349,7 +409,11 @@ def draw_scenario(data):
 
 
 def observed_run(scenario, trace_path):
-    """Run one scenario under the sanitizer; every output, comparable."""
+    """Run one scenario under the sanitizer; every output, comparable.
+
+    The engine is built directly (as ``simulate()`` would) so its
+    post-run state can be compared as well as its outputs.
+    """
     capacity = scenario["trace_capacity"]
     trace = None
     if capacity != "off":
@@ -363,15 +427,17 @@ def observed_run(scenario, trace_path):
     if trace is not None or sampler is not None:
         observer = Observer(trace=trace, sampler=sampler)
     with sanitize() as state:
-        result = simulate(
+        engine = SimulationEngine(
             scenario["network"], scenario["grouping"],
             scenario["workload"], scenario["config"],
             group_protocol_mode=scenario["protocol"],
-            failures=scenario["failures"], faults=scenario["faults"],
-            observer=observer,
+            failures=scenario["failures"], observer=observer,
+            faults=scenario["faults"],
         )
+        metrics = engine.run()
     outputs = {
-        "metrics": fingerprint(result),
+        "metrics": fingerprint(metrics),
+        "state": state_fingerprint(engine),
         "ledger": json.dumps(state.ledger.to_dict(), sort_keys=True),
     }
     if trace is not None:
@@ -380,7 +446,7 @@ def observed_run(scenario, trace_path):
         outputs["trace_counts"] = (trace.total_recorded, trace.dropped)
     if sampler is not None:
         outputs["samples"] = json.dumps(
-            result.timeseries().to_dict(), sort_keys=True
+            sampler.series().to_dict(), sort_keys=True
         )
     return outputs
 
@@ -390,6 +456,18 @@ class TestKernelMatchesOracle:
     @given(data=st.data())
     def test_generated_runs_are_byte_equal(self, data, tmp_path_factory):
         scenario = draw_scenario(data)
+        trace_path = tmp_path_factory.getbasetemp() / "fuzz-trace.jsonl"
+        kernel, oracle = kernel_and_oracle(
+            lambda: observed_run(scenario, trace_path)
+        )
+        assert kernel == oracle
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_generated_write_heavy_runs_are_byte_equal(
+        self, data, tmp_path_factory
+    ):
+        scenario = draw_scenario(data, write_heavy=True)
         trace_path = tmp_path_factory.getbasetemp() / "fuzz-trace.jsonl"
         kernel, oracle = kernel_and_oracle(
             lambda: observed_run(scenario, trace_path)

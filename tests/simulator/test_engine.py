@@ -1,5 +1,8 @@
 """Tests for the simulation engine's event handling."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import (
@@ -10,7 +13,8 @@ from repro.config import (
 )
 from repro.core.groups import CacheGroup, GroupingResult, single_group
 from repro.errors import SimulationError
-from repro.simulator import SimulationEngine
+import repro.simulator.engine as engine_module
+from repro.simulator import SimulationEngine, simulate
 from repro.workload import Workload, build_catalog
 from repro.workload.trace import RequestRecord, UpdateRecord
 from repro.topology import network_from_matrix
@@ -276,3 +280,76 @@ class TestValidation:
         for doc in range(3):
             holders = set(engine.protocol.all_holders(doc))
             assert (1 in holders) == (doc in held)
+
+
+@pytest.fixture
+def kernel_calls():
+    """Spy on the kernel: per call, (collector enabled?, engine weakref).
+
+    Restores the cyclic collector's setting whatever the test does.
+    """
+    was_enabled = gc.isenabled()
+    calls = []
+    kernel = engine_module.run_batched
+
+    def spy(engine):
+        calls.append((gc.isenabled(), weakref.ref(engine)))
+        return kernel(engine)
+
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "run_batched", spy)
+            yield calls
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+class TestCollectorAndLifetime:
+    """The kernel pauses the cyclic collector; the engine frees itself."""
+
+    def run_update(self, network, catalog, doc):
+        workload = workload_of(
+            catalog,
+            [RequestRecord(0.0, 1, doc), RequestRecord(10.0, 2, doc)],
+            updates=[UpdateRecord(5.0, doc)],
+        )
+        return simulate(network, pair_grouping(), workload, sim_config())
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_is_restored(
+        self, tiny_network, tiny_catalog, kernel_calls, enabled
+    ):
+        (gc.enable if enabled else gc.disable)()
+        self.run_update(
+            tiny_network, tiny_catalog, tiny_catalog.dynamic_ids()[0]
+        )
+        [(collector_on_in_kernel, _)] = kernel_calls
+        assert not collector_on_in_kernel
+        assert gc.isenabled() is enabled
+
+    def test_setting_restored_when_the_kernel_raises(
+        self, tiny_network, tiny_catalog, kernel_calls
+    ):
+        static = next(
+            doc for doc in range(len(tiny_catalog))
+            if not tiny_catalog.is_dynamic(doc)
+        )
+        gc.enable()
+        with pytest.raises(SimulationError, match="static document"):
+            self.run_update(tiny_network, tiny_catalog, static)
+        assert len(kernel_calls) == 1
+        assert gc.isenabled()
+
+    def test_engine_is_freed_without_the_collector(
+        self, tiny_network, tiny_catalog, kernel_calls
+    ):
+        gc.disable()
+        result = self.run_update(
+            tiny_network, tiny_catalog, tiny_catalog.dynamic_ids()[0]
+        )
+        assert result.metrics.invalidation_messages == 1
+        [(_, engine_ref)] = kernel_calls
+        assert engine_ref() is None

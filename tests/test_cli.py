@@ -155,6 +155,45 @@ class TestExperimentCommand:
             main(["experiment", "fig99"])
 
 
+class TestSchedulerTimeArguments:
+    """Invalid scheduler times are usage errors, not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["experiment", "fig3"], ["chaos", "run", "--figure", "fig3"]],
+        ids=["experiment", "chaos-run"],
+    )
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--task-timeout", "nan"],
+            ["--task-timeout", "0"],
+            ["--task-timeout", "-1"],
+            ["--task-timeout", "inf"],
+            ["--retry-backoff", "nan"],
+            ["--retry-backoff", "inf"],
+            ["--retry-backoff", "-0.5"],
+        ],
+        ids=lambda option: " ".join(option),
+    )
+    def test_rejected_with_exit_code_2(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, *option])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option[0]}: must be" in err
+        assert "Traceback" not in err
+
+    def test_valid_times_parse(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["experiment", "fig3", "--task-timeout", "2.5",
+             "--retry-backoff", "0"]
+        )
+        assert (args.task_timeout, args.retry_backoff) == (2.5, 0.0)
+
+
 class TestExperimentAll:
     def test_all_archives_selected(self, capsys, tmp_path, monkeypatch):
         """'experiment all' runs the registry and archives results."""

@@ -6,6 +6,8 @@ import pytest
 from repro.config import DocumentConfig, WorkloadConfig
 from repro.errors import WorkloadError
 from repro.workload.requests import generate_request_log
+from repro.workload.trace import RequestRecord
+from repro.workload.zipf import ZipfSampler
 
 
 def config(**overrides):
@@ -89,3 +91,53 @@ class TestGenerateRequestLog:
         a = generate_request_log([1, 2], config(), np.random.default_rng(5))
         b = generate_request_log([1, 2], config(), np.random.default_rng(5))
         assert a == b
+
+
+def loop_request_log(cache_nodes, config, rng):
+    """The per-record reference: draw in cache order, then ``sort()``."""
+    n_docs = config.documents.num_documents
+    global_sampler = ZipfSampler(n_docs, config.zipf_alpha)
+    local_samplers = {
+        cache: ZipfSampler(
+            n_docs, config.zipf_alpha, permutation=rng.permutation(n_docs)
+        )
+        for cache in cache_nodes
+    }
+    records = []
+    per_cache = config.requests_per_cache
+    for cache in cache_nodes:
+        gaps = rng.exponential(config.mean_interarrival_ms, size=per_cache)
+        times = np.cumsum(gaps)
+        use_global = rng.random(per_cache) < config.shared_interest
+        global_docs = global_sampler.sample(rng, size=per_cache)
+        local_docs = local_samplers[cache].sample(rng, size=per_cache)
+        docs = np.where(use_global, global_docs, local_docs)
+        for t, doc in zip(times, docs):
+            if config.duration_ms is not None and t > config.duration_ms:
+                break
+            records.append(
+                RequestRecord(
+                    timestamp_ms=float(t), cache_node=cache, doc_id=int(doc)
+                )
+            )
+    records.sort()
+    return records
+
+
+class TestColumnarSortMatchesRecordSort:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("duration_ms", [None, 3_000.0])
+    def test_same_records_in_the_same_order(self, seed, duration_ms):
+        nodes = [1, 2, 3, 5, 8]
+        cfg = config(requests_per_cache=60, duration_ms=duration_ms)
+        out = generate_request_log(nodes, cfg, np.random.default_rng(seed))
+        expected = loop_request_log(nodes, cfg, np.random.default_rng(seed))
+        assert out == expected
+        assert all(
+            type(r.timestamp_ms) is float
+            and type(r.cache_node) is int
+            and type(r.doc_id) is int
+            for r in out
+        )
+        if duration_ms is not None:
+            assert len(out) < 60 * len(nodes)
