@@ -27,6 +27,7 @@ lint:
 
 test:
 	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Runtime half of the determinism guarantees: capture the draw ledger
 # of one real figure serially and under --jobs 2, then require zero

@@ -28,7 +28,7 @@ from repro.utils.rng import SeedLike, spawn_rng
 from repro.utils.stats import OnlineStats
 from repro.workload.documents import build_catalog
 from repro.workload.ibm_synthetic import Workload
-from repro.workload.trace import RequestRecord
+from repro.workload.trace import sorted_request_log
 from repro.workload.zipf import ZipfSampler
 
 
@@ -73,7 +73,8 @@ def generate_client_workload(
     n_docs = config.documents.num_documents
     global_sampler = ZipfSampler(n_docs, config.zipf_alpha)
 
-    records = []
+    time_columns = []
+    doc_columns = []
     access_rtt: Dict[NodeId, OnlineStats] = {}
     for client in range(population.num_clients):
         cache = int(assignment[client])
@@ -91,27 +92,26 @@ def generate_client_workload(
             global_sampler.sample(rng, size=requests_per_client),
             local_sampler.sample(rng, size=requests_per_client),
         )
-        stats = access_rtt.setdefault(cache, OnlineStats())
-        for t, doc in zip(times, docs):
-            # The request reaches the cache after the one-way access trip.
-            records.append(
-                RequestRecord(
-                    timestamp_ms=float(t + rtt / 2.0),
-                    cache_node=cache,
-                    doc_id=int(doc),
-                )
-            )
-            stats.add(rtt)
-    if not records:
+        # The request reaches the cache after the one-way access trip.
+        time_columns.append(times + rtt / 2.0)
+        doc_columns.append(docs)
+        access_rtt.setdefault(cache, OnlineStats()).add_many(
+            [rtt] * requests_per_client
+        )
+    if not time_columns:
         raise WorkloadError("no client requests generated")
-    records.sort()
+    requests = sorted_request_log(
+        np.concatenate(time_columns),
+        np.repeat(assignment, requests_per_client),
+        np.concatenate(doc_columns),
+    )
 
     from repro.workload.updates import generate_update_log
 
-    horizon = records[-1].timestamp_ms
+    horizon = float(requests.timestamps_ms[-1])
     updates = generate_update_log(catalog, config, horizon, rng)
     workload = Workload(
-        catalog=catalog, requests=tuple(records), updates=tuple(updates)
+        catalog=catalog, requests=requests, updates=tuple(updates)
     )
     return ClientWorkload(workload=workload, access_rtt=access_rtt)
 

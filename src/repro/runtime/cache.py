@@ -43,7 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 PathLike = Union[str, Path]
 
 #: Bump to invalidate every persisted cache entry (keys embed this).
-CACHE_FORMAT_VERSION = 1
+#: v2: a pickled ``Workload`` holds a columnar ``RequestLog``, not a
+#: tuple of ``RequestRecord``.
+CACHE_FORMAT_VERSION = 2
 
 #: Counter names exposed by :meth:`TestbedCache.stats`.
 STAT_FIELDS = ("hits", "misses", "disk_hits", "disk_stores", "evictions")

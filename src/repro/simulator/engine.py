@@ -163,7 +163,10 @@ class SimulationEngine:
         # Columnar request stream: no RequestEvent objects at all.
         # The membership check reports the first offender in workload
         # order.
-        req_ts, req_cache, req_doc = workload.request_columns()
+        requests = workload.requests
+        req_ts = requests.timestamps_ms
+        req_cache = requests.cache_nodes
+        req_doc = requests.doc_ids
         if req_cache.size:
             member = np.isin(
                 req_cache, np.fromiter(self._caches, dtype=np.int64)
@@ -217,7 +220,7 @@ class SimulationEngine:
         )
         self._columns_consumed = False
 
-        total_requests = len(workload.requests)
+        total_requests = len(requests)
         self._warmup_remaining = int(
             self._config.warmup_fraction * total_requests
         )
@@ -563,13 +566,14 @@ def run_reference(engine: SimulationEngine) -> int:
     if engine._columns_consumed:
         return 0
     engine._columns_consumed = True
+    requests = engine._workload.requests
     pushed: List[Event] = [
-        RequestEvent(
-            timestamp_ms=request.timestamp_ms,
-            cache_node=request.cache_node,
-            doc_id=request.doc_id,
+        RequestEvent(timestamp_ms=t, cache_node=c, doc_id=d)
+        for t, c, d in zip(
+            requests.timestamps_ms.tolist(),
+            requests.cache_nodes.tolist(),
+            requests.doc_ids.tolist(),
         )
-        for request in engine._workload.requests
     ]
     pushed.extend(engine._barrier_events)
     order = sorted(

@@ -11,6 +11,7 @@ over the dynamic subset of the catalog (see DESIGN.md, Substitutions).
 from repro.workload.documents import Document, DocumentCatalog, build_catalog
 from repro.workload.zipf import ZipfSampler
 from repro.workload.trace import (
+    RequestLog,
     RequestRecord,
     UpdateRecord,
     read_request_log,
@@ -36,6 +37,7 @@ __all__ = [
     "DocumentCatalog",
     "build_catalog",
     "ZipfSampler",
+    "RequestLog",
     "RequestRecord",
     "UpdateRecord",
     "read_request_log",

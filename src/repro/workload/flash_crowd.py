@@ -25,7 +25,7 @@ from repro.types import NodeId
 from repro.utils.rng import SeedLike, spawn_rng
 from repro.workload.documents import build_catalog
 from repro.workload.ibm_synthetic import Workload
-from repro.workload.trace import RequestRecord
+from repro.workload.trace import sorted_request_log
 from repro.workload.updates import generate_update_log
 from repro.workload.zipf import ZipfSampler
 
@@ -118,7 +118,8 @@ def generate_flash_crowd_workload(
     center = crowd.center_fraction * duration_ms
     sigma = crowd.width_fraction * duration_ms
 
-    records: List[RequestRecord] = []
+    time_columns: List[np.ndarray] = []
+    doc_columns: List[np.ndarray] = []
     for cache in cache_nodes:
         local_sampler = ZipfSampler(
             n_docs, config.zipf_alpha, permutation=rng.permutation(n_docs)
@@ -134,16 +135,16 @@ def generate_flash_crowd_workload(
         docs = np.where(
             in_burst, burst_docs, np.where(use_global, base_docs, local_docs)
         )
-        for t, doc in zip(times, docs):
-            records.append(
-                RequestRecord(
-                    timestamp_ms=float(t), cache_node=cache, doc_id=int(doc)
-                )
-            )
-    records.sort()
+        time_columns.append(times)
+        doc_columns.append(docs)
+    requests = sorted_request_log(
+        np.concatenate(time_columns),
+        np.repeat(np.asarray(cache_nodes), config.requests_per_cache),
+        np.concatenate(doc_columns),
+    )
     updates = generate_update_log(catalog, config, duration_ms, rng)
     return Workload(
-        catalog=catalog, requests=tuple(records), updates=tuple(updates)
+        catalog=catalog, requests=requests, updates=tuple(updates)
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from repro.utils.rng import SeedLike, spawn_rng
 from repro.workload.documents import DocumentCatalog, build_catalog
 from repro.workload.requests import generate_request_log
 from repro.workload.trace import (
-    RequestRecord,
+    RequestLog,
+    as_request_log,
     read_request_log,
     read_update_log,
     write_request_log,
@@ -34,21 +35,29 @@ PathLike = Union[str, Path]
 
 @dataclass(frozen=True)
 class Workload:
-    """A catalog plus time-sorted request and update logs."""
+    """A catalog plus time-sorted request and update logs.
+
+    ``requests`` is a :class:`RequestLog`; a sequence of
+    :class:`RequestRecord` (tests, hand-built logs) is converted once
+    on construction.
+    """
 
     catalog: DocumentCatalog
-    requests: tuple
+    requests: RequestLog
     updates: tuple
 
     def __post_init__(self) -> None:
-        if not self.requests:
+        requests = as_request_log(self.requests)
+        object.__setattr__(self, "requests", requests)
+        if not requests:
             raise WorkloadError("a workload needs at least one request")
-        for record in self.requests:
-            if record.doc_id >= len(self.catalog):
-                raise WorkloadError(
-                    f"request for unknown doc {record.doc_id} "
-                    f"(catalog size {len(self.catalog)})"
-                )
+        unknown = requests.doc_ids >= len(self.catalog)
+        if unknown.any():
+            raise WorkloadError(
+                f"request for unknown doc "
+                f"{int(requests.doc_ids[np.argmax(unknown)])} "
+                f"(catalog size {len(self.catalog)})"
+            )
         for record in self.updates:
             if record.doc_id >= len(self.catalog):
                 raise WorkloadError(
@@ -66,45 +75,23 @@ class Workload:
 
     @property
     def horizon_ms(self) -> float:
-        """Timestamp of the last event in the workload."""
-        last_request = self.requests[-1].timestamp_ms
-        last_update = self.updates[-1].timestamp_ms if self.updates else 0.0
-        return max(last_request, last_update)
+        """Timestamp of the latest event in the workload.
 
-    def requests_of(self, cache: NodeId) -> List[RequestRecord]:
-        """The request stream arriving at one cache."""
-        return [r for r in self.requests if r.cache_node == cache]
-
-    def request_columns(self):
-        """Request log as ``(timestamps, cache_nodes, doc_ids)`` arrays.
-
-        Columnar float64/int64/int64 views in log order, extracted once
-        and memoised on the instance (the object is frozen but the memo
-        is not a field, so equality and hashing are unaffected): the
-        batched event loop consumes columns, and re-extracting them
-        from a million request records on every run would dominate its
-        setup cost.
+        A maximum, not the last row: the engine accepts (and re-sorts)
+        shuffled logs.
         """
-        cached = self.__dict__.get("_request_columns")
-        if cached is None:
-            cached = (
-                np.asarray(
-                    [r.timestamp_ms for r in self.requests],
-                    dtype=np.float64,
-                ),
-                np.asarray(
-                    [r.cache_node for r in self.requests], dtype=np.int64
-                ),
-                np.asarray(
-                    [r.doc_id for r in self.requests], dtype=np.int64
-                ),
-            )
-            object.__setattr__(self, "_request_columns", cached)
-        return cached
+        return max(
+            float(self.requests.timestamps_ms.max()),
+            max((u.timestamp_ms for u in self.updates), default=0.0),
+        )
+
+    def requests_of(self, cache: NodeId) -> RequestLog:
+        """The request stream arriving at one cache."""
+        return self.requests[self.requests.cache_nodes == cache]
 
     def save(self, request_path: PathLike, update_path: PathLike) -> None:
         """Write both logs to disk (catalog is regenerable from config)."""
-        write_request_log(list(self.requests), request_path)
+        write_request_log(self.requests, request_path)
         write_update_log(list(self.updates), update_path)
 
 
@@ -126,11 +113,9 @@ def generate_workload(
     requests = generate_request_log(cache_nodes, config, rng)
     if not requests:
         raise WorkloadError("generated an empty request log")
-    horizon = config.duration_ms or requests[-1].timestamp_ms
+    horizon = config.duration_ms or float(requests.timestamps_ms[-1])
     updates = generate_update_log(catalog, config, horizon, rng)
-    return Workload(
-        catalog=catalog, requests=tuple(requests), updates=tuple(updates)
-    )
+    return Workload(catalog=catalog, requests=requests, updates=tuple(updates))
 
 
 def load_workload(
@@ -139,8 +124,6 @@ def load_workload(
     update_path: PathLike,
 ) -> Workload:
     """Rebuild a workload from logs previously written by ``save``."""
-    requests = read_request_log(request_path)
+    requests = as_request_log(read_request_log(request_path))
     updates = read_update_log(update_path)
-    return Workload(
-        catalog=catalog, requests=tuple(requests), updates=tuple(updates)
-    )
+    return Workload(catalog=catalog, requests=requests, updates=tuple(updates))

@@ -23,7 +23,7 @@ import numpy as np
 from repro.config import WorkloadConfig
 from repro.errors import WorkloadError
 from repro.types import NodeId
-from repro.workload.trace import RequestRecord
+from repro.workload.trace import RequestLog, sorted_request_log
 from repro.workload.zipf import ZipfSampler
 
 
@@ -31,7 +31,7 @@ def generate_request_log(
     cache_nodes: Sequence[NodeId],
     config: WorkloadConfig,
     rng: np.random.Generator,
-) -> List[RequestRecord]:
+) -> RequestLog:
     """Generate a time-sorted request log across all ``cache_nodes``."""
     config.validate()
     cache_nodes = list(cache_nodes)
@@ -69,17 +69,8 @@ def generate_request_log(
         time_columns.append(times)
         cache_columns.append(np.full(times.size, cache, dtype=np.int64))
         doc_columns.append(docs)
-    times = np.concatenate(time_columns)
-    caches = np.concatenate(cache_columns)
-    docs = np.concatenate(doc_columns)
-    # Time-sorted in RequestRecord order (timestamp, cache, doc): records
-    # with equal keys are equal, so this is the list sorted() would give.
-    order = np.lexsort((docs, caches, times))
-    return [
-        RequestRecord(timestamp_ms=t, cache_node=c, doc_id=d)
-        for t, c, d in zip(
-            times[order].tolist(),
-            caches[order].tolist(),
-            docs[order].tolist(),
-        )
-    ]
+    return sorted_request_log(
+        np.concatenate(time_columns),
+        np.concatenate(cache_columns),
+        np.concatenate(doc_columns),
+    )

@@ -3,19 +3,21 @@
 Summaries the evaluation cares about: how Zipf-like the popularity
 distribution actually is, how similar the caches' request patterns are
 (the paper *assumes* "considerable degree of similarity" — this module
-measures it), and per-cache volumes.
+measures it), and per-cache volumes.  Every function takes a
+:class:`~repro.workload.trace.RequestLog` or a record sequence and
+reads columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.types import DocumentId, NodeId, ms_to_s
-from repro.workload.trace import RequestRecord
+from repro.types import DocumentId, ms_to_s
+from repro.workload.trace import Requests, as_request_log
 
 
 @dataclass(frozen=True)
@@ -41,14 +43,12 @@ class TraceStats:
         )
 
 
-def popularity_counts(
-    requests: Sequence[RequestRecord],
-) -> Dict[DocumentId, int]:
+def popularity_counts(requests: Requests) -> Dict[DocumentId, int]:
     """Request count per document."""
-    counts: Dict[DocumentId, int] = {}
-    for record in requests:
-        counts[record.doc_id] = counts.get(record.doc_id, 0) + 1
-    return counts
+    docs, counts = np.unique(
+        as_request_log(requests).doc_ids, return_counts=True
+    )
+    return dict(zip(docs.tolist(), counts.tolist()))
 
 
 def estimate_zipf_alpha(counts: Dict[DocumentId, int]) -> float:
@@ -69,10 +69,7 @@ def estimate_zipf_alpha(counts: Dict[DocumentId, int]) -> float:
     return float(-slope)
 
 
-def top_document_overlap(
-    requests: Sequence[RequestRecord],
-    top: int = 20,
-) -> float:
+def top_document_overlap(requests: Requests, top: int = 20) -> float:
     """Mean pairwise Jaccard overlap of the caches' top-N document sets.
 
     This quantifies the paper's similarity assumption: 1.0 means every
@@ -80,41 +77,42 @@ def top_document_overlap(
     """
     if top < 1:
         raise WorkloadError(f"top must be >= 1, got {top}")
-    by_cache: Dict[NodeId, Dict[DocumentId, int]] = {}
-    for record in requests:
-        counts = by_cache.setdefault(record.cache_node, {})
-        counts[record.doc_id] = counts.get(record.doc_id, 0) + 1
-    if len(by_cache) < 2:
+    log = as_request_log(requests)
+    caches = np.unique(log.cache_nodes)
+    if caches.size < 2:
         raise WorkloadError("need >= 2 caches to measure overlap")
-    top_sets = {}
-    for cache, counts in by_cache.items():
-        ranked = sorted(counts, key=lambda d: (-counts[d], d))
-        top_sets[cache] = set(ranked[:top])
-    caches = sorted(top_sets)
+    top_sets = []
+    for cache in caches:
+        docs, counts = np.unique(
+            log.doc_ids[log.cache_nodes == cache], return_counts=True
+        )
+        # Most requested first, ties by ascending doc id.
+        ranked = docs[np.argsort(-counts, kind="stable")]
+        top_sets.append(set(ranked[:top].tolist()))
     overlaps = []
-    for i, a in enumerate(caches):
-        for b in caches[i + 1:]:
-            union = top_sets[a] | top_sets[b]
-            inter = top_sets[a] & top_sets[b]
-            overlaps.append(len(inter) / len(union) if union else 0.0)
+    for i, a in enumerate(top_sets):
+        for b in top_sets[i + 1:]:
+            union = a | b
+            overlaps.append(len(a & b) / len(union) if union else 0.0)
     return float(np.mean(overlaps))
 
 
-def summarize_trace(requests: Sequence[RequestRecord]) -> TraceStats:
+def summarize_trace(requests: Requests) -> TraceStats:
     """Full :class:`TraceStats` for a request log."""
-    if not requests:
+    log = as_request_log(requests)
+    if not log:
         raise WorkloadError("cannot summarize an empty request log")
-    counts = popularity_counts(requests)
-    total = len(requests)
-    caches = {r.cache_node for r in requests}
+    counts = popularity_counts(log)
+    total = len(log)
+    num_caches = np.unique(log.cache_nodes).size
     return TraceStats(
         num_requests=total,
-        num_caches=len(caches),
+        num_caches=num_caches,
         num_distinct_docs=len(counts),
-        duration_ms=max(r.timestamp_ms for r in requests),
+        duration_ms=float(log.timestamps_ms.max()),
         top_doc_share=max(counts.values()) / total,
         zipf_alpha_estimate=estimate_zipf_alpha(counts),
         mean_pairwise_overlap=(
-            top_document_overlap(requests) if len(caches) >= 2 else 1.0
+            top_document_overlap(log) if num_caches >= 2 else 1.0
         ),
     )

@@ -9,6 +9,10 @@ file-driven architecture.  Logs are plain text, one record per line:
 
 Lines starting with ``#`` are comments.  Timestamps must be finite,
 non-negative, and non-decreasing within a file.
+
+In memory a request log is a :class:`RequestLog`: three read-only
+columns, with :class:`RequestRecord` objects built only on demand at IO
+and analysis boundaries.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 from pathlib import Path
-from typing import Iterable, List, Sequence, TextIO, Union
+from typing import Any, Iterable, Iterator, List, Sequence, TextIO, Union
+
+import numpy as np
 
 from repro.errors import TraceFormatError
 from repro.types import DocumentId, NodeId
@@ -48,6 +54,129 @@ class RequestRecord:
             raise TraceFormatError(f"doc_id must be >= 0, got {self.doc_id}")
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class RequestLog:
+    """A request log stored as three read-only columns.
+
+    Row ``i`` of ``timestamps_ms`` (float64), ``cache_nodes`` (int64)
+    and ``doc_ids`` (int64) is request ``i``: 24 bytes a request, where
+    a :class:`RequestRecord` with its own float and int objects costs
+    about 156.  Every row passes
+    the record's own checks on construction, so indexing and iteration
+    (which build records on demand) never fail; ``len`` and ``==``
+    build no per-request object.  An integer index gives a record, any
+    other numpy index (a slice, a mask) a smaller log.
+
+    An array argument that owns its memory is frozen in place and a
+    view is copied, so no writable alias of a column outlives
+    construction.
+    """
+
+    timestamps_ms: np.ndarray
+    cache_nodes: np.ndarray
+    doc_ids: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (
+            ("timestamps_ms", np.float64),
+            ("cache_nodes", np.int64),
+            ("doc_ids", np.int64),
+        ):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.base is not None:
+                column = column.copy()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        ts, caches, docs = self.timestamps_ms, self.cache_nodes, self.doc_ids
+        if not (ts.ndim == caches.ndim == docs.ndim == 1
+                and ts.size == caches.size == docs.size):
+            raise TraceFormatError(
+                f"request columns must be 1-D and of one length, got "
+                f"shapes {ts.shape}/{caches.shape}/{docs.shape}"
+            )
+        bad = ~((ts >= 0) & (ts < inf) & (caches >= 1) & (docs >= 0))
+        if bad.any():
+            # The first bad row's record raises the record path's error.
+            self[int(np.argmax(bad))]
+
+    def __len__(self) -> int:
+        return self.timestamps_ms.size
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, (int, np.integer)):
+            return RequestRecord(
+                float(self.timestamps_ms[index]),
+                int(self.cache_nodes[index]),
+                int(self.doc_ids[index]),
+            )
+        return RequestLog(
+            self.timestamps_ms[index],
+            self.cache_nodes[index],
+            self.doc_ids[index],
+        )
+
+    def __iter__(self) -> Iterator[RequestRecord]:
+        for t, c, d in zip(
+            self.timestamps_ms.tolist(),
+            self.cache_nodes.tolist(),
+            self.doc_ids.tolist(),
+        ):
+            yield RequestRecord(t, c, d)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RequestLog):
+            return (
+                np.array_equal(self.timestamps_ms, other.timestamps_ms)
+                and np.array_equal(self.cache_nodes, other.cache_nodes)
+                and np.array_equal(self.doc_ids, other.doc_ids)
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    def __reduce__(self) -> Any:
+        # Unpickled arrays come back writable: re-freeze through
+        # __post_init__.
+        return (
+            RequestLog,
+            (self.timestamps_ms, self.cache_nodes, self.doc_ids),
+        )
+
+    def __repr__(self) -> str:
+        return f"RequestLog({len(self)} requests)"
+
+
+#: Anything that holds a request log: columns or a record sequence.
+Requests = Union[RequestLog, Sequence[RequestRecord]]
+
+
+def as_request_log(requests: Requests) -> RequestLog:
+    """``requests`` as a :class:`RequestLog` (converted once if records)."""
+    if isinstance(requests, RequestLog):
+        return requests
+    return RequestLog(
+        [r.timestamp_ms for r in requests],
+        [r.cache_node for r in requests],
+        [r.doc_id for r in requests],
+    )
+
+
+def sorted_request_log(
+    timestamps_ms: np.ndarray, cache_nodes: np.ndarray, doc_ids: np.ndarray
+) -> RequestLog:
+    """The rows as a log in :class:`RequestRecord` order.
+
+    That is (timestamp, cache, doc) order: rows with equal keys are
+    equal, so this is the order ``sorted()`` gives their records.
+    """
+    order = np.lexsort((doc_ids, cache_nodes, timestamps_ms))
+    return RequestLog(
+        timestamps_ms[order], cache_nodes[order], doc_ids[order]
+    )
+
+
 @dataclass(frozen=True, order=True)
 class UpdateRecord:
     """One origin-side document update."""
@@ -65,14 +194,18 @@ class UpdateRecord:
             raise TraceFormatError(f"doc_id must be >= 0, got {self.doc_id}")
 
 
-def write_request_log(records: Sequence[RequestRecord], path: PathLike) -> None:
+def write_request_log(records: Requests, path: PathLike) -> None:
     """Write a request log; records must be time-sorted."""
-    _check_sorted([r.timestamp_ms for r in records], "request")
+    log = as_request_log(records)
+    timestamps = log.timestamps_ms.tolist()
+    _check_sorted(timestamps, "request")
     with open(path, "w", encoding="utf-8") as f:
         f.write("# repro request log v1: timestamp_ms\tcache_node\tdoc_id\n")
-        for r in records:
+        for t, c, d in zip(
+            timestamps, log.cache_nodes.tolist(), log.doc_ids.tolist()
+        ):
             # repr() round-trips float64 exactly.
-            f.write(f"{r.timestamp_ms!r}\t{r.cache_node}\t{r.doc_id}\n")
+            f.write(f"{t!r}\t{c}\t{d}\n")
 
 
 def write_update_log(records: Sequence[UpdateRecord], path: PathLike) -> None:

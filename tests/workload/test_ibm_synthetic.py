@@ -1,5 +1,7 @@
 """Tests for the Olympics-like workload preset."""
 
+import pickle
+
 import pytest
 
 from repro.config import DocumentConfig, WorkloadConfig
@@ -84,3 +86,42 @@ class TestSaveLoad:
         loaded = load_workload(w.catalog, req_path, upd_path)
         assert loaded.requests == w.requests
         assert loaded.updates == w.updates
+
+
+class TestShuffledLogs:
+    def test_horizon_is_the_latest_request_not_the_last_row(self):
+        w = generate_workload([1, 2, 3], small_config(), seed=7)
+        reversed_log = Workload(
+            catalog=w.catalog, requests=w.requests[::-1], updates=()
+        )
+        latest = max(r.timestamp_ms for r in w.requests)
+        assert reversed_log.horizon_ms == latest
+        assert reversed_log.requests[-1].timestamp_ms < latest
+
+    def test_horizon_is_the_latest_update(self):
+        catalog = DocumentCatalog([Document(0, 10, True)])
+        w = Workload(
+            catalog=catalog,
+            requests=(RequestRecord(1.0, 1, 0),),
+            updates=(UpdateRecord(50.0, 0), UpdateRecord(20.0, 0)),
+        )
+        assert w.horizon_ms == 50.0
+
+    def test_requests_of_matches_a_record_filter(self):
+        w = generate_workload([1, 2, 3], small_config(), seed=8)
+        shuffled = Workload(
+            catalog=w.catalog, requests=w.requests[::-1], updates=()
+        )
+        for cache in (1, 2, 3, 4):
+            expected = [r for r in shuffled.requests if r.cache_node == cache]
+            assert shuffled.requests_of(cache) == expected
+
+
+class TestPickle:
+    def test_pickled_workload_round_trips_equal(self):
+        w = generate_workload([1, 2, 3], small_config(), seed=9)
+        loaded = pickle.loads(pickle.dumps(w, protocol=pickle.HIGHEST_PROTOCOL))
+        assert loaded.requests == w.requests
+        assert loaded.updates == w.updates
+        assert list(loaded.catalog) == list(w.catalog)
+        assert not loaded.requests.doc_ids.flags.writeable

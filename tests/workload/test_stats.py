@@ -7,6 +7,7 @@ from repro.config import DocumentConfig, WorkloadConfig
 from repro.errors import WorkloadError
 from repro.workload import generate_workload
 from repro.workload.stats import (
+    TraceStats,
     estimate_zipf_alpha,
     popularity_counts,
     summarize_trace,
@@ -107,3 +108,55 @@ class TestSummarizeTrace:
     def test_empty_rejected(self):
         with pytest.raises(WorkloadError):
             summarize_trace([])
+
+
+def record_path_stats(records):
+    """The per-record reference: dict counting over RequestRecords."""
+    counts, by_cache = {}, {}
+    for r in records:
+        counts[r.doc_id] = counts.get(r.doc_id, 0) + 1
+        per = by_cache.setdefault(r.cache_node, {})
+        per[r.doc_id] = per.get(r.doc_id, 0) + 1
+    top_sets = {
+        cache: set(sorted(c, key=lambda d: (-c[d], d))[:20])
+        for cache, c in by_cache.items()
+    }
+    caches = sorted(top_sets)
+    overlaps = [
+        len(top_sets[a] & top_sets[b]) / len(top_sets[a] | top_sets[b])
+        for i, a in enumerate(caches)
+        for b in caches[i + 1:]
+    ]
+    return counts, TraceStats(
+        num_requests=len(records),
+        num_caches=len(by_cache),
+        num_distinct_docs=len(counts),
+        duration_ms=max(r.timestamp_ms for r in records),
+        top_doc_share=max(counts.values()) / len(records),
+        zipf_alpha_estimate=estimate_zipf_alpha(counts),
+        mean_pairwise_overlap=(
+            float(np.mean(overlaps)) if len(caches) >= 2 else 1.0
+        ),
+    )
+
+
+class TestColumnsMatchRecordPath:
+    @pytest.mark.parametrize(
+        "caches, seed",
+        [((1,), 0), ((1, 2), 1), ((1, 2, 3), 2), ((2, 5, 7, 9), 3)],
+    )
+    def test_equal_trace_stats(self, caches, seed):
+        workload = generate_workload(
+            caches,
+            WorkloadConfig(
+                documents=DocumentConfig(num_documents=150),
+                requests_per_cache=400,
+                shared_interest=0.5,
+            ),
+            seed=seed,
+        )
+        records = list(workload.requests)
+        counts, expected = record_path_stats(records)
+        assert popularity_counts(workload.requests) == counts
+        assert summarize_trace(workload.requests) == expected
+        assert summarize_trace(records) == expected
