@@ -1,7 +1,7 @@
 """Ablation: clustering algorithm — K-means vs k-medoids vs hierarchical.
 
 The paper uses K-means on feature vectors and notes any standard
-algorithm could substitute.  This bench compares, on the same measured
+algorithm could substitute.  This benchmark compares, on the same measured
 feature vectors (and, for the matrix-based algorithms, measured RTT
 dissimilarities), the clustering accuracy each alternative achieves.
 """

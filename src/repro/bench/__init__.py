@@ -1,10 +1,11 @@
-"""Benchmark subsystem: measure, persist, compare, and gate throughput.
+"""Engine throughput regression gate: measure, persist, and gate.
 
-``repro bench run`` measures engine (and optionally full-suite)
-throughput into a versioned JSON result; ``repro bench compare`` diffs
-two results; ``repro bench gate`` fails (exit 1) when any shared
-throughput metric drops by more than the tolerance relative to a
-committed baseline (``benchmarks/baselines/``).  See
+``repro bench run`` measures engine events/s for a map of named
+scenarios into a versioned JSON result; ``repro bench gate`` fails
+(exit 1) when any shared throughput metric drops by more than the
+tolerance relative to a committed baseline
+(``benchmarks/baselines/``).  The benchmark of record for end-to-end
+and per-layer numbers is ``perfbench/run.py``; see
 ``docs/performance.md`` and :mod:`repro.bench.core`.
 
 Like the sanitizer, nothing on the simulator/experiment hot path
@@ -22,12 +23,11 @@ from repro.bench.core import (
     BenchResult,
     BenchScenario,
     GateReport,
-    compare_bench,
+    ScenarioRun,
     gate_bench,
     load_bench,
     run_bench,
     run_engine_bench,
-    run_suite_bench,
     save_bench,
     scenario_by_name,
 )
@@ -42,12 +42,11 @@ __all__ = [
     "BenchResult",
     "BenchScenario",
     "GateReport",
-    "compare_bench",
+    "ScenarioRun",
     "gate_bench",
     "load_bench",
     "run_bench",
     "run_engine_bench",
-    "run_suite_bench",
     "save_bench",
     "scenario_by_name",
 ]

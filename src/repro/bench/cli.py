@@ -2,22 +2,20 @@
 
 ::
 
-    repro bench run     [--scenario default|small] [--rounds N]
-                        [--label L] [--suite] [--suite-jobs 1,2]
-                        [--out PATH] [--registry DIR]
-    repro bench compare BASELINE CANDIDATE [--format json]
-    repro bench gate    --baseline PATH [--candidate PATH]
-                        [--tolerance F] [--out PATH] [--format json]
+    repro bench run  [--scenarios default,large] [--rounds N] [--label L]
+                     [--out PATH] [--registry DIR]
+    repro bench gate --baseline PATH [--candidate PATH]
+                     [--tolerance F] [--out PATH] [--format json]
 
 ``gate`` without ``--candidate`` measures a fresh result using the
-baseline's own scenario, so CI needs exactly one committed file::
+baseline's own scenarios, so CI needs exactly one committed file::
 
     repro bench gate --baseline benchmarks/baselines/BENCH_engine_main.json \\
         --tolerance 0.6
 
 Exit codes mirror ``repro lint``/``sanitize``: ``0`` pass, ``1`` a
 throughput metric regressed beyond the tolerance, ``2`` usage error
-(unreadable/incomparable results).
+(unreadable/incomparable results, invalid scenario or tolerance).
 """
 
 from __future__ import annotations
@@ -26,13 +24,14 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Optional, TextIO
+from typing import Dict, Optional, TextIO
 
 from repro.bench.core import (
     DEFAULT_TOLERANCE,
     BenchResult,
+    BenchScenario,
     GateReport,
-    compare_bench,
+    check_tolerance,
     gate_bench,
     load_bench,
     run_bench,
@@ -47,35 +46,19 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the ``bench`` subcommands to a (sub)parser."""
     sub = parser.add_subparsers(dest="bench_command", required=True)
 
-    run = sub.add_parser(
-        "run", help="measure engine (and optionally suite) throughput"
-    )
-    run.add_argument("--scenario", default="default",
-                     choices=["default", "small", "large"])
-    run.add_argument("--extra-scenarios", default="", metavar="A,B",
-                     help="comma-separated named scenarios measured "
-                          "alongside the primary one (e.g. large)")
+    run = sub.add_parser("run", help="measure engine throughput")
+    run.add_argument("--scenarios", default="default", metavar="A,B",
+                     help="comma-separated named scenarios to measure "
+                          "(default, small, large; default: default)")
     run.add_argument("--rounds", type=int, metavar="N",
-                     help="best-of-N timing rounds (default: scenario's)")
+                     help="best-of-N timing rounds (default: each "
+                          "scenario's own)")
     run.add_argument("--label", default="local")
-    run.add_argument("--suite", action="store_true",
-                     help="also measure full-suite wall clock + events/s "
-                          "(slow: two complete suite runs)")
-    run.add_argument("--suite-jobs", default="1,2", metavar="N,M",
-                     help="jobs levels for --suite (default 1,2)")
     run.add_argument("--out", metavar="PATH",
                      help="write the result JSON here")
     run.add_argument("--registry", metavar="DIR",
                      help="also append the result to the run registry "
                           "at DIR (default: $REPRO_REGISTRY)")
-
-    cmp_ = sub.add_parser(
-        "compare", help="diff two bench results' throughput metrics"
-    )
-    cmp_.add_argument("baseline")
-    cmp_.add_argument("candidate")
-    cmp_.add_argument("--format", choices=["text", "json"], default="text",
-                      dest="output_format")
 
     gate = sub.add_parser(
         "gate",
@@ -84,7 +67,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     gate.add_argument("--baseline", required=True, metavar="PATH")
     gate.add_argument("--candidate", metavar="PATH",
                       help="pre-measured candidate; omitted = measure "
-                           "fresh with the baseline's scenario")
+                           "fresh with the baseline's scenarios")
     gate.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                       metavar="F",
                       help=f"relative drop treated as a regression "
@@ -95,36 +78,19 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                       dest="output_format")
 
 
-def _parse_jobs_list(spec: str) -> list:
-    try:
-        levels = [int(part) for part in spec.split(",") if part.strip()]
-    except ValueError:
-        raise BenchmarkError(
-            f"--suite-jobs expects N,M,... got {spec!r}"
-        ) from None
-    if not levels or any(level < 1 for level in levels):
-        raise BenchmarkError(
-            f"--suite-jobs levels must be >= 1, got {spec!r}"
-        )
-    return levels
-
-
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
-    scenario = scenario_by_name(args.scenario)
-    if args.rounds is not None:
-        scenario = dataclasses.replace(scenario, rounds=args.rounds)
-    extras = {
-        name.strip(): scenario_by_name(name.strip())
-        for name in args.extra_scenarios.split(",")
-        if name.strip()
-    }
-    result = run_bench(
-        scenario=scenario,
-        label=args.label,
-        include_suite=args.suite,
-        suite_jobs=_parse_jobs_list(args.suite_jobs),
-        extra_scenarios=extras,
-    )
+    scenarios: Dict[str, BenchScenario] = {}
+    for name in (part.strip() for part in args.scenarios.split(",")):
+        if name:
+            scenario = scenario_by_name(name)
+            if args.rounds is not None:
+                scenario = dataclasses.replace(scenario, rounds=args.rounds)
+            scenarios[name] = scenario
+    if not scenarios:
+        raise BenchmarkError(
+            f"--scenarios names no scenario: {args.scenarios!r}"
+        )
+    result = run_bench(scenarios, label=args.label)
     print(render_bench_text(result), file=out)
     if args.out:
         save_bench(result, args.out)
@@ -144,38 +110,31 @@ def _maybe_register(args: argparse.Namespace, result: BenchResult) -> None:
     manifest = RunManifest(label=f"bench:{result.label}")
     manifest.created_unix = result.created_unix
     manifest.config = {
-        "scenario": result.scenario.to_dict(),
+        "scenarios": {
+            name: run.scenario.to_dict()
+            for name, run in result.scenarios.items()
+        },
         "cores": result.cores,
     }
-    manifest.run_stats = dict(result.metrics())
-    manifest.run_stats["events"] = result.engine.get("events", 0.0)
+    manifest.run_stats = result.metrics()
+    for name, run in result.scenarios.items():
+        manifest.run_stats[f"{name}.events"] = run.engine.get("events", 0.0)
     registry.append(manifest, kind="bench")
 
 
 def render_bench_text(result: BenchResult) -> str:
     """Human-readable bench result."""
-    lines = [
-        f"bench {result.label}: scenario "
-        f"{result.scenario.to_dict()} on {result.cores} core(s)"
-    ]
     table = Table(["metric", "value"], float_format="{:.1f}")
-    for name in sorted(result.engine):
-        table.add_row([f"engine.{name}", result.engine[name]])
-    for extra in sorted(result.scenarios):
-        engine = result.scenarios[extra].get("engine") or {}
-        for name in sorted(engine):
-            table.add_row([f"scenario.{extra}.{name}", engine[name]])
-    for level in sorted(result.suite):
-        for name in sorted(result.suite[level]):
-            table.add_row(
-                [f"suite.{level}.{name}", result.suite[level][name]]
-            )
-    lines.append(table.render())
-    return "\n".join(lines)
+    for name, run in sorted(result.scenarios.items()):
+        for metric, value in sorted(run.engine.items()):
+            table.add_row([f"{name}.{metric}", value])
+    return (
+        f"bench {result.label} on {result.cores} core(s)\n{table.render()}"
+    )
 
 
 def render_gate_text(report: GateReport) -> str:
-    """Human-readable comparison/gate report."""
+    """Human-readable gate report."""
     lines = [
         f"baseline {report.baseline_label} vs candidate "
         f"{report.candidate_label} (tolerance "
@@ -203,7 +162,7 @@ def render_gate_text(report: GateReport) -> str:
 
 
 def render_gate_json(report: GateReport) -> str:
-    """Machine-readable comparison/gate report."""
+    """Machine-readable gate report."""
     payload = {
         "baseline": report.baseline_label,
         "candidate": report.candidate_label,
@@ -224,28 +183,15 @@ def render_gate_json(report: GateReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
-    baseline = load_bench(args.baseline)
-    candidate = load_bench(args.candidate)
-    report = compare_bench(baseline, candidate)
-    if args.output_format == "json":
-        out.write(render_gate_json(report))
-    else:
-        print(render_gate_text(report), file=out)
-    return 0
-
-
 def _cmd_gate(args: argparse.Namespace, out: TextIO) -> int:
+    check_tolerance(args.tolerance)  # before measuring a fresh candidate
     baseline = load_bench(args.baseline)
     if args.candidate:
         candidate = load_bench(args.candidate)
     else:
         candidate = run_bench(
-            scenario=baseline.scenario, label="gate-candidate",
-            extra_scenarios={
-                name: baseline.extra_scenario(name)
-                for name in sorted(baseline.scenarios)
-            },
+            {name: run.scenario for name, run in baseline.scenarios.items()},
+            label="gate-candidate",
         )
         if args.out:
             save_bench(candidate, args.out)
@@ -268,7 +214,6 @@ def run_bench_cli(
     err: TextIO = stderr if stderr is not None else sys.stderr
     handlers = {
         "run": _cmd_run,
-        "compare": _cmd_compare,
         "gate": _cmd_gate,
     }
     try:

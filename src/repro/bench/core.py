@@ -1,58 +1,53 @@
-"""Benchmark measurement, persistence, comparison, and gating.
+"""Engine throughput measurement, persistence, and the regression gate.
 
-This formalises the ad-hoc ``BENCH_engine.json`` emitter into a
-subsystem: a :class:`BenchScenario` pins every input the measurement
-depends on (so two results are comparable exactly when their scenarios
-— and hence event counts — match), :func:`run_bench` measures engine
-throughput (plain and instrumented runs, best-of-N rounds) and
-optionally full-suite throughput per jobs level, and
+A :class:`BenchScenario` pins every input the engine measurement
+depends on, so two results are comparable exactly when their scenarios
+— and hence event counts — match.  :func:`run_bench` measures a map of
+named scenarios (plain and instrumented runs, best-of-N rounds) and
 :func:`gate_bench` turns a baseline + candidate pair into a pass/fail
 decision with a relative tolerance for machine variance.
 
-Committed baselines live under ``benchmarks/baselines/``; the CI
-``perf-smoke`` job runs ``repro bench gate`` against them with a
-generous threshold so only real regressions (not runner noise) fail
-the build.  Suite throughput is measured through the worker-telemetry
-layer (``run_suite(worker_perf=True)``), which is what makes
-*events/s-per-core* reportable: the scheduler attributes engine events
-to tasks, and the suite aggregate divides by the jobs level.
+The committed baseline lives under ``benchmarks/baselines/``; the CI
+``perf-smoke`` job runs ``repro bench gate`` against it with a
+generous tolerance so only real regressions (not runner noise) fail
+the build.  End-to-end and per-layer timings belong to the benchmark
+of record, ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Tuple, Union
 
 from repro.errors import BenchmarkError
 from repro.obs.profiling import perf_seconds
 
 PathLike = Union[str, Path]
 
-#: Format 2 adds the optional ``scenarios`` mapping (named extra
-#: scenarios measured alongside the primary one); format-1 files load
-#: unchanged with no extras.
-BENCH_FORMAT_VERSION = 2
-
-_READABLE_FORMAT_VERSIONS = (1, 2)
+#: Format 3 stores every measured scenario in one ``scenarios`` map
+#: (``name -> {"scenario": {...}, "engine": {...}}``).
+BENCH_FORMAT_VERSION = 3
 
 #: Default relative throughput drop treated as a regression.  An
 #: events/s metric below ``(1 - tolerance) x baseline`` fails the gate;
 #: CI passes a larger value to absorb shared-runner variance.
 DEFAULT_TOLERANCE = 0.15
 
+_MEASURES = ("all", "plain")
+
 
 @dataclass(frozen=True)
 class BenchScenario:
     """Every input the engine measurement depends on.
 
-    The workload/cache knobs default to the library defaults that were
-    implicitly in effect before they became scenario fields, so older
-    baselines (which omit them) keep their exact event counts.
+    The workload/cache knobs default to the library defaults, which is
+    also what a scenario payload that omits them gets.
     """
 
     num_caches: int = 100
@@ -72,6 +67,17 @@ class BenchScenario:
     #: measures only the plain run (used by the large scenario, where
     #: extra full 1M-event sweeps would dominate CI).
     measure: str = "all"
+
+    def __post_init__(self) -> None:
+        if self.measure not in _MEASURES:
+            raise BenchmarkError(
+                f"unknown bench measure {self.measure!r}; "
+                f"expected one of {', '.join(_MEASURES)}"
+            )
+        if self.rounds < 1:
+            raise BenchmarkError(
+                f"bench rounds must be >= 1, got {self.rounds}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -97,8 +103,8 @@ class BenchScenario:
             ) from exc
 
 
-#: The canonical scenario (matches the committed seed baseline's
-#: 10,076-event single-group run on the 100-cache seed-5 network).
+#: The canonical scenario: a 10,076-event single-group run on the
+#: 100-cache seed-5 network.
 DEFAULT_SCENARIO = BenchScenario()
 
 #: A fast scenario for tests and quick local sanity checks.
@@ -143,50 +149,33 @@ def scenario_by_name(name: str) -> BenchScenario:
         ) from None
 
 
+@dataclass(frozen=True)
+class ScenarioRun:
+    """One named scenario's definition and its measured engine numbers."""
+
+    scenario: BenchScenario
+    #: events, plain (and for ``measure="all"`` instrumented) events_per_sec
+    engine: Dict[str, float]
+
+
 @dataclass
 class BenchResult:
     """One benchmark measurement (or a loaded baseline)."""
 
     label: str
-    scenario: BenchScenario = field(default_factory=BenchScenario)
     cores: int = 1
     # Run metadata only — the stamp never feeds back into measurement.
     created_unix: float = field(default_factory=time.time)  # repro-lint: allow[sim-wallclock]
-    #: events, plain/instrumented events_per_sec
-    engine: Dict[str, float] = field(default_factory=dict)
-    #: per jobs level: wall_s, events, events_per_sec, events_per_sec_per_core
-    suite: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: named extra scenarios: name -> {"scenario": {...}, "engine": {...}}
-    scenarios: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    scenarios: Dict[str, ScenarioRun] = field(default_factory=dict)
 
     def metrics(self) -> Dict[str, float]:
-        """Flat ``name -> value`` view of every gated throughput metric."""
-        flat = {
-            f"engine.{name}": float(value)
-            for name, value in self.engine.items()
-            if name.endswith("_per_sec")
+        """Flat ``scenario.metric -> value`` view of every gated metric."""
+        return {
+            f"{name}.{metric}": float(value)
+            for name, run in sorted(self.scenarios.items())
+            for metric, value in sorted(run.engine.items())
+            if metric.endswith("_per_sec")
         }
-        for level in sorted(self.suite):
-            for name, value in self.suite[level].items():
-                if name.endswith("_per_sec") or name.endswith("_per_core"):
-                    flat[f"suite.{level}.{name}"] = float(value)
-        for extra in sorted(self.scenarios):
-            engine = self.scenarios[extra].get("engine") or {}
-            for name, value in engine.items():
-                if name.endswith("_per_sec"):
-                    flat[f"scenario.{extra}.{name}"] = float(value)
-        return flat
-
-    def extra_scenario(self, name: str) -> BenchScenario:
-        """The recorded definition of one named extra scenario."""
-        try:
-            payload = self.scenarios[name]
-        except KeyError:
-            raise BenchmarkError(
-                f"bench result {self.label!r} has no extra scenario "
-                f"{name!r}"
-            ) from None
-        return BenchScenario.from_dict(payload.get("scenario") or {})
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -195,15 +184,12 @@ class BenchResult:
             "label": self.label,
             "created_unix": self.created_unix,
             "cores": self.cores,
-            "scenario": self.scenario.to_dict(),
-            "engine": dict(self.engine),
-            "suite": {k: dict(v) for k, v in self.suite.items()},
             "scenarios": {
                 name: {
-                    "scenario": dict(payload.get("scenario") or {}),
-                    "engine": dict(payload.get("engine") or {}),
+                    "scenario": run.scenario.to_dict(),
+                    "engine": dict(run.engine),
                 }
-                for name, payload in self.scenarios.items()
+                for name, run in self.scenarios.items()
             },
         }
 
@@ -212,37 +198,22 @@ class BenchResult:
         try:
             return cls(
                 label=str(payload.get("label", "")),
-                scenario=BenchScenario.from_dict(
-                    payload.get("scenario") or {}
-                ),
                 cores=int(payload.get("cores", 1)),
                 created_unix=float(payload.get("created_unix", 0.0)),
-                engine={
-                    str(k): float(v)
-                    for k, v in (payload.get("engine") or {}).items()
-                },
-                suite={
-                    str(level): {
-                        str(k): float(v) for k, v in stats.items()
-                    }
-                    for level, stats in (payload.get("suite") or {}).items()
-                },
                 scenarios={
-                    str(name): {
-                        "scenario": dict(entry.get("scenario") or {}),
-                        "engine": {
+                    str(name): ScenarioRun(
+                        scenario=BenchScenario.from_dict(entry["scenario"]),
+                        engine={
                             str(k): float(v)
-                            for k, v in (entry.get("engine") or {}).items()
+                            for k, v in entry["engine"].items()
                         },
-                    }
-                    for name, entry in (
-                        payload.get("scenarios") or {}
-                    ).items()
+                    )
+                    for name, entry in payload["scenarios"].items()
                 },
             )
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, KeyError) as exc:
             raise BenchmarkError(
-                f"malformed bench result payload: {exc}"
+                f"malformed bench result payload: {exc!r}"
             ) from exc
 
 
@@ -254,13 +225,7 @@ def save_bench(result: BenchResult, path: PathLike) -> None:
 
 
 def load_bench(path: PathLike) -> BenchResult:
-    """Read a bench result (or a trajectory artifact embedding one).
-
-    Accepts both the native ``bench_result`` format and the CI
-    trajectory artifact (``BENCH_engine.json``), whose ``bench`` key
-    embeds a result — so ``repro bench compare`` works directly on
-    either file.
-    """
+    """Read a bench result written by :func:`save_bench`."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -268,20 +233,13 @@ def load_bench(path: PathLike) -> BenchResult:
         raise BenchmarkError(f"cannot read bench result {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise BenchmarkError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
+    if not isinstance(payload, dict) or payload.get("kind") != "bench_result":
         raise BenchmarkError(f"{path} is not a bench result")
-    if payload.get("kind") != "bench_result" and "bench" in payload:
-        payload = payload["bench"]
-    if payload.get("kind") != "bench_result":
-        raise BenchmarkError(
-            f"{path} is not a bench result (kind="
-            f"{payload.get('kind')!r})"
-        )
     version = payload.get("format_version")
-    if version not in _READABLE_FORMAT_VERSIONS:
+    if version != BENCH_FORMAT_VERSION:
         raise BenchmarkError(
             f"{path} has bench format version {version}, "
-            f"expected one of {_READABLE_FORMAT_VERSIONS}"
+            f"expected {BENCH_FORMAT_VERSION}"
         )
     return BenchResult.from_dict(payload)
 
@@ -292,7 +250,7 @@ def load_bench(path: PathLike) -> BenchResult:
 def _best_of(fn: Any, rounds: int) -> float:
     """Minimum wall seconds over ``rounds`` runs of ``fn``."""
     best = float("inf")
-    for _ in range(max(1, rounds)):
+    for _ in range(rounds):
         start = perf_seconds()
         fn()
         best = min(best, perf_seconds() - start)
@@ -393,94 +351,22 @@ def run_engine_bench(scenario: BenchScenario) -> Dict[str, float]:
     return metrics
 
 
-def run_suite_bench(
-    jobs_levels: Sequence[int] = (1, 2),
-    figures: Optional[Sequence[str]] = None,
-    repetitions: Optional[int] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Measure full-suite wall clock and events/s per jobs level.
-
-    Each level runs the suite fresh (testbed cache reset) under worker
-    telemetry, so the aggregate event count comes from the scheduler's
-    per-task accounting; ``events_per_sec_per_core`` divides by the
-    jobs level — the scaling number the ROADMAP's sharded-simulation
-    arc tracks.
-    """
-    import tempfile
-
-    from repro.experiments.suite import run_suite
-    from repro.runtime import reset_cache
-
-    levels: Dict[str, Dict[str, float]] = {}
-    with tempfile.TemporaryDirectory(prefix="bench-testbed-") as cache_dir:
-        for jobs in jobs_levels:
-            reset_cache()
-            start = perf_seconds()
-            run = run_suite(
-                figures=figures, repetitions=repetitions, jobs=jobs,
-                worker_perf=True,
-                # Share built testbeds across worker processes via the
-                # disk tier: without it every forked worker rebuilds the
-                # figure's networks/workloads from scratch, which is what
-                # collapsed the measured events/s-per-core at jobs >= 2
-                # (see docs/performance.md).
-                cache_dir=cache_dir,
-            )
-            wall_s = perf_seconds() - start
-            manifests = run.manifests.values()
-            events = sum(
-                manifest.run_stats.get("worker_events", 0.0)
-                for manifest in manifests
-            )
-            levels[f"jobs{jobs}"] = {
-                "wall_s": wall_s,
-                "events": events,
-                "events_per_sec": events / wall_s if wall_s else 0.0,
-                "events_per_sec_per_core": (
-                    events / wall_s / jobs if wall_s else 0.0
-                ),
-                # Cache effectiveness context (not gated: no _per_sec
-                # suffix).
-                "testbed_cache_hits": sum(
-                    m.run_stats.get("testbed_cache_hits", 0.0)
-                    for m in manifests
-                ),
-                "testbed_cache_misses": sum(
-                    m.run_stats.get("testbed_cache_misses", 0.0)
-                    for m in manifests
-                ),
-            }
-    reset_cache()
-    return levels
-
-
 def run_bench(
-    scenario: BenchScenario = DEFAULT_SCENARIO,
-    label: str = "local",
-    include_suite: bool = False,
-    suite_jobs: Sequence[int] = (1, 2),
-    extra_scenarios: Optional[Dict[str, BenchScenario]] = None,
+    scenarios: Mapping[str, BenchScenario], label: str = "local"
 ) -> BenchResult:
-    """Measure one full bench result (engine, optionally suite).
+    """Measure each named scenario.
 
-    ``extra_scenarios`` maps names to additional scenarios measured
-    after the primary one; each is recorded with its full definition so
-    a later gate can re-measure it from the baseline file alone.
+    Every scenario is recorded with its full definition, so a later
+    gate can re-measure it from the baseline file alone.
     """
-    result = BenchResult(
+    return BenchResult(
         label=label,
-        scenario=scenario,
         cores=os.cpu_count() or 1,
-        engine=run_engine_bench(scenario),
+        scenarios={
+            name: ScenarioRun(scenario, run_engine_bench(scenario))
+            for name, scenario in scenarios.items()
+        },
     )
-    for name, extra in (extra_scenarios or {}).items():
-        result.scenarios[name] = {
-            "scenario": extra.to_dict(),
-            "engine": run_engine_bench(extra),
-        }
-    if include_suite:
-        result.suite = run_suite_bench(jobs_levels=suite_jobs)
-    return result
 
 
 # -- comparison and gating ----------------------------------------------
@@ -522,34 +408,12 @@ class GateReport:
         return bool(self.checks) and not self.regressions
 
 
-def compare_bench(
-    baseline: BenchResult, candidate: BenchResult, tolerance: float =
-    DEFAULT_TOLERANCE,
-) -> GateReport:
-    """Compare every throughput metric present in both results.
-
-    Metrics only one side measured are listed as skipped, so a
-    baseline without suite numbers still gates the engine.
-    """
-    base_metrics = baseline.metrics()
-    cand_metrics = candidate.metrics()
-    shared = sorted(set(base_metrics) & set(cand_metrics))
-    skipped = sorted(set(base_metrics) ^ set(cand_metrics))
-    checks = tuple(
-        BenchCheck(
-            name=name,
-            baseline=base_metrics[name],
-            candidate=cand_metrics[name],
+def check_tolerance(tolerance: float) -> None:
+    """Raise unless ``tolerance`` is a finite number >= 0."""
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise BenchmarkError(
+            f"tolerance must be a finite number >= 0, got {tolerance}"
         )
-        for name in shared
-    )
-    return GateReport(
-        baseline_label=baseline.label,
-        candidate_label=candidate.label,
-        tolerance=tolerance,
-        checks=checks,
-        skipped=tuple(skipped),
-    )
 
 
 def gate_bench(
@@ -557,40 +421,44 @@ def gate_bench(
     candidate: BenchResult,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> GateReport:
-    """Gate a candidate against a baseline; raises when incomparable.
+    """Gate every throughput metric present in both results.
 
-    Comparability means the same scenario — anchored by the measured
-    event count, which is a pure function of the scenario inputs.
+    Metrics only one side measured are listed as skipped.  Raises
+    :class:`BenchmarkError` when the tolerance is invalid, when a
+    shared scenario processed a different number of events on each
+    side (its definition changed — re-baseline instead), or when no
+    metric is shared.
     """
-    base_events = baseline.engine.get("events")
-    cand_events = candidate.engine.get("events")
-    if base_events is not None and cand_events is not None \
-            and base_events != cand_events:
-        raise BenchmarkError(
-            f"bench results are not comparable: baseline processed "
-            f"{base_events:.0f} events, candidate {cand_events:.0f} "
-            f"(different scenarios — re-baseline instead of gating)"
-        )
-    for name in set(baseline.scenarios) & set(candidate.scenarios):
-        base_extra = (baseline.scenarios[name].get("engine") or {}).get(
-            "events"
-        )
-        cand_extra = (candidate.scenarios[name].get("engine") or {}).get(
-            "events"
-        )
-        if base_extra is not None and cand_extra is not None \
-                and base_extra != cand_extra:
+    check_tolerance(tolerance)
+    for name in sorted(set(baseline.scenarios) & set(candidate.scenarios)):
+        base_events = baseline.scenarios[name].engine.get("events")
+        cand_events = candidate.scenarios[name].engine.get("events")
+        if base_events is not None and cand_events is not None \
+                and base_events != cand_events:
             raise BenchmarkError(
                 f"bench results are not comparable: scenario {name!r} "
-                f"processed {base_extra:.0f} events in the baseline, "
-                f"{cand_extra:.0f} in the candidate (different "
+                f"processed {base_events:.0f} events in the baseline, "
+                f"{cand_events:.0f} in the candidate (different "
                 f"definitions — re-baseline instead of gating)"
             )
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    report = compare_bench(baseline, candidate, tolerance=tolerance)
-    if not report.checks:
+    base_metrics = baseline.metrics()
+    cand_metrics = candidate.metrics()
+    shared = sorted(set(base_metrics) & set(cand_metrics))
+    if not shared:
         raise BenchmarkError(
             "bench results share no throughput metrics to gate on"
         )
-    return report
+    return GateReport(
+        baseline_label=baseline.label,
+        candidate_label=candidate.label,
+        tolerance=tolerance,
+        checks=tuple(
+            BenchCheck(
+                name=name,
+                baseline=base_metrics[name],
+                candidate=cand_metrics[name],
+            )
+            for name in shared
+        ),
+        skipped=tuple(sorted(set(base_metrics) ^ set(cand_metrics))),
+    )

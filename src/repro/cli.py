@@ -35,10 +35,12 @@ the first non-deterministic site (see :mod:`repro.sanitize`)::
     repro runs list --registry runs/
     repro runs compare -2 -1 --registry runs/
 
-``repro bench`` measures and gates throughput against committed
-baselines (see :mod:`repro.bench` and docs/performance.md)::
+``repro bench`` is the engine events/s regression gate: it measures
+named scenarios and gates them against the committed baseline (see
+:mod:`repro.bench` and docs/performance.md; the end-to-end benchmark
+is ``perfbench/run.py``)::
 
-    repro bench run --out BENCH_engine.json
+    repro bench run --scenarios default,large --out BENCH_dev.json
     repro bench gate --baseline benchmarks/baselines/BENCH_engine_main.json
 
 ``repro chaos`` proves the supervised runtime survives worker failure:

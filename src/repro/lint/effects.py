@@ -762,12 +762,6 @@ def _compute_summaries(
             summary.io = set(effect.io)
         summaries[key] = summary
 
-    reverse: Dict[str, List[str]] = {}
-    for key in sorted(model.functions):
-        for edge in model.functions[key].edges:
-            if edge.internal and edge.target in summaries:
-                reverse.setdefault(edge.target, []).append(key)
-
     worklist: Deque[str] = deque(sorted(summaries))
     queued: Set[str] = set(worklist)
     while worklist:
@@ -789,7 +783,7 @@ def _compute_summaries(
             if summaries[current].merge(callee):
                 changed = True
         if changed:
-            for caller in sorted(set(reverse.get(current, ()))):
+            for caller in model.callers.get(current, ()):
                 if caller not in queued:
                     worklist.append(caller)
                     queued.add(caller)

@@ -345,6 +345,8 @@ class ProjectModel:
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionNode] = {}
+        #: callee key -> sorted distinct keys of its internal callers.
+        self.callers: Dict[str, Tuple[str, ...]] = {}
 
     # -- construction ------------------------------------------------
 
@@ -364,6 +366,14 @@ class ProjectModel:
             _ModuleVisitor(model, model.modules[name]).run()
         for name in sorted(model.modules):
             model._resolve_module(model.modules[name])
+        reverse: Dict[str, Set[str]] = {}
+        for key, node in model.functions.items():
+            for edge in node.edges:
+                if edge.internal:
+                    reverse.setdefault(edge.target, set()).add(key)
+        model.callers = {
+            target: tuple(sorted(keys)) for target, keys in reverse.items()
+        }
         return model
 
     def add_function(
@@ -514,19 +524,13 @@ def _compute_chains(
                                 line=edge.line)
             break
 
-    reverse: Dict[str, List[str]] = {}
-    for key in sorted(model.functions):
-        for edge in model.functions[key].edges:
-            if edge.internal:
-                reverse.setdefault(edge.target, []).append(key)
-
     chains: Dict[str, Tuple[str, ...]] = {k: (k,) for k in sorted(direct)}
     queue: Deque[str] = deque(sorted(direct))
     while queue:
         current = queue.popleft()
         if model.functions[current].module in stop_modules:
             continue
-        for caller in sorted(set(reverse.get(current, ()))):
+        for caller in model.callers.get(current, ()):
             if caller in chains:
                 continue
             chains[caller] = (caller, *chains[current])

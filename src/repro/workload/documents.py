@@ -59,6 +59,14 @@ class DocumentCatalog:
     def __iter__(self) -> Iterator[Document]:
         return iter(self._documents)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DocumentCatalog):
+            return NotImplemented
+        return self._documents == other._documents
+
+    def __hash__(self) -> int:
+        return hash(self._documents)
+
     def __getitem__(self, doc_id: DocumentId) -> Document:
         if not 0 <= doc_id < len(self._documents):
             raise WorkloadError(

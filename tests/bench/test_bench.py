@@ -1,18 +1,21 @@
-"""The bench subsystem: measurement, persistence, comparison, gating."""
+"""The bench subsystem: measurement, persistence, gating."""
 
 from __future__ import annotations
 
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import (
+    DEFAULT_SCENARIO,
+    LARGE_SCENARIO,
     SMALL_SCENARIO,
     BenchResult,
     BenchScenario,
-    compare_bench,
+    ScenarioRun,
     gate_bench,
     load_bench,
     run_bench,
@@ -27,8 +30,8 @@ def _result(label="base", events=1000.0, plain=50_000.0, **extra):
     engine = {"events": events, "plain_events_per_sec": plain}
     engine.update({str(k): float(v) for k, v in extra.items()})
     return BenchResult(
-        label=label, scenario=SMALL_SCENARIO, cores=4,
-        created_unix=100.0, engine=engine,
+        label=label, cores=4, created_unix=100.0,
+        scenarios={"small": ScenarioRun(SMALL_SCENARIO, engine)},
     )
 
 
@@ -46,26 +49,19 @@ class TestScenario:
     def test_malformed_payload_raises(self):
         with pytest.raises(BenchmarkError, match="malformed"):
             BenchScenario.from_dict({"num_caches": "lots"})
+        with pytest.raises(BenchmarkError, match="unknown bench measure"):
+            BenchScenario.from_dict({"measure": "plian"})
+        with pytest.raises(BenchmarkError, match="rounds must be >= 1"):
+            BenchScenario.from_dict({"rounds": 0})
 
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         result = _result(instrumented_events_per_sec=40_000.0)
-        result.suite = {"jobs2": {"wall_s": 5.0, "events_per_sec": 400.0}}
         path = tmp_path / "bench.json"
         save_bench(result, path)
         loaded = load_bench(path)
         assert loaded == result
-
-    def test_loads_trajectory_artifact_format(self, tmp_path):
-        """BENCH_engine.json embeds the result under a 'bench' key."""
-        path = tmp_path / "BENCH_engine.json"
-        payload = {
-            "suite": {"wall_s": 60.0},
-            "bench": _result(label="trajectory").to_dict(),
-        }
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert load_bench(path).label == "trajectory"
 
     def test_rejects_wrong_kind_and_version(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -77,6 +73,28 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(BenchmarkError, match="format version 99"):
             load_bench(path)
+        # Format 2 (a primary scenario plus extras) is no longer read.
+        payload["format_version"] = 2
+        payload["scenario"] = payload["engine"] = {}
+        del payload["scenarios"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(BenchmarkError, match="format version 2"):
+            load_bench(path)
+
+    def test_committed_baseline_gates_three_metrics(self):
+        path = (
+            Path(__file__).resolve().parents[2]
+            / "benchmarks" / "baselines" / "BENCH_engine_main.json"
+        )
+        baseline = load_bench(path)
+        assert baseline.label == "pr7-main"
+        assert baseline.scenarios["default"].scenario == DEFAULT_SCENARIO
+        assert baseline.scenarios["large"].scenario == LARGE_SCENARIO
+        assert sorted(baseline.metrics()) == [
+            "default.instrumented_events_per_sec",
+            "default.plain_events_per_sec",
+            "large.plain_events_per_sec",
+        ]
 
     def test_missing_file_raises_bencherror(self, tmp_path):
         with pytest.raises(BenchmarkError, match="cannot read"):
@@ -85,19 +103,21 @@ class TestPersistence:
 
 class TestMeasurement:
     def test_small_scenario_measures_throughput(self):
-        result = run_bench(scenario=SMALL_SCENARIO, label="test")
-        assert result.engine["events"] > 0
+        result = run_bench({"small": SMALL_SCENARIO}, label="test")
+        engine = result.scenarios["small"].engine
+        assert engine["events"] > 0
         for name in ("plain", "instrumented"):
-            assert result.engine[f"{name}_events_per_sec"] > 0
+            assert engine[f"{name}_events_per_sec"] > 0
         metrics = result.metrics()
-        assert "engine.plain_events_per_sec" in metrics
+        assert "small.plain_events_per_sec" in metrics
         # The raw event count anchors comparability, it is not gated.
-        assert "engine.events" not in metrics
+        assert "small.events" not in metrics
 
     def test_event_count_is_deterministic(self):
-        a = run_bench(scenario=SMALL_SCENARIO)
-        b = run_bench(scenario=SMALL_SCENARIO)
-        assert a.engine["events"] == b.engine["events"]
+        a = run_bench({"small": SMALL_SCENARIO})
+        b = run_bench({"small": SMALL_SCENARIO})
+        assert a.scenarios["small"].engine["events"] \
+            == b.scenarios["small"].engine["events"]
 
 
 class TestGate:
@@ -112,7 +132,7 @@ class TestGate:
         report = gate_bench(baseline, candidate)
         assert not report.passed
         assert [c.name for c in report.regressions] == [
-            "engine.plain_events_per_sec"
+            "small.plain_events_per_sec"
         ]
 
     def test_small_dip_inside_tolerance_passes(self):
@@ -136,18 +156,19 @@ class TestGate:
             gate_bench(empty, empty)
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            gate_bench(_result(), _result(), tolerance=-0.1)
+        for tolerance in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(BenchmarkError, match="tolerance"):
+                gate_bench(_result(), _result(), tolerance=tolerance)
 
     def test_one_sided_metrics_are_skipped_not_gated(self):
         baseline = _result()
         candidate = _result(
             label="cand", instrumented_events_per_sec=40_000.0
         )
-        report = compare_bench(baseline, candidate)
-        assert report.skipped == ("engine.instrumented_events_per_sec",)
+        report = gate_bench(baseline, candidate)
+        assert report.skipped == ("small.instrumented_events_per_sec",)
         assert [c.name for c in report.checks] == [
-            "engine.plain_events_per_sec"
+            "small.plain_events_per_sec"
         ]
 
 
@@ -164,11 +185,11 @@ class TestCli:
         monkeypatch.delenv("REPRO_REGISTRY", raising=False)
         path = tmp_path / "out.json"
         code, out, _ = self._run([
-            "bench", "run", "--scenario", "small", "--rounds", "1",
+            "bench", "run", "--scenarios", "small", "--rounds", "1",
             "--label", "clitest", "--out", str(path),
         ])
         assert code == 0
-        assert "engine.plain_events_per_sec" in out
+        assert "small.plain_events_per_sec" in out
         assert load_bench(path).label == "clitest"
 
     def test_run_registers_when_registry_given(self, tmp_path, monkeypatch):
@@ -176,7 +197,7 @@ class TestCli:
 
         monkeypatch.delenv("REPRO_REGISTRY", raising=False)
         code, _, _ = self._run([
-            "bench", "run", "--scenario", "small", "--rounds", "1",
+            "bench", "run", "--scenarios", "small", "--rounds", "1",
             "--label", "reg", "--registry", str(tmp_path / "runs"),
         ])
         assert code == 0
@@ -226,11 +247,36 @@ class TestCli:
         ])
         assert code == 2 and "not comparable" in err
 
-    def test_compare_json_output(self, tmp_path):
+        code, _, err = self._run([
+            "bench", "gate", "--baseline", str(base),
+            "--candidate", str(base), "--tolerance", "nan",
+        ])
+        assert code == 2 and "tolerance" in err
+
+        typo = tmp_path / "typo.json"
+        payload = _result().to_dict()
+        payload["scenarios"]["small"]["scenario"]["measure"] = "plian"
+        typo.write_text(json.dumps(payload))
+        code, _, err = self._run([
+            "bench", "gate", "--baseline", str(base),
+            "--candidate", str(typo),
+        ])
+        assert code == 2 and "unknown bench measure" in err
+
+        code, _, err = self._run(
+            ["bench", "run", "--scenarios", "small", "--rounds", "0"]
+        )
+        assert code == 2 and "rounds must be >= 1" in err
+
+        code, _, err = self._run(["bench", "run", "--scenarios", "huge"])
+        assert code == 2 and "unknown bench scenario" in err
+
+    def test_gate_json_output(self, tmp_path):
         base = tmp_path / "base.json"
         save_bench(_result(), base)
         code, out, _ = self._run([
-            "bench", "compare", str(base), str(base), "--format", "json",
+            "bench", "gate", "--baseline", str(base),
+            "--candidate", str(base), "--format", "json",
         ])
         assert code == 0
         payload = json.loads(out)
@@ -241,7 +287,7 @@ class TestCli:
         """Without --candidate the gate measures with the baseline's
         scenario (pinned to the small one here so the test stays fast)."""
         base = tmp_path / "base.json"
-        fresh = run_bench(scenario=SMALL_SCENARIO, label="base")
+        fresh = run_bench({"small": SMALL_SCENARIO}, label="base")
         save_bench(fresh, base)
         out_path = tmp_path / "candidate.json"
         code, out, _ = self._run([
@@ -250,8 +296,10 @@ class TestCli:
         ])
         assert code == 0
         measured = load_bench(out_path)
-        assert measured.scenario == SMALL_SCENARIO
-        assert measured.engine["events"] == fresh.engine["events"]
+        assert list(measured.scenarios) == ["small"]
+        assert measured.scenarios["small"].scenario == SMALL_SCENARIO
+        assert measured.scenarios["small"].engine["events"] \
+            == fresh.scenarios["small"].engine["events"]
 
 
 def test_scenario_is_frozen():

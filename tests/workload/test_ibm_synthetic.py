@@ -125,3 +125,4 @@ class TestPickle:
         assert loaded.updates == w.updates
         assert list(loaded.catalog) == list(w.catalog)
         assert not loaded.requests.doc_ids.flags.writeable
+        assert loaded == w
