@@ -84,9 +84,15 @@ class BenchScenario:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "BenchScenario":
+        specs = dataclasses.fields(cls)
+        unknown = sorted(set(payload) - {spec.name for spec in specs})
+        if unknown:
+            raise BenchmarkError(
+                f"unknown bench scenario key(s): {', '.join(unknown)}"
+            )
         coerced: Dict[str, Any] = {}
         try:
-            for spec in dataclasses.fields(cls):
+            for spec in specs:
                 if spec.name not in payload:
                     continue
                 value = payload[spec.name]

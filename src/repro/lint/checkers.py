@@ -84,7 +84,7 @@ class RngDisciplineChecker(Checker):
     _UNSEEDED_ALLOWED_SUFFIX = "utils/rng.py"
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = source.resolve(node.func)
@@ -152,7 +152,7 @@ class SimulatedTimeChecker(Checker):
     def check(self, source: SourceFile) -> Iterator[Finding]:
         if not self._in_scope(source):
             return
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, (ast.Attribute, ast.Name)):
                 continue
             resolved = source.resolve(node)
@@ -181,7 +181,7 @@ class ForkSafetyChecker(Checker):
         nested = self._nested_def_names(source)
         lambda_names = self._lambda_bound_names(source)
         scheduler_names = self._scheduler_names(source)
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if not self._is_task_dispatch(source, node, scheduler_names):
@@ -263,7 +263,7 @@ class ForkSafetyChecker(Checker):
     def _nested_def_names(self, source: SourceFile) -> Set[str]:
         names: Set[str] = set()
         parents = source.parents
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             ancestor = parents.get(node)
@@ -279,7 +279,7 @@ class ForkSafetyChecker(Checker):
 
     def _lambda_bound_names(self, source: SourceFile) -> Set[str]:
         names: Set[str] = set()
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             value: Optional[ast.AST] = None
             targets: List[ast.AST] = []
             if isinstance(node, ast.Assign):
@@ -294,7 +294,7 @@ class ForkSafetyChecker(Checker):
 
     def _scheduler_names(self, source: SourceFile) -> Set[str]:
         names: Set[str] = set()
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.Assign):
                 continue
             value = node.value
@@ -331,7 +331,7 @@ class IterationOrderChecker(Checker):
     _SEQUENCING_BUILTINS = frozenset({"list", "tuple", "enumerate", "iter"})
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.Call):
                 continue
             listing = self._listing_label(source, node)
@@ -342,7 +342,7 @@ class IterationOrderChecker(Checker):
                     f"call in sorted(...)",
                     col=node.col_offset,
                 )
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not self._is_set_expression(source, node):
                 continue
             consumed = self._ordered_consumption(source, node)
@@ -423,7 +423,7 @@ class MutableDefaultChecker(Checker):
     })
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):
@@ -489,7 +489,7 @@ class SwallowedExceptionChecker(Checker):
     })
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             label = self._broad_label(source, node.type)

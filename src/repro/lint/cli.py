@@ -38,9 +38,15 @@ from typing import Dict, List, Optional, TextIO, Tuple, cast
 
 from repro.lint.baseline import Baseline
 from repro.lint.checkers import rule_catalog
-from repro.lint.project import project_rule_catalog
+from repro.lint.effects import analyze, effect_findings, effect_report
+from repro.lint.project import (
+    ProjectModel,
+    drop_suppressed,
+    project_rule_catalog,
+)
 from repro.lint.reporters import render_json, render_text
-from repro.lint.runner import lint_paths
+from repro.lint.runner import lint_paths, load_sources
+from repro.lint.units import analyze_units, unit_findings, unit_report
 
 #: Baseline picked up automatically when present in the working tree.
 DEFAULT_BASELINE = "lint_baseline.json"
@@ -121,11 +127,8 @@ def run_lint(
             print(f"{rule_id.ljust(width)}  {catalog[rule_id]}", file=out)
         return 0
 
-    if args.paths and args.paths[0] == "effects":
-        return run_effects(args, out, err)
-
-    if args.paths and args.paths[0] == "units":
-        return run_units(args, out, err)
+    if args.paths and args.paths[0] in ("effects", "units"):
+        return _dump_table(args, out, err)
 
     baseline, baseline_path, code = _resolve_baseline(args, err)
     if code != 0:
@@ -163,87 +166,31 @@ def run_lint(
     return 0 if report.clean else 1
 
 
-def run_effects(
+def _dump_table(
     args: argparse.Namespace, out: TextIO, err: TextIO
 ) -> int:
-    """Execute ``repro lint effects ...``; always 0 unless usage error."""
-    # Imported here so plain lint runs never pay for the effect pass
-    # twice and ``--no-project`` stays meaningful.
-    from repro.lint.effects import analyze, effect_findings, effect_report
-    from repro.lint.findings import Finding
-    from repro.lint.project import ProjectModel
-    from repro.lint.runner import display_path, iter_python_files
-    from repro.lint.source import SourceFile
-
-    raw_paths = args.paths[1:] or ["src"]
+    """``repro lint effects|units ...``; always 0 unless usage error."""
     try:
-        files = list(iter_python_files([Path(p) for p in raw_paths]))
+        sources = load_sources([Path(p) for p in args.paths[1:] or ["src"]])
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=err)
         return 2
-    sources = [
-        SourceFile(display_path(file), file.read_text(encoding="utf-8"))
-        for file in files
-    ]
     model = ProjectModel.build(sources)
-    analysis = analyze(model)
-    by_path = {s.display_path: s for s in sources}
-    findings: List[Finding] = []
-    for finding in effect_findings(analysis):
-        anchor = by_path.get(finding.path)
-        if anchor is None or not anchor.is_suppressed(
-            finding.rule_id, finding.line
-        ):
-            findings.append(finding)
-    payload = effect_report(analysis, findings,
-                            function=args.effects_function)
+    function = args.effects_function
+    if args.paths[0] == "effects":
+        effects = analyze(model)
+        findings, _ = drop_suppressed(effect_findings(effects), sources)
+        payload = effect_report(effects, findings, function=function)
+        render = _render_effects_text
+    else:
+        units = analyze_units(model)
+        findings, _ = drop_suppressed(unit_findings(units), sources)
+        payload = unit_report(units, findings, function=function)
+        render = _render_units_text
     if args.output_format == "json":
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
-    _render_effects_text(payload, out, full=args.effects_function
-                         is not None or args.verbose)
-    return 0
-
-
-def run_units(
-    args: argparse.Namespace, out: TextIO, err: TextIO
-) -> int:
-    """Execute ``repro lint units ...``; always 0 unless usage error."""
-    # Lazy for the same reason as effects: plain lint runs build the
-    # model once inside run_project_passes.
-    from repro.lint.findings import Finding
-    from repro.lint.project import ProjectModel
-    from repro.lint.runner import display_path, iter_python_files
-    from repro.lint.source import SourceFile
-    from repro.lint.units import analyze_units, unit_findings, unit_report
-
-    raw_paths = args.paths[1:] or ["src"]
-    try:
-        files = list(iter_python_files([Path(p) for p in raw_paths]))
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    sources = [
-        SourceFile(display_path(file), file.read_text(encoding="utf-8"))
-        for file in files
-    ]
-    model = ProjectModel.build(sources)
-    analysis = analyze_units(model)
-    by_path = {s.display_path: s for s in sources}
-    findings: List[Finding] = []
-    for finding in unit_findings(analysis):
-        anchor = by_path.get(finding.path)
-        if anchor is None or not anchor.is_suppressed(
-            finding.rule_id, finding.line
-        ):
-            findings.append(finding)
-    payload = unit_report(analysis, findings,
-                          function=args.effects_function)
-    if args.output_format == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
-    _render_units_text(payload, out, full=args.effects_function
-                       is not None or args.verbose)
+    else:
+        render(payload, out, full=function is not None or args.verbose)
     return 0
 
 

@@ -6,8 +6,12 @@ module's top-level code) gets an **effect summary** — which module-level
 globals it reads, which it writes, and which IO surfaces it touches —
 computed as a fixpoint over the call graph: a function's summary is its
 own local effects joined with the summaries of everything it calls.
-The join is set union over a finite universe, so the worklist converges
-on recursive and mutually-recursive graphs in O(edges × effects).
+Local effects are classified from the project's one scope walk
+(:attr:`ModuleInfo.nodes`), so they land on the call graph's own
+function keys.  The join is set union over a finite universe, so
+:func:`~repro.lint.project.fixpoint`'s sweeps converge on recursive and
+mutually-recursive graphs, and the result does not depend on sweep
+order.
 
 On top of the summaries sit three *entry-point* discoveries:
 
@@ -65,12 +69,20 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.lint.base import Rule
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.project import MODULE_SCOPE, ModuleInfo, ProjectModel
+from repro.lint.project import (
+    MODULE_SCOPE,
+    DefNode,
+    FunctionNode,
+    ModuleInfo,
+    ProjectModel,
+    fixpoint,
+    function_matches,
+    render_chain,
+)
 
 SHARED_MUTABLE_GLOBAL = "shared-mutable-global"
 CACHE_KEY_ESCAPE = "cache-key-escape"
@@ -316,9 +328,7 @@ def _collect_globals(model: ProjectModel) -> Dict[str, GlobalVar]:
 # -- local effect collection -----------------------------------------
 
 
-def _collect_binds(
-    node: "Union[ast.FunctionDef, ast.AsyncFunctionDef]",
-) -> Tuple[Set[str], Set[str]]:
+def _collect_binds(node: DefNode) -> Tuple[Set[str], Set[str]]:
     """``(locally bound names, names declared global)`` for one def."""
     binds: Set[str] = set()
     declared: Set[str] = set()
@@ -361,94 +371,58 @@ def _collect_binds(
     return binds - declared, declared
 
 
-class _EffectCollector:
-    """One walk per module, attributing effect sites to function keys.
+class _EffectClassifier:
+    """Attributes one module's effect sites to function keys.
 
-    Mirrors the scope rules of :class:`repro.lint.project._ModuleVisitor`
-    so the keys line up with the call graph exactly.
+    Reads the project's scope walk, so the keys line up with the call
+    graph exactly.
     """
 
     def __init__(
         self,
-        model: ProjectModel,
         info: ModuleInfo,
         globals_table: Dict[str, GlobalVar],
         local: Dict[str, LocalEffect],
         handler_keys: Set[str],
     ) -> None:
-        self._model = model
         self._info = info
         self._globals = globals_table
         self._local = local
         self._handlers = handler_keys
-        self._binds: Dict[str, Set[str]] = {}
-        self._declared: Dict[str, Set[str]] = {}
+        self._scopes: Dict[Optional[DefNode], Tuple[Set[str], Set[str]]] = {
+            None: (set(), set()),  # <module>: nothing is local
+        }
 
     def run(self) -> None:
-        module_key = f"{self._info.name}:{MODULE_SCOPE}"
-        self._binds[module_key] = set()
-        self._declared[module_key] = set()
-        self._walk_body(self._info.source.tree.body, scope=(),
-                        owner=module_key, enclosing_class=None)
-
-    # -- traversal ----------------------------------------------------
-
-    def _walk_body(
-        self,
-        body: Sequence[ast.stmt],
-        scope: Tuple[str, ...],
-        owner: str,
-        enclosing_class: Optional[str],
-    ) -> None:
-        for stmt in body:
-            self._walk(stmt, scope, owner, enclosing_class)
-
-    def _walk(
-        self,
-        node: ast.AST,
-        scope: Tuple[str, ...],
-        owner: str,
-        enclosing_class: Optional[str],
-    ) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qualname = ".".join((*scope, node.name))
-            key = f"{self._info.name}:{qualname}"
-            binds, declared = _collect_binds(node)
-            self._binds[key] = binds
-            self._declared[key] = declared
-            for decorator in node.decorator_list:
-                self._walk(decorator, scope, owner, enclosing_class)
-            for default in (*node.args.defaults,
-                            *[d for d in node.args.kw_defaults
-                              if d is not None]):
-                self._walk(default, scope, owner, enclosing_class)
-            self._walk_body(node.body, (*scope, node.name), key,
-                            enclosing_class)
-            return
-        if isinstance(node, ast.ClassDef):
-            qualname = ".".join((*scope, node.name))
-            for decorator in node.decorator_list:
-                self._walk(decorator, scope, owner, enclosing_class)
-            self._walk_body(node.body, (*scope, node.name), owner,
-                            qualname)
-            return
-        self._classify(node, owner, enclosing_class)
-        for child in ast.iter_child_nodes(node):
-            self._walk(child, scope, owner, enclosing_class)
+        for node, owner, enclosing_class in self._info.nodes:
+            self._classify(node, owner, enclosing_class)
 
     # -- effect classification ----------------------------------------
 
-    def _effects(self, owner: str) -> LocalEffect:
-        return self._local.setdefault(owner, LocalEffect())
+    def _scope(self, owner: FunctionNode) -> Tuple[Set[str], Set[str]]:
+        """``(locally bound names, names declared global)`` of ``owner``.
+
+        Keyed by the ``def`` node, not the key: a redefined function's
+        earlier body keeps its own bindings.
+        """
+        scope = self._scopes.get(owner.node)
+        if scope is None:
+            assert owner.node is not None
+            scope = self._scopes[owner.node] = _collect_binds(owner.node)
+        return scope
+
+    def _effects(self, owner: FunctionNode) -> LocalEffect:
+        return self._local.setdefault(owner.key, LocalEffect())
 
     def _global_key_for(
-        self, owner: str, node: ast.expr
+        self, owner: FunctionNode, node: ast.expr
     ) -> Optional[str]:
         """``module:NAME`` when ``node`` denotes a module-level global."""
         if isinstance(node, ast.Name):
-            if node.id in self._binds.get(owner, set()):
+            binds, declared = self._scope(owner)
+            if node.id in binds:
                 return None
-            if node.id in self._declared.get(owner, set()) or (
+            if node.id in declared or (
                 node.id not in self._info.source.aliases
             ):
                 key = f"{self._info.name}:{node.id}"
@@ -462,30 +436,27 @@ class _EffectCollector:
         key = f"{module}:{name}"
         return key if key in self._globals else None
 
-    def _at_module_scope(self, owner: str) -> bool:
-        return owner.endswith(f":{MODULE_SCOPE}")
-
-    def _note_read(self, owner: str, key: str, line: int) -> None:
+    def _own_definition(self, owner: FunctionNode, key: str) -> bool:
         # A module initialising (or re-reading) its own globals at
         # import time is definition, not shared-state traffic.
-        if self._at_module_scope(owner) and key.startswith(
+        return owner.qualname == MODULE_SCOPE and key.startswith(
             f"{self._info.name}:"
-        ):
-            return
-        self._effects(owner).note(self._effects(owner).reads, key, line)
+        )
 
-    def _note_write(self, owner: str, key: str, line: int) -> None:
-        if self._at_module_scope(owner) and key.startswith(
-            f"{self._info.name}:"
-        ):
-            return
-        self._effects(owner).note(self._effects(owner).writes, key, line)
+    def _note_read(self, owner: FunctionNode, key: str, line: int) -> None:
+        if not self._own_definition(owner, key):
+            self._effects(owner).note(self._effects(owner).reads, key, line)
 
-    def _note_io(self, owner: str, target: str, line: int) -> None:
+    def _note_write(self, owner: FunctionNode, key: str, line: int) -> None:
+        if not self._own_definition(owner, key):
+            self._effects(owner).note(self._effects(owner).writes, key, line)
+
+    def _note_io(self, owner: FunctionNode, target: str, line: int) -> None:
         self._effects(owner).note(self._effects(owner).io, target, line)
 
     def _classify(
-        self, node: ast.AST, owner: str, enclosing_class: Optional[str]
+        self, node: ast.AST, owner: FunctionNode,
+        enclosing_class: Optional[str],
     ) -> None:
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets: List[ast.expr]
@@ -496,7 +467,7 @@ class _EffectCollector:
             for target in targets:
                 self._classify_store(node, target, owner)
             if isinstance(node, ast.Assign):
-                self._maybe_handler_table(node, owner, enclosing_class)
+                self._maybe_handler_table(node, enclosing_class)
             return
         if isinstance(node, ast.Call):
             self._classify_call(node, owner)
@@ -518,11 +489,11 @@ class _EffectCollector:
                 self._note_read(owner, key, node.lineno)
 
     def _classify_store(
-        self, stmt: ast.AST, target: ast.expr, owner: str
+        self, stmt: ast.AST, target: ast.expr, owner: FunctionNode
     ) -> None:
         line = int(getattr(stmt, "lineno", 1))
         if isinstance(target, ast.Name):
-            if target.id in self._declared.get(owner, set()):
+            if target.id in self._scope(owner)[1]:
                 key = f"{self._info.name}:{target.id}"
                 if key in self._globals:
                     self._note_write(owner, key, line)
@@ -535,13 +506,13 @@ class _EffectCollector:
             for element in target.elts:
                 self._classify_store(stmt, element, owner)
 
-    def _classify_call(self, node: ast.Call, owner: str) -> None:
+    def _classify_call(self, node: ast.Call, owner: FunctionNode) -> None:
         func = node.func
         resolved = self._info.source.resolve(func)
         name = resolved
         if name is None and isinstance(func, ast.Name):
             if func.id in ("open", "input", "print") and (
-                func.id not in self._binds.get(owner, set())
+                func.id not in self._scope(owner)[0]
                 and func.id not in self._info.functions
             ):
                 name = func.id
@@ -560,8 +531,7 @@ class _EffectCollector:
                 self._note_write(owner, key, node.lineno)
 
     def _maybe_handler_table(
-        self, node: ast.Assign, owner: str,
-        enclosing_class: Optional[str],
+        self, node: ast.Assign, enclosing_class: Optional[str],
     ) -> None:
         """``self._handlers = {Type: self._handle_x, ...}`` registration."""
         if enclosing_class is None or not isinstance(node.value, ast.Dict):
@@ -600,32 +570,14 @@ def _resolve_callable_ref(
         if is_partial and node.args:
             return _resolve_callable_ref(model, info, node.args[0])
         return None
-    resolved = info.source.resolve(node)
-    if resolved is not None and (
-        resolved == "repro" or resolved.startswith("repro.")
-    ):
-        return model._lookup_internal(resolved)
-    if isinstance(node, ast.Name):
-        return info.functions.get(node.id)
-    return None
+    return model.resolve_reference(info, node)
 
 
-def _lambda_targets(
-    model: ProjectModel, info: ModuleInfo, node: ast.Lambda
-) -> List[str]:
+def _lambda_targets(model: ProjectModel, node: ast.Lambda) -> List[str]:
     """Internal call targets inside a ``lambda: ...`` builder body."""
-    keys: List[str] = []
-    for child in ast.walk(node.body):
-        if not isinstance(child, ast.Call):
-            continue
-        key = _resolve_callable_ref(model, info, child.func)
-        if key is None:
-            resolved = info.source.resolve(child.func)
-            if resolved is not None and resolved.startswith("repro"):
-                key = model._lookup_internal(resolved)
-        if key is not None:
-            keys.append(key)
-    return keys
+    edges = (model.call_edges.get(child) for child in ast.walk(node.body))
+    return [edge.target for edge in edges
+            if edge is not None and edge.internal]
 
 
 def _is_task_dispatch(info: ModuleInfo, node: ast.Call) -> bool:
@@ -665,8 +617,7 @@ def _discover_entries(
     for name in sorted(model.modules):
         info = model.modules[name]
         path = info.source.display_path
-        for raw in info.raw_calls:
-            node = raw.node
+        for node in info.calls:
             if _is_task_dispatch(info, node) and node.args:
                 via = ("map_tasks"
                        if not isinstance(node.func, ast.Attribute)
@@ -691,7 +642,7 @@ def _discover_entries(
             if build is None:
                 continue
             if isinstance(build, ast.Lambda):
-                keys = _lambda_targets(model, info, build)
+                keys = _lambda_targets(model, build)
             else:
                 resolved_key = _resolve_callable_ref(model, info, build)
                 keys = [resolved_key] if resolved_key is not None else []
@@ -711,8 +662,7 @@ def _collect_merge_backs(model: ProjectModel) -> Dict[str, str]:
     merge_backs: Dict[str, str] = {}
     for name in sorted(model.modules):
         info = model.modules[name]
-        for raw in info.raw_calls:
-            node = raw.node
+        for node in info.calls:
             callee = info.source.resolve(node.func) or (
                 node.func.id if isinstance(node.func, ast.Name) else ""
             )
@@ -751,42 +701,30 @@ def _compute_summaries(
     model: ProjectModel, local: Dict[str, LocalEffect]
 ) -> Dict[str, Summary]:
     summaries: Dict[str, Summary] = {}
-    for key in sorted(model.functions):
+    for key, node in model.functions.items():
         effect = local.get(key)
         summary = Summary()
-        if effect is not None and model.functions[key].module not in (
-            EFFECT_BOUNDARY_MODULES
-        ):
+        if effect is not None and node.module not in EFFECT_BOUNDARY_MODULES:
             summary.reads = set(effect.reads)
             summary.writes = set(effect.writes)
             summary.io = set(effect.io)
         summaries[key] = summary
 
-    worklist: Deque[str] = deque(sorted(summaries))
-    queued: Set[str] = set(worklist)
-    while worklist:
-        current = worklist.popleft()
-        queued.discard(current)
-        node = model.functions[current]
+    def step(key: str) -> bool:
+        node = model.functions[key]
         if node.module in EFFECT_BOUNDARY_MODULES:
-            continue  # boundary functions keep an empty summary
+            return False  # boundary functions keep an empty summary
         changed = False
         for edge in node.edges:
             if not edge.internal:
                 continue
-            callee = summaries.get(edge.target)
-            callee_node = model.functions.get(edge.target)
-            if callee is None or callee_node is None:
+            if model.functions[edge.target].module in EFFECT_BOUNDARY_MODULES:
                 continue
-            if callee_node.module in EFFECT_BOUNDARY_MODULES:
-                continue
-            if summaries[current].merge(callee):
+            if summaries[key].merge(summaries[edge.target]):
                 changed = True
-        if changed:
-            for caller in model.callers.get(current, ()):
-                if caller not in queued:
-                    worklist.append(caller)
-                    queued.add(caller)
+        return changed
+
+    fixpoint(summaries, step)
     return summaries
 
 
@@ -818,22 +756,6 @@ def _paths_from(
     return paths
 
 
-def _render_chain(
-    model: ProjectModel, chain: Tuple[str, ...], terminal: str
-) -> str:
-    labels: List[str] = []
-    previous: Optional[str] = None
-    for key in chain:
-        node = model.functions[key]
-        if previous is None or node.module == previous:
-            labels.append(node.qualname)
-        else:
-            labels.append(f"{node.module}:{node.qualname}")
-        previous = node.module
-    labels.append(terminal)
-    return " -> ".join(labels)
-
-
 # -- the analysis entry point ----------------------------------------
 
 
@@ -843,9 +765,8 @@ def analyze(model: ProjectModel) -> EffectAnalysis:
     local: Dict[str, LocalEffect] = {}
     registered_handlers: Set[str] = set()
     for name in sorted(model.modules):
-        _EffectCollector(
-            model, model.modules[name], globals_table, local,
-            registered_handlers,
+        _EffectClassifier(
+            model.modules[name], globals_table, local, registered_handlers,
         ).run()
     stateful: Set[str] = {
         key for key, var in globals_table.items()
@@ -925,7 +846,7 @@ def check_shared_mutable_globals(
                                     reached, line):
                     continue
                 seen.add((entry.key, target))
-                chain = _render_chain(
+                chain = render_chain(
                     model, paths[reached],
                     _effect_terminal(model, reached, target, line),
                 )
@@ -976,7 +897,7 @@ def check_cache_key_escape(analysis: EffectAnalysis) -> List[Finding]:
                                     line):
                     continue
                 seen.add((entry.key, target))
-                chain = _render_chain(
+                chain = render_chain(
                     model, paths[reached],
                     _effect_terminal(model, reached, target, line),
                 )
@@ -1023,7 +944,7 @@ def check_impure_event_handlers(
                                     reached, line):
                     continue
                 reported.add(target)
-                chain = _render_chain(
+                chain = render_chain(
                     model, paths[reached],
                     _effect_terminal(model, reached, target, line),
                 )
@@ -1079,7 +1000,7 @@ def check_fork_held_resources(
                     continue
                 seen.add((entry.key, target))
                 var = analysis.globals[target]
-                chain = _render_chain(
+                chain = render_chain(
                     model, paths[reached],
                     _effect_terminal(model, reached, target, line),
                 )
@@ -1135,17 +1056,10 @@ def effect_report(
     builder_keys = {e.key for e in analysis.cache_builders}
     handler_keys = set(analysis.event_handlers)
 
-    def matches(key: str, qualname: str) -> bool:
-        if function is None:
-            return True
-        return function in (key, qualname) or key.endswith(
-            f":{function}"
-        )
-
     functions: List[Dict[str, object]] = []
     for key in sorted(model.functions):
         node = model.functions[key]
-        if not matches(key, node.qualname):
+        if not function_matches(function, node):
             continue
         summary = analysis.summaries[key]
         functions.append({

@@ -23,6 +23,15 @@ module-level call graph:
   non-constructor value poisons the entry, but duck-typed reuse of the
   name across branches is not modelled).
 
+The model is the only code that knows how a module breaks into
+function keys and how a call resolves.  One scope walk records each
+function's ``def``, body and enclosing class and lists every other node
+with the function that owns it (:attr:`ModuleInfo.nodes`); each call is
+resolved once, at build time (:attr:`ProjectModel.call_edges`).  The
+effect and unit passes (:mod:`repro.lint.effects`,
+:mod:`repro.lint.units`) read both, and solve their summaries with the
+one :func:`fixpoint`.
+
 Three inter-procedural rules run over the graph:
 
 * ``transitive-wallclock`` — a function in ``simulator/``,
@@ -53,7 +62,18 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.lint.base import Rule
 from repro.lint.checkers import (
@@ -114,25 +134,32 @@ class _Sink:
     line: int
 
 
+#: A ``def`` statement: the syntax a function key stands for.
+DefNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
 @dataclass
 class FunctionNode:
-    """One function (or ``<module>`` pseudo-function) in the graph."""
+    """One function (or ``<module>`` pseudo-function) in the graph.
+
+    ``node`` is its ``def`` (``None`` for ``<module>``), ``body`` the
+    statements it runs, and ``enclosing_class`` the qualname of the class
+    ``self``/``cls`` denote inside it.
+    """
 
     key: str
     module: str
     qualname: str
     path: str
     line: int
+    node: Optional[DefNode] = None
+    body: Sequence[ast.stmt] = ()
+    enclosing_class: Optional[str] = None
     edges: List[CallEdge] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class _RawCall:
-    """A call site awaiting cross-module resolution."""
-
-    owner: str
-    node: ast.Call
-    enclosing_class: Optional[str]
+#: One node of the scope walk: ``(node, owner, enclosing class)``.
+ScopedNode = Tuple[ast.AST, FunctionNode, Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -155,13 +182,23 @@ class ModuleInfo:
     source: SourceFile
     functions: Dict[str, str] = field(default_factory=dict)  # qualname -> key
     classes: Set[str] = field(default_factory=set)
-    raw_calls: List[_RawCall] = field(default_factory=list)
+    #: Every node the scope walk visits, in walk order, with the function
+    #: whose code it is.  ``def`` and ``class`` statements are not listed
+    #: themselves; their decorators, argument defaults and bodies are
+    #: (class bases are not walked).
+    nodes: List[ScopedNode] = field(default_factory=list)
     stream_calls: List[StreamCall] = field(default_factory=list)
     #: ``(owner key, local name) -> constructor func expr`` for locals
     #: assigned from a call; ``None`` marks a poisoned (rebound) entry.
     var_ctors: Dict[Tuple[str, str], Optional[ast.expr]] = field(
         default_factory=dict
     )
+
+    @property
+    def calls(self) -> List[ast.Call]:
+        """Every call site of the module, in walk order."""
+        return [node for node, _, _ in self.nodes
+                if isinstance(node, ast.Call)]
 
 
 def module_name_for(display_path: str) -> str:
@@ -202,141 +239,47 @@ def _is_factory_expr(source: SourceFile, node: ast.expr) -> bool:
     return terminal is not None and "factory" in terminal.lower()
 
 
-class _ModuleVisitor:
-    """Single recursive walk collecting defs, calls and stream sites."""
+def _is_internal(dotted: str) -> bool:
+    return dotted == "repro" or dotted.startswith("repro.")
 
-    def __init__(self, model: "ProjectModel", info: ModuleInfo) -> None:
-        self._model = model
-        self._info = info
 
-    def run(self) -> None:
-        root = self._model.add_function(
-            self._info, MODULE_SCOPE, line=1
-        )
-        self._visit_body(
-            self._info.source.tree.body,
-            scope=(),
-            owner=root,
-            enclosing_class=None,
-            in_function=False,
-        )
+def _label_argument(node: ast.Call) -> Optional[ast.expr]:
+    if node.args:
+        first = node.args[0]
+        return None if isinstance(first, ast.Starred) else first
+    for keyword in node.keywords:
+        if keyword.arg == "label":
+            return keyword.value
+    return None
 
-    # -- traversal ---------------------------------------------------
 
-    def _visit_body(
-        self,
-        body: Sequence[ast.stmt],
-        scope: Tuple[str, ...],
-        owner: FunctionNode,
-        enclosing_class: Optional[str],
-        in_function: bool,
-    ) -> None:
-        for stmt in body:
-            self._visit(stmt, scope, owner, enclosing_class, in_function)
+def function_matches(function: Optional[str], node: FunctionNode) -> bool:
+    """The ``--function`` filter: exact key, qualname or bare-name match."""
+    if function is None:
+        return True
+    return function in (node.key, node.qualname) or node.key.endswith(
+        f":{function}"
+    )
 
-    def _visit(
-        self,
-        node: ast.AST,
-        scope: Tuple[str, ...],
-        owner: FunctionNode,
-        enclosing_class: Optional[str],
-        in_function: bool,
-    ) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qualname = ".".join((*scope, node.name))
-            child = self._model.add_function(
-                self._info, qualname, line=node.lineno
-            )
-            if in_function:
-                # A nested def is a closure helper: assume the parent
-                # uses it (calls through locals are otherwise opaque).
-                owner.edges.append(
-                    CallEdge(target=child.key, line=node.lineno,
-                             internal=True)
-                )
-            for decorator in node.decorator_list:
-                self._visit(decorator, scope, owner, enclosing_class,
-                            in_function)
-            for default in (*node.args.defaults,
-                            *[d for d in node.args.kw_defaults
-                              if d is not None]):
-                self._visit(default, scope, owner, enclosing_class,
-                            in_function)
-            self._visit_body(
-                node.body, (*scope, node.name), child, enclosing_class,
-                in_function=True,
-            )
-            return
-        if isinstance(node, ast.ClassDef):
-            qualname = ".".join((*scope, node.name))
-            self._info.classes.add(qualname)
-            for decorator in node.decorator_list:
-                self._visit(decorator, scope, owner, enclosing_class,
-                            in_function)
-            # Class bodies execute at import time in the enclosing
-            # scope; methods are *not* implicitly reachable from it.
-            self._visit_body(
-                node.body, (*scope, node.name), owner, qualname,
-                in_function=False,
-            )
-            return
-        if isinstance(node, ast.Call):
-            self._record_call(node, owner, enclosing_class)
-        if isinstance(node, ast.Assign):
-            self._record_var_types(node, owner)
-        for child_node in ast.iter_child_nodes(node):
-            self._visit(child_node, scope, owner, enclosing_class,
-                        in_function)
 
-    def _record_var_types(self, node: ast.Assign, owner: FunctionNode) -> None:
-        """Track ``name = Constructor(...)`` so ``name.method()`` resolves."""
-        for target in node.targets:
-            if not isinstance(target, ast.Name):
-                continue
-            slot = (owner.key, target.id)
-            if isinstance(node.value, ast.Call):
-                self._info.var_ctors[slot] = node.value.func
-            elif slot in self._info.var_ctors:
-                self._info.var_ctors[slot] = None  # rebound: poisoned
+def fixpoint(keys: Iterable[str], step: Callable[[str], bool]) -> int:
+    """Sweep ``step`` over ``keys`` in sorted order until nothing changes.
 
-    def _record_call(
-        self,
-        node: ast.Call,
-        owner: FunctionNode,
-        enclosing_class: Optional[str],
-    ) -> None:
-        self._info.raw_calls.append(
-            _RawCall(owner=owner.key, node=node,
-                     enclosing_class=enclosing_class)
-        )
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in ("stream", "fork")
-            and _is_factory_expr(self._info.source, func.value)
-        ):
-            label = self._label_argument(node)
-            if label is not None:
-                self._info.stream_calls.append(
-                    StreamCall(
-                        owner=owner.key,
-                        receiver=ast.unparse(func.value),
-                        method=func.attr,
-                        label=label,
-                        line=node.lineno,
-                        col=node.col_offset,
-                    )
-                )
-
-    @staticmethod
-    def _label_argument(node: ast.Call) -> Optional[ast.expr]:
-        if node.args:
-            first = node.args[0]
-            return None if isinstance(first, ast.Starred) else first
-        for keyword in node.keywords:
-            if keyword.arg == "label":
-                return keyword.value
-        return None
+    ``step(key)`` updates ``key``'s summary and returns whether it
+    changed; a sweep calls it for every key, and sweeps repeat until one
+    changes nothing.  Summaries must only climb a finite lattice, which
+    is what makes this terminate.  Returns the number of sweeps.
+    """
+    ordered = sorted(keys)
+    sweeps = 0
+    changed = True
+    while changed:
+        sweeps += 1
+        changed = False
+        for key in ordered:
+            if step(key):
+                changed = True
+    return sweeps
 
 
 class ProjectModel:
@@ -347,6 +290,8 @@ class ProjectModel:
         self.functions: Dict[str, FunctionNode] = {}
         #: callee key -> sorted distinct keys of its internal callers.
         self.callers: Dict[str, Tuple[str, ...]] = {}
+        #: call site -> the edge it resolved to (unresolved calls absent).
+        self.call_edges: Dict[ast.Call, CallEdge] = {}
 
     # -- construction ------------------------------------------------
 
@@ -363,7 +308,11 @@ class ProjectModel:
                 continue  # duplicate fixture names: first (sorted) wins
             model.modules[name] = ModuleInfo(name=name, source=source)
         for name in sorted(model.modules):
-            _ModuleVisitor(model, model.modules[name]).run()
+            info = model.modules[name]
+            root = model.add_function(info, MODULE_SCOPE, line=1,
+                                      body=info.source.tree.body)
+            for stmt in info.source.tree.body:
+                model._walk(info, stmt, (), root, None, in_function=False)
         for name in sorted(model.modules):
             model._resolve_module(model.modules[name])
         reverse: Dict[str, Set[str]] = {}
@@ -377,62 +326,181 @@ class ProjectModel:
         return model
 
     def add_function(
-        self, info: ModuleInfo, qualname: str, line: int
+        self,
+        info: ModuleInfo,
+        qualname: str,
+        line: int,
+        node: Optional[DefNode] = None,
+        body: Sequence[ast.stmt] = (),
+        enclosing_class: Optional[str] = None,
     ) -> FunctionNode:
         key = f"{info.name}:{qualname}"
-        node = FunctionNode(
+        function = FunctionNode(
             key=key,
             module=info.name,
             qualname=qualname,
             path=info.source.display_path,
             line=line,
+            node=node,
+            body=body,
+            enclosing_class=enclosing_class,
         )
-        self.functions[key] = node
+        self.functions[key] = function
         info.functions[qualname] = key
-        return node
+        return function
+
+    def _walk(
+        self,
+        info: ModuleInfo,
+        node: ast.AST,
+        scope: Tuple[str, ...],
+        owner: FunctionNode,
+        enclosing_class: Optional[str],
+        in_function: bool,
+    ) -> None:
+        """The scope walk: which function's code each node is.
+
+        A ``def`` becomes a function whose body it owns; its decorators
+        and defaults run in the enclosing scope.  A class body runs in
+        the enclosing scope too (at import time), so its methods are
+        not reachable from it.
+        """
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = ".".join((*scope, node.name))
+            child = self.add_function(info, qualname, node.lineno, node,
+                                      node.body, enclosing_class)
+            if in_function:
+                # A nested def is a closure helper: assume the parent
+                # uses it (calls through locals are otherwise opaque).
+                owner.edges.append(
+                    CallEdge(target=child.key, line=node.lineno,
+                             internal=True)
+                )
+            for outer in (*node.decorator_list, *node.args.defaults,
+                          *[d for d in node.args.kw_defaults
+                            if d is not None]):
+                self._walk(info, outer, scope, owner, enclosing_class,
+                           in_function)
+            for stmt in node.body:
+                self._walk(info, stmt, (*scope, node.name), child,
+                           enclosing_class, in_function=True)
+            return
+        if isinstance(node, ast.ClassDef):
+            qualname = ".".join((*scope, node.name))
+            info.classes.add(qualname)
+            for decorator in node.decorator_list:
+                self._walk(info, decorator, scope, owner, enclosing_class,
+                           in_function)
+            for stmt in node.body:
+                self._walk(info, stmt, (*scope, node.name), owner,
+                           qualname, in_function=False)
+            return
+        info.nodes.append((node, owner, enclosing_class))
+        if isinstance(node, ast.Call):
+            self._record_stream_call(info, node, owner.key)
+        elif isinstance(node, ast.Assign):
+            self._record_var_types(info, node, owner.key)
+        for child_node in ast.iter_child_nodes(node):
+            self._walk(info, child_node, scope, owner, enclosing_class,
+                       in_function)
+
+    @staticmethod
+    def _record_var_types(
+        info: ModuleInfo, node: ast.Assign, owner: str
+    ) -> None:
+        """Track ``name = Constructor(...)`` so ``name.method()`` resolves."""
+        for target in node.targets:
+            if not isinstance(target, ast.Name):
+                continue
+            slot = (owner, target.id)
+            if isinstance(node.value, ast.Call):
+                info.var_ctors[slot] = node.value.func
+            elif slot in info.var_ctors:
+                info.var_ctors[slot] = None  # rebound: poisoned
+
+    @staticmethod
+    def _record_stream_call(
+        info: ModuleInfo, node: ast.Call, owner: str
+    ) -> None:
+        func = node.func
+        if not (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("stream", "fork")
+            and _is_factory_expr(info.source, func.value)
+        ):
+            return
+        label = _label_argument(node)
+        if label is not None:
+            info.stream_calls.append(
+                StreamCall(
+                    owner=owner,
+                    receiver=ast.unparse(func.value),
+                    method=func.attr,
+                    label=label,
+                    line=node.lineno,
+                    col=node.col_offset,
+                )
+            )
 
     def _resolve_module(self, info: ModuleInfo) -> None:
-        for raw in info.raw_calls:
-            edge = self._resolve_call(info, raw)
+        for node, owner, enclosing_class in info.nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            edge = self._resolve_call(info, node, owner.key, enclosing_class)
             if edge is not None:
-                self.functions[raw.owner].edges.append(edge)
+                self.call_edges[node] = edge
+                self.functions[owner.key].edges.append(edge)
 
     def _resolve_call(
-        self, info: ModuleInfo, raw: _RawCall
+        self,
+        info: ModuleInfo,
+        node: ast.Call,
+        owner: str,
+        enclosing_class: Optional[str],
     ) -> Optional[CallEdge]:
-        func = raw.node.func
-        line = raw.node.lineno
+        func = node.func
+        line = node.lineno
         resolved = info.source.resolve(func)
-        if resolved is not None:
-            if resolved == "repro" or resolved.startswith("repro."):
-                key = self._lookup_internal(resolved)
-                if key is None:
-                    return None
-                return CallEdge(target=key, line=line, internal=True)
+        if resolved is not None and not _is_internal(resolved):
             return CallEdge(target=resolved, line=line, internal=False)
-        if isinstance(func, ast.Name):
-            key = self._lookup_local(info, func.id)
-            if key is not None:
-                return CallEdge(target=key, line=line, internal=True)
-            return None
+        if resolved is not None or isinstance(func, ast.Name):
+            key = self.resolve_reference(info, func)
+            if key is None:
+                return None
+            return CallEdge(target=key, line=line, internal=True)
         if (
             isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
             and func.value.id in ("self", "cls")
-            and raw.enclosing_class is not None
+            and enclosing_class is not None
         ):
-            qualname = f"{raw.enclosing_class}.{func.attr}"
+            qualname = f"{enclosing_class}.{func.attr}"
             key = info.functions.get(qualname)
             if key is not None:
                 return CallEdge(target=key, line=line, internal=True)
         if isinstance(func, ast.Attribute) and isinstance(
             func.value, ast.Name
         ):
-            ctor = info.var_ctors.get((raw.owner, func.value.id))
+            ctor = info.var_ctors.get((owner, func.value.id))
             if ctor is not None:
                 key = self._lookup_ctor_method(info, ctor, func.attr)
                 if key is not None:
                     return CallEdge(target=key, line=line, internal=True)
+        return None
+
+    def resolve_reference(
+        self, info: ModuleInfo, node: ast.expr
+    ) -> Optional[str]:
+        """Function key a name or imported ``repro.*`` path denotes.
+
+        A local name is looked up in ``info``'s module; a class denotes
+        its ``__init__``.
+        """
+        resolved = info.source.resolve(node)
+        if resolved is not None and _is_internal(resolved):
+            return self._lookup_internal(resolved)
+        if resolved is None and isinstance(node, ast.Name):
+            return self._lookup_local(info, node.id)
         return None
 
     def _lookup_ctor_method(
@@ -440,9 +508,7 @@ class ProjectModel:
     ) -> Optional[str]:
         """Key of ``Class.method`` for a tracked constructor expression."""
         resolved = info.source.resolve(ctor)
-        if resolved is not None and (
-            resolved == "repro" or resolved.startswith("repro.")
-        ):
+        if resolved is not None and _is_internal(resolved):
             return self._lookup_internal(f"{resolved}.{method}")
         if isinstance(ctor, ast.Name) and ctor.id in info.classes:
             return info.functions.get(f"{ctor.id}.{method}")
@@ -560,9 +626,10 @@ def _in_entry_dirs(path: str) -> bool:
     return any(part in _ENTRY_DIRS for part in directories)
 
 
-def _render_chain(
-    model: ProjectModel, chain: Tuple[str, ...], sink: _Sink
+def render_chain(
+    model: ProjectModel, chain: Tuple[str, ...], terminal: str
 ) -> str:
+    """``f -> g -> mod:h -> terminal``, qualifying cross-module hops."""
     labels: List[str] = []
     previous_module: Optional[str] = None
     for key in chain:
@@ -572,7 +639,7 @@ def _render_chain(
         else:
             labels.append(f"{node.module}:{node.qualname}")
         previous_module = node.module
-    labels.append(f"{sink.target} ({sink.path}:{sink.line})")
+    labels.append(terminal)
     return " -> ".join(labels)
 
 
@@ -595,6 +662,7 @@ def _taint_findings(
         if not _in_entry_dirs(node.path):
             continue
         sink = direct[chain[-1]]
+        terminal = f"{sink.target} ({sink.path}:{sink.line})"
         findings.append(
             Finding(
                 rule_id=rule_id,
@@ -602,7 +670,7 @@ def _taint_findings(
                 line=node.line,
                 message=(
                     f"{node.qualname} reaches {sink.target} through "
-                    f"helpers: {_render_chain(model, chain, sink)}; "
+                    f"helpers: {render_chain(model, chain, terminal)}; "
                     f"{advice}"
                 ),
             )
@@ -711,10 +779,17 @@ def run_project_passes(
         *effect_findings(analyze(model)),
         *unit_findings(analyze_units(model)),
     ]
+    return drop_suppressed(sort_findings(raw), sources)
+
+
+def drop_suppressed(
+    findings: Iterable[Finding], sources: Sequence[SourceFile]
+) -> Tuple[List[Finding], int]:
+    """``(findings without a pragma at their anchor line, suppressed)``."""
     by_path = {s.display_path: s for s in sources}
     kept: List[Finding] = []
     suppressed = 0
-    for finding in sort_findings(raw):
+    for finding in findings:
         anchor = by_path.get(finding.path)
         if anchor is not None and anchor.is_suppressed(
             finding.rule_id, finding.line

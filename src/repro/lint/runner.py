@@ -90,6 +90,20 @@ def display_path(path: Path, root: Optional[Path] = None) -> str:
         return resolved.as_posix()
 
 
+def load_sources(
+    paths: Sequence[Path], root: Optional[Path] = None
+) -> List[SourceFile]:
+    """Read and parse every Python file under ``paths``, in sorted order.
+
+    Raises :class:`FileNotFoundError` for a path that does not exist.
+    """
+    return [
+        SourceFile(display_path(file, root=root),
+                   file.read_text(encoding="utf-8"))
+        for file in iter_python_files(paths)
+    ]
+
+
 def lint_source(
     source: SourceFile, checkers: Sequence[Checker]
 ) -> Tuple[List[Finding], int]:
@@ -140,11 +154,8 @@ def lint_paths(
     active = list(checkers) if checkers is not None else list(default_checkers())
     report = LintReport()
     collected: List[Finding] = []
-    sources: List[SourceFile] = []
-    for file in iter_python_files(paths):
-        text = file.read_text(encoding="utf-8")
-        source = SourceFile(display_path(file, root=root), text)
-        sources.append(source)
+    sources = load_sources(paths, root=root)
+    for source in sources:
         findings, suppressed = lint_source(source, active)
         collected.extend(findings)
         report.suppressed += suppressed

@@ -1,12 +1,13 @@
 """Parsed source files and the shared AST facts checkers query.
 
 :class:`SourceFile` loads a file once and precomputes everything every
-checker needs: the AST, a child->parent map (for "is this call wrapped
-in ``sorted(...)``" questions), an import-alias map that resolves local
-names back to canonical dotted module paths (``np.random.seed`` and
-``from numpy import random; random.seed`` both resolve to
-``numpy.random.seed``), and the ``# repro-lint: allow[rule-id]``
-suppression pragmas extracted from comment tokens.
+checker needs: the AST, its nodes listed once (checkers scan that list
+instead of re-walking the tree), a child->parent map (for "is this
+call wrapped in ``sorted(...)``" questions), an import-alias map that
+resolves local names back to canonical dotted module paths
+(``np.random.seed`` and ``from numpy import random; random.seed`` both
+resolve to ``numpy.random.seed``), and the ``# repro-lint:
+allow[rule-id]`` suppression pragmas extracted from comment tokens.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import ast
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, List, Optional, Set
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 _PRAGMA = re.compile(r"#\s*repro-lint:\s*allow\[([^\]]*)\]")
 
@@ -51,7 +53,7 @@ def parse_pragmas(text: str) -> Dict[int, FrozenSet[str]]:
     return {line: frozenset(rules) for line, rules in pragmas.items()}
 
 
-def build_import_aliases(tree: ast.AST) -> Dict[str, str]:
+def build_import_aliases(nodes: Iterable[ast.AST]) -> Dict[str, str]:
     """Map local names to the canonical dotted path they import.
 
     ``import numpy as np`` maps ``np -> numpy``; ``import numpy.random``
@@ -59,9 +61,10 @@ def build_import_aliases(tree: ast.AST) -> Dict[str, str]:
     ``r -> numpy.random``; ``from time import perf_counter`` maps
     ``perf_counter -> time.perf_counter``.  Relative imports are skipped
     (they never denote the stdlib/numpy surfaces the checkers police).
+    ``nodes`` is every node of the module (:attr:`SourceFile.nodes`).
     """
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for item in node.names:
                 if item.asname is not None:
@@ -110,19 +113,25 @@ class SourceFile:
             self.parse_error = exc
             self.tree = ast.Module(body=[], type_ignores=[])
         self.suppressions = parse_pragmas(text)
-        self.aliases = build_import_aliases(self.tree)
-        self._parents: Optional[Dict[ast.AST, ast.AST]] = None
 
-    @property
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order (built once)."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Local name -> imported dotted path (see build_import_aliases)."""
+        return build_import_aliases(self.nodes)
+
+    @cached_property
     def parents(self) -> Dict[ast.AST, ast.AST]:
         """Child node -> parent node map (built lazily, once)."""
-        if self._parents is None:
-            parents: Dict[ast.AST, ast.AST] = {}
-            for parent in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(parent):
-                    parents[child] = parent
-            self._parents = parents
-        return self._parents
+        return {
+            child: parent
+            for parent in self.nodes
+            for child in ast.iter_child_nodes(parent)
+        }
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Canonical dotted path of a name/attribute chain, if imported."""

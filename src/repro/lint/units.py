@@ -28,9 +28,14 @@ to a fixpoint over the call graph:
 * **propagation** — through assignments, arithmetic (``timestamp -
   timestamp`` is a duration, ``timestamp + duration`` a timestamp,
   scaling by a dimensionless factor preserves the unit), returns, and
-  call-argument binding.  The per-field lattice is ``unknown <
-  concrete < mixed``, so the worklist converges on recursive and
-  mutually-recursive call chains.
+  call-argument binding.  Calls bind through the edges the project
+  model resolved once at build time.  The per-field lattice is
+  ``unknown < concrete < mixed`` and summaries only climb it, so
+  :func:`~repro.lint.project.fixpoint`'s sweeps converge on recursive
+  and mutually-recursive call chains of any depth.  A body pushes
+  inflows into its callees' summaries and the first concrete inflow
+  names a parameter's origin, so the sorted sweep order is part of the
+  output.
 
 The lattice element is ``scale x domain x role``:
 
@@ -69,11 +74,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.base import Rule
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.project import MODULE_SCOPE, ModuleInfo, ProjectModel, _RawCall
+from repro.lint.project import (
+    FunctionNode,
+    ModuleInfo,
+    ProjectModel,
+    fixpoint,
+    function_matches,
+)
 
 UNIT_MISMATCH = "unit-mismatch"
 TIME_DOMAIN_MIXING = "time-domain-mixing"
@@ -283,19 +294,29 @@ def unit_from_annotation(
 
 @dataclass
 class _FnDef:
-    """One function's static shape: params, declared units, body."""
+    """One function's parameters and the units they declare."""
 
-    key: str
-    module: str
-    qualname: str
-    path: str
-    line: int
+    fn: FunctionNode
     params: List[str]
     declared: Dict[str, Unit]
-    body: Sequence[ast.stmt]
-    enclosing_class: Optional[str]
     public: bool
-    node: Optional[ast.AST] = None
+
+    @classmethod
+    def of(cls, fn: FunctionNode, info: ModuleInfo) -> "_FnDef":
+        if fn.node is None:  # a module's top-level code
+            return cls(fn=fn, params=[], declared={}, public=False)
+        args = fn.node.args
+        ordered = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        return cls(
+            fn=fn,
+            params=[arg.arg for arg in ordered],
+            declared={
+                arg.arg: join(unit_from_name(arg.arg),
+                              unit_from_annotation(arg.annotation, info))
+                for arg in ordered
+            },
+            public=_is_public_qualname(fn.qualname),
+        )
 
 
 @dataclass
@@ -306,7 +327,7 @@ class FnUnits:
     returns: Unit = field(default_factory=Unit)
     #: ``param -> provenance chain`` recording where a *flowed* clock
     #: domain came from; set once (first concrete inflow) so chains
-    #: stay stable across fixpoint rounds.
+    #: stay stable across fixpoint sweeps.
     param_origin: Dict[str, str] = field(default_factory=dict)
     return_origin: Optional[str] = None
 
@@ -318,67 +339,6 @@ def _is_public_qualname(qualname: str) -> bool:
         ):
             return False
     return True
-
-
-class _DefCollector:
-    """Mirror of the project/effects scope walk, collecting defs."""
-
-    def __init__(self, info: ModuleInfo, defs: Dict[str, _FnDef]) -> None:
-        self._info = info
-        self._defs = defs
-
-    def run(self) -> None:
-        info = self._info
-        module_key = f"{info.name}:{MODULE_SCOPE}"
-        self._defs[module_key] = _FnDef(
-            key=module_key, module=info.name, qualname=MODULE_SCOPE,
-            path=info.source.display_path, line=1, params=[],
-            declared={}, body=info.source.tree.body,
-            enclosing_class=None, public=False,
-        )
-        self._walk_body(info.source.tree.body, scope=(),
-                        enclosing_class=None)
-
-    def _walk_body(
-        self, body: Sequence[ast.stmt], scope: Tuple[str, ...],
-        enclosing_class: Optional[str],
-    ) -> None:
-        for stmt in body:
-            self._walk(stmt, scope, enclosing_class)
-
-    def _walk(
-        self, node: ast.AST, scope: Tuple[str, ...],
-        enclosing_class: Optional[str],
-    ) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qualname = ".".join((*scope, node.name))
-            key = f"{self._info.name}:{qualname}"
-            args = node.args
-            ordered = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-            params = [arg.arg for arg in ordered]
-            declared = {
-                arg.arg: join(
-                    unit_from_name(arg.arg),
-                    unit_from_annotation(arg.annotation, self._info),
-                )
-                for arg in ordered
-            }
-            self._defs[key] = _FnDef(
-                key=key, module=self._info.name, qualname=qualname,
-                path=self._info.source.display_path, line=node.lineno,
-                params=params, declared=declared, body=node.body,
-                enclosing_class=enclosing_class,
-                public=_is_public_qualname(qualname), node=node,
-            )
-            self._walk_body(node.body, (*scope, node.name),
-                            enclosing_class)
-            return
-        if isinstance(node, ast.ClassDef):
-            qualname = ".".join((*scope, node.name))
-            self._walk_body(node.body, (*scope, node.name), qualname)
-            return
-        for child in ast.iter_child_nodes(node):
-            self._walk(child, scope, enclosing_class)
 
 
 # -- the analysis container -------------------------------------------
@@ -405,24 +365,24 @@ _Val = Tuple[Unit, Optional[str]]
 class _BodyAnalyzer:
     """One forward pass over one function body.
 
-    During fixpoint rounds (``report=False``) it only propagates units
+    During fixpoint sweeps (``report=False``) it only propagates units
     into callee summaries and the function's return unit; in the final
     reporting pass it also emits findings (summaries are stable by
     then, so the extra pass changes nothing).
     """
 
     def __init__(
-        self, analysis: UnitAnalysis, fn: _FnDef, report: bool
+        self, analysis: UnitAnalysis, key: str, report: bool
     ) -> None:
         self._a = analysis
-        self._fn = fn
-        self._info = analysis.model.modules[fn.module]
+        self._fn = analysis.model.functions[key]
+        self._info = analysis.model.modules[self._fn.module]
         self._report = report
         self._changed = False
         self.findings: List[Finding] = []
-        summary = analysis.summaries[fn.key]
+        summary = analysis.summaries[key]
         self._env: Dict[str, _Val] = {}
-        for name in fn.params:
+        for name in analysis.defs[key].params:
             unit = summary.params[name]
             why = f"parameter '{name}'"
             origin = summary.param_origin.get(name)
@@ -748,8 +708,9 @@ class _BodyAnalyzer:
                 out = (join(out[0], unit), out[1] or why)
             return out
 
-        key = self._resolve_internal(node)
-        if key is not None and key in self._a.defs:
+        edge = self._a.model.call_edges.get(node)
+        if edge is not None and edge.internal:
+            key = edge.target
             self._bind(key, arg_vals, kw_vals)
             summary = self._a.summaries[key]
             why: Optional[str] = None
@@ -787,14 +748,6 @@ class _BodyAnalyzer:
             return "s"
         if name == "s_to_ms":
             return "ms"
-        return None
-
-    def _resolve_internal(self, node: ast.Call) -> Optional[str]:
-        raw = _RawCall(owner=self._fn.key, node=node,
-                       enclosing_class=self._fn.enclosing_class)
-        edge = self._a.model._resolve_call(self._info, raw)
-        if edge is not None and edge.internal:
-            return edge.target
         return None
 
     def _bind(
@@ -1002,14 +955,15 @@ class _BodyAnalyzer:
 def _boundary_findings(analysis: UnitAnalysis) -> List[Finding]:
     findings: List[Finding] = []
     for key in sorted(analysis.defs):
-        fn = analysis.defs[key]
-        if not fn.public or fn.node is None:
+        fn_def = analysis.defs[key]
+        if not fn_def.public:
             continue
+        fn = fn_def.fn
         info = analysis.model.modules[fn.module]
-        for name in fn.params:
+        for name in fn_def.params:
             if name in ("self", "cls"):
                 continue
-            declared = fn.declared[name]
+            declared = fn_def.declared[name]
             if declared.scale is not None or declared.domain is not None:
                 continue
             parts = name.lower().split("_")
@@ -1036,16 +990,12 @@ def _boundary_findings(analysis: UnitAnalysis) -> List[Finding]:
 
 # -- the analysis entry point -----------------------------------------
 
-#: Fixpoint safety valve; the per-field lattice has height 2, so real
-#: trees converge in a handful of rounds.
-_MAX_ROUNDS = 20
-
-
 def analyze_units(model: ProjectModel) -> UnitAnalysis:
     """Run the whole dimensional pass over a built project model."""
-    defs: Dict[str, _FnDef] = {}
-    for name in sorted(model.modules):
-        _DefCollector(model.modules[name], defs).run()
+    defs = {
+        key: _FnDef.of(fn, model.modules[fn.module])
+        for key, fn in model.functions.items()
+    }
     summaries = {
         key: FnUnits(params={
             name: defs[key].declared[name] for name in defs[key].params
@@ -1053,16 +1003,11 @@ def analyze_units(model: ProjectModel) -> UnitAnalysis:
         for key in defs
     }
     analysis = UnitAnalysis(model=model, defs=defs, summaries=summaries)
-    for _ in range(_MAX_ROUNDS):
-        changed = False
-        for key in sorted(defs):
-            if _BodyAnalyzer(analysis, defs[key], report=False).run():
-                changed = True
-        if not changed:
-            break
+    fixpoint(defs, lambda key: _BodyAnalyzer(analysis, key,
+                                             report=False).run())
     findings: List[Finding] = []
     for key in sorted(defs):
-        analyzer = _BodyAnalyzer(analysis, defs[key], report=True)
+        analyzer = _BodyAnalyzer(analysis, key, report=True)
         analyzer.run()
         findings.extend(analyzer.findings)
     findings.extend(_boundary_findings(analysis))
@@ -1095,40 +1040,23 @@ def unit_report(
     return unit.  ``function`` filters like ``repro lint effects
     --function`` — exact key, qualname, or bare-name match.
     """
-    model = analysis.model
-
-    def matches(key: str, qualname: str) -> bool:
-        if function is None:
-            return True
-        return function in (key, qualname) or key.endswith(
-            f":{function}"
-        )
-
     functions: List[Dict[str, object]] = []
-    for key in sorted(model.functions):
-        node = model.functions[key]
-        if not matches(key, node.qualname):
+    for key in sorted(analysis.defs):
+        fn_def = analysis.defs[key]
+        node = fn_def.fn
+        if not function_matches(function, node):
             continue
-        fn = analysis.defs.get(key)
-        summary = analysis.summaries.get(key)
-        if fn is None or summary is None:
-            params: Dict[str, str] = {}
-            returns = Unit()
-            public = False
-        else:
-            params = {
-                name: summary.params[name].label()
-                for name in fn.params
-            }
-            returns = summary.returns
-            public = fn.public
+        summary = analysis.summaries[key]
+        params = {
+            name: summary.params[name].label() for name in fn_def.params
+        }
         functions.append({
             "function": key,
             "path": node.path,
             "line": node.line,
             "params": params,
-            "returns": returns.label(),
-            "public": public,
+            "returns": summary.returns.label(),
+            "public": fn_def.public,
         })
     return {
         "functions": functions,

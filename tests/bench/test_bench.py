@@ -53,6 +53,10 @@ class TestScenario:
             BenchScenario.from_dict({"measure": "plian"})
         with pytest.raises(BenchmarkError, match="rounds must be >= 1"):
             BenchScenario.from_dict({"rounds": 0})
+        # A misspelt key is named, not dropped for the default.
+        with pytest.raises(BenchmarkError,
+                           match="unknown bench scenario key.*: mesure"):
+            BenchScenario.from_dict({"mesure": "plain", "num_caches": 5})
 
 
 class TestPersistence:
@@ -262,6 +266,16 @@ class TestCli:
             "--candidate", str(typo),
         ])
         assert code == 2 and "unknown bench measure" in err
+
+        misspelt = tmp_path / "misspelt.json"
+        payload = _result().to_dict()
+        payload["scenarios"]["small"]["scenario"]["mesure"] = "plain"
+        misspelt.write_text(json.dumps(payload))
+        code, _, err = self._run([
+            "bench", "gate", "--baseline", str(misspelt),
+            "--candidate", str(base),
+        ])
+        assert code == 2 and "unknown bench scenario key(s): mesure" in err
 
         code, _, err = self._run(
             ["bench", "run", "--scenarios", "small", "--rounds", "0"]

@@ -220,12 +220,35 @@ class TestCacheKeyEscape:
 
             def _make(key):
                 return _MODE["x"]
+
+
+            class _Maker:
+                def __init__(self, key):
+                    self.value = _MODE[key]
+
+
+            def fetch_object(cache, key):
+                return cache.get_or_build(key, lambda: _Maker(key))
+
+
+            def fetch_by_class(cache, key):
+                return cache.get_or_build(key, _Maker)
             """,
         ))
-        [entry] = analysis.cache_builders
-        assert entry.key == "repro.buildx.lam:_make"
+        # A class, called in a lambda or passed by name, denotes its
+        # __init__, the same as a call to it does in the call graph.
+        assert [
+            (entry.key, entry.site_line) for entry in analysis.cache_builders
+        ] == [
+            ("repro.buildx.lam:_Maker.__init__", 22),
+            ("repro.buildx.lam:_Maker.__init__", 26),
+            ("repro.buildx.lam:_make", 9),
+        ]
         triples, _ = effect_triples(analysis)
-        assert triples == [(CACHE_KEY_ESCAPE, "src/repro/buildx/lam.py", 12)]
+        assert triples == [
+            (CACHE_KEY_ESCAPE, "src/repro/buildx/lam.py", 12),
+            (CACHE_KEY_ESCAPE, "src/repro/buildx/lam.py", 17),
+        ]
 
     def test_constant_table_reads_do_not_escape(self):
         # _TABLE is never written in-project: a constant, not state.

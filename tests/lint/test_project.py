@@ -6,12 +6,14 @@ it, asserting the exact (rule id, path, line) triples — and, for the
 taint rules, the rendered call chain in the message.
 """
 
+import ast
 import textwrap
 
 from repro.lint import SourceFile, run_project_passes
 from repro.lint.project import (
     MODULE_SCOPE,
     ProjectModel,
+    fixpoint,
     module_name_for,
 )
 
@@ -342,6 +344,55 @@ class TestCallGraphResolution:
         assert all(
             edge.target != "time.time" for edge in module_node.edges
         )
+
+    def test_walk_keeps_defs_owners_and_one_edge_per_call(self):
+        model = ProjectModel.build([
+            make_source(
+                "src/repro/simulator/eng.py",
+                """\
+                class Engine:
+                    def run(self):
+                        return self._tick()
+
+                    def _tick(self):
+                        return 0
+                """,
+            )
+        ])
+        run = model.functions["repro.simulator.eng:Engine.run"]
+        assert isinstance(run.node, ast.FunctionDef)
+        assert run.body is run.node.body
+        assert run.enclosing_class == "Engine"
+        module = model.functions[f"repro.simulator.eng:{MODULE_SCOPE}"]
+        assert module.node is None and module.enclosing_class is None
+        info = model.modules["repro.simulator.eng"]
+        (call,) = info.calls
+        owners = {id(node): owner.key for node, owner, _ in info.nodes}
+        assert owners[id(call)] == run.key
+        assert model.call_edges[call].target == (
+            "repro.simulator.eng:Engine._tick"
+        )
+        assert model.call_edges[call] in run.edges
+
+
+class TestFixpoint:
+    def test_sweeps_sorted_keys_until_a_sweep_changes_nothing(self):
+        # a <- b <- c: each sweep lifts one more link to c's level.
+        level = {"a": 0, "b": 0, "c": 3}
+        upstream = {"a": "b", "b": "c"}
+        order = []
+
+        def step(key):
+            order.append(key)
+            source = upstream.get(key)
+            if source is None or level[key] >= level[source]:
+                return False
+            level[key] = level[source]
+            return True
+
+        assert fixpoint(["c", "b", "a"], step) == 3
+        assert order == ["a", "b", "c"] * 3
+        assert level == {"a": 3, "b": 3, "c": 3}
 
 
 class TestStreamLabels:

@@ -381,6 +381,29 @@ class TestFixpoint:
             "value"
         ]
 
+    def test_a_chain_deeper_than_any_round_cap_still_converges(self):
+        # Sorted sweeps move f_25's host-seconds return back one link
+        # per sweep, so the chain needs 25 sweeps.  A solver that gives
+        # up after a fixed number of rounds leaves f_01 dimensionless
+        # and misses the mismatch in use().
+        links = "".join(
+            f"def f_{i:02d}():\n    return f_{i + 1:02d}()\n\n\n"
+            for i in range(1, 25)
+        )
+        analysis = build_analysis((
+            "src/repro/exp/chain.py",
+            "from repro.obs.profiling import perf_seconds\n\n\n"
+            + links
+            + "def f_25():\n    return perf_seconds()\n\n\n"
+            "def use():\n    wait_ms = f_01()\n",
+        ))
+        for i in range(1, 26):
+            returns = analysis.summary(f"repro.exp.chain:f_{i:02d}").returns
+            assert returns.label() == "host-s timestamp", i
+        triples, findings = unit_triples(analysis)
+        assert triples == [(UNIT_MISMATCH, "src/repro/exp/chain.py", 105)]
+        assert "assignment to 'wait_ms'" in findings[0].message
+
 
 class TestReport:
     def test_every_function_gets_a_row_with_labels(self):
