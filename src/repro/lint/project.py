@@ -367,6 +367,22 @@ class ProjectModel:
         """
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qualname = ".".join((*scope, node.name))
+            key = f"{info.name}:{qualname}"
+            shadowed = self.functions.pop(key, None)
+            if shadowed is not None:
+                # A later ``def`` of the same name rebinds it, as in
+                # Python, but the earlier one (say, a property getter
+                # before its ``@x.setter``) stays a function of its own
+                # under a line-tagged key, and so is still analysed.
+                # Only closure edges exist yet; retarget the one to it.
+                shadowed.key = f"{key}@{shadowed.line}"
+                self.functions[shadowed.key] = shadowed
+                for function in self.functions.values():
+                    for index, edge in enumerate(function.edges):
+                        if edge.target == key:
+                            function.edges[index] = CallEdge(
+                                shadowed.key, edge.line, edge.internal
+                            )
             child = self.add_function(info, qualname, node.lineno, node,
                                       node.body, enclosing_class)
             if in_function:

@@ -46,10 +46,10 @@ optimisation that would change a single float operation's order does
 not belong here.
 
 The inline fast path covers the default ``"utility"`` replacement
-policy and the ``"beacon"``/``"directory"`` protocols; LRU/LFU and
-``"multicast"`` runs take the same slice loop but drive the policy or
-lookup through the original (bound-method) code paths, trading a
-little speed for zero duplication of rarely-hot logic.
+policy and the ``"beacon"``/``"directory"`` protocols.  LRU/LFU policy
+calls, ``"multicast"`` lookups and TTL expiry (``EdgeCache.expire``,
+under every policy) go through the original bound-method code paths
+instead, trading a little speed for zero duplication of rarely-hot logic.
 """
 
 from __future__ import annotations
@@ -72,6 +72,43 @@ if TYPE_CHECKING:
 #: sharing is immutable by construction — the effect analysis treats
 #: module-level mutable containers as shared state.
 _NO_HOLDERS: Tuple[int, ...] = ()
+
+
+def _flush_samples(
+    sampler, sample_gauges, until_ms: float,
+    window_local: int, window_group: int, window_origin: int,
+    window_totals: list,
+) -> float:
+    """Fold the open window into the sampler and flush every due tick.
+
+    Ticks at or before ``until_ms`` are flushed, as the oracle does
+    before each event.  Returns the next due tick; the caller starts a
+    fresh window.
+    """
+    if window_totals:
+        sampler.observe_batch(
+            window_local, window_group, window_origin, window_totals
+        )
+    next_tick = sampler.next_tick_ms
+    while next_tick <= until_ms:
+        sampler.flush(next_tick, **sample_gauges(next_tick))
+        next_tick = sampler.next_tick_ms
+    return next_tick
+
+
+def _flush_trace(trace, rows: list) -> None:
+    """Record the buffered request rows in order, then empty the buffer."""
+    trace.record_many([
+        TraceRecord(
+            kind=KIND_REQUEST, timestamp_ms=row[0], cache=row[1],
+            doc_id=row[2], path=row[3], total_ms=row[4],
+            query_ms=row[5], fetch_ms=row[6], transfer_ms=row[7],
+            messages=row[8], size_bytes=row[9], counted=row[10],
+            stale=row[11],
+        )
+        for row in rows
+    ])
+    del rows[:]
 
 
 def _merged_stream(
@@ -179,22 +216,20 @@ def run_batched(engine: "SimulationEngine") -> int:
         peers_by[node] = proto["peers"][node]
         members_by[node] = proto["members_sorted"][node]
 
-    rtt = network.distances.as_array()
-    rtt_by = [None] * size_index
-    for node in nodes:
-        rtt_by[node] = rtt[node].tolist()
-
     local_ms = config.cache.local_processing_ms
     bandwidth = config.link_bandwidth_bytes_per_ms
     origin_processing = config.origin_processing_ms
+    rtt = network.distances.as_array()
+    rtt_by = [None] * size_index
     rtt0_by = [0.0] * size_index
     fetch0_by = [0.0] * size_index
     for node in nodes:
-        rtt0_by[node] = rtt_by[node][origin_node]
+        rtt_by[node] = rtt_row = rtt[node].tolist()
+        rtt0_by[node] = rtt_row[origin_node]
         # Same expression the latency model evaluates per fetch:
         # rtt-to-origin plus flat processing (constant when origin
         # queueing is off, so it can be hoisted out of the loop).
-        fetch0_by[node] = rtt_by[node][origin_node] + origin_processing
+        fetch0_by[node] = rtt_row[origin_node] + origin_processing
 
     origin = engine._origin
     catalog = origin.catalog
@@ -277,6 +312,15 @@ def run_batched(engine: "SimulationEngine") -> int:
     # Each barrier slice is further split at the warm-up boundary so
     # ``counted`` is a loop constant, and iterated with one zip over
     # list slices instead of three indexed loads per event.
+    #
+    # A request takes one of two service paths.  A local hit keeps an
+    # accounting block of its own: its latency and histogram bin are
+    # constants, and folding it into the fetch path's tail made the
+    # read-heavy ``sim-read`` perfbench call slower (median 1.96-2.02 s
+    # against 1.86-1.91 s, three alternating runs of five calls; see
+    # docs/performance.md).  Everything else (a group hit, an origin
+    # fetch, a request at a down cache) takes the fetch path, which
+    # has one origin-cost expression and one accounting tail.
     barrier_index = 0
     i = 0
     while True:
@@ -300,99 +344,23 @@ def run_batched(engine: "SimulationEngine") -> int:
                 req_doc[lo:sub_hi],
             ):
                 if next_tick <= ts:
-                    # Flush every sample boundary preceding this event
-                    # (mirrors the oracle's pre-event flush loop).
-                    if window_totals:
-                        sampler.observe_batch(
-                            window_local, window_group, window_origin,
-                            window_totals,
-                        )
-                        window_local = window_group = window_origin = 0
-                        window_totals = []
-                    while next_tick <= ts:
-                        sampler.flush(next_tick, **sample_gauges(next_tick))
-                        next_tick = sampler.next_tick_ms
+                    next_tick = _flush_samples(
+                        sampler, sample_gauges, ts, window_local,
+                        window_group, window_origin, window_totals,
+                    )
+                    window_local = window_group = window_origin = 0
+                    window_totals = []
 
-
-                if down and c in down:
-                    # Down cache: client falls through to the origin
-                    # directly (no group help, nothing cached).
-                    m_down[c] += 1
-                    size = sizes[d]
-                    query = 0.0
-                    if partition_of and (
-                        partition_of.get(c) != partition_of.get(origin_node)
-                    ):
-                        query = query + partition_timeout_ms
-                        m_ptimeout[c] += 1
-                    if queueing:
-                        record_arrival(ts)
-                        fetch = (
-                            rtt0_by[c]
-                            + origin_processing * inflation_factor(ts)
-                        )
-                    else:
-                        fetch = fetch0_by[c]
-                    transfer = size / bandwidth
-                    total = local_ms + query + fetch + transfer
-                    if counted:
-                        slot = lat_by[c]
-                        n = slot[0] + 1
-                        slot[0] = n
-                        delta = total - slot[1]
-                        mean = slot[1] + delta / n
-                        slot[1] = mean
-                        slot[2] += delta * (total - mean)
-                        if total < slot[3]:
-                            slot[3] = total
-                        if total > slot[4]:
-                            slot[4] = total
-                        bin_index = int(total / hist_width)
-                        if bin_index >= overflow_bin:
-                            bin_index = overflow_bin
-                        bins[bin_index] += 1
-                        hist_count += 1
-                        hist_sum += total
-                        if total < hist_min:
-                            hist_min = total
-                        if total > hist_max:
-                            hist_max = total
-                        m_origin[c] += 1
-                        m_origin_bytes[c] += size
-                    if sampler is not None:
-                        window_origin += 1
-                        window_totals.append(total)
-                    if trace is not None:
-                        trace_buf.append((
-                            ts, c, d, "origin_fetch", total, query, fetch,
-                            transfer, 0, size, counted, False,
-                        ))
-                    continue
-
+                # A down cache holds nothing (a failure drops its
+                # contents and the fetch path places nothing for it),
+                # so the local-hit test may run before the down test.
                 docs_c = docs_by[c]
                 record = docs_c.get(d)
-                if record is not None and ttl_mode and (
+                if ttl_mode and record is not None and (
                     ts - record[1] > ttl_ms
                 ):
                     # TTL lapsed: drop the copy before it serves anything.
-                    if util_mode:
-                        used[c] -= record[0]
-                        del docs_c[d]
-                        del acc_by[c][d]
-                        del psz_by[c][d]
-                        del pfc_by[c][d]
-                        del pver_by[c][d]
-                        by_group = holders_map.get(d)
-                        if by_group:
-                            held = by_group.get(group_by[c])
-                            if held is not None:
-                                held.discard(c)
-                                if not held:
-                                    del by_group[group_by[c]]
-                            if not by_group:
-                                del holders_map[d]
-                    else:
-                        caches[c].expire(d)
+                    caches[c].expire(d)
                     record = None
 
                 if record is not None:
@@ -445,79 +413,65 @@ def run_batched(engine: "SimulationEngine") -> int:
                         ))
                     continue
 
-                # ---- local miss: cooperative lookup ----
-                size = sizes[d]
+                # ---- fetch path: cooperative lookup ----
                 rtt_c = rtt_by[c]
-                peers = peers_by[c]
                 hit = False
-                holder = None
-                if not peers:
+                place = True
+                if down and c in down:
+                    # Down cache: the client falls through to the origin
+                    # directly (no group help, nothing cached).
+                    m_down[c] += 1
+                    query = 0.0
+                    messages = 0
+                    place = False
+                elif not peers_by[c]:
                     query = 0.0
                     messages = 0
                 elif beacon_mode or directory_mode:
+                    if directory_mode:
+                        query = lookup_ms
+                        messages = 2
+                    else:
+                        members = members_by[c]
+                        beacon = members[(d * 2654435761) % len(members)]
+                        if beacon == c:
+                            query = lookup_ms + 0.0
+                            messages = 0
+                        else:
+                            query = lookup_ms + rtt_c[beacon]
+                            messages = 2
                     if down or partition_of:
                         # Degraded path (rare): the full protocol filter
                         # over down/partitioned holders.
                         holders: Sequence[int] = proto_holders(c, d)
-                        if directory_mode:
-                            query = lookup_ms
-                            messages = 2
-                        else:
-                            members = members_by[c]
-                            beacon = members[
-                                (d * 2654435761) % len(members)
-                            ]
-                            if beacon == c:
-                                query = lookup_ms + 0.0
-                                messages = 0
-                            else:
-                                query = lookup_ms + rtt_c[beacon]
-                                messages = 2
-                                if down and beacon in down:
-                                    # The beacon is the only member who
-                                    # knows the holders: the query
-                                    # times out.
-                                    messages = 1
-                                    holders = _NO_HOLDERS
-                                elif partition_of and (
-                                    partition_of.get(c)
-                                    != partition_of.get(beacon)
-                                ):
-                                    query = (
-                                        lookup_ms + partition_timeout_ms
-                                    )
-                                    messages = 1
-                                    holders = _NO_HOLDERS
+                        if beacon_mode and beacon != c:
+                            if down and beacon in down:
+                                # The beacon is the only member who knows
+                                # the holders: the query times out.
+                                messages = 1
+                                holders = _NO_HOLDERS
+                            elif partition_of and (
+                                partition_of.get(c)
+                                != partition_of.get(beacon)
+                            ):
+                                query = lookup_ms + partition_timeout_ms
+                                messages = 1
+                                holders = _NO_HOLDERS
                         if holders:
-                            best = holders[0]
-                            best_rtt = rtt_c[best]
+                            holder = holders[0]
+                            best_rtt = rtt_c[holder]
                             for k in range(1, len(holders)):
                                 candidate = holders[k]
                                 candidate_rtt = rtt_c[candidate]
                                 if candidate_rtt < best_rtt:
                                     best_rtt = candidate_rtt
-                                    best = candidate
+                                    holder = candidate
                             hit = True
-                            holder = best
                     else:
                         # Clean path: every group member is reachable,
                         # so the first-min scan runs straight over the
                         # holder set — same strict-less order as the
                         # protocol's filtered list, no allocation.
-                        if directory_mode:
-                            query = lookup_ms
-                            messages = 2
-                        else:
-                            members = members_by[c]
-                            beacon = members[
-                                (d * 2654435761) % len(members)
-                            ]
-                            if beacon == c:
-                                query = lookup_ms + 0.0
-                                messages = 0
-                            else:
-                                query = lookup_ms + rtt_c[beacon]
-                                messages = 2
                         by_group = holders_map.get(d)
                         if by_group is not None:
                             held = by_group.get(group_by[c])
@@ -545,37 +499,18 @@ def run_batched(engine: "SimulationEngine") -> int:
                 if hit and ttl_mode:
                     # A holder found by the directory may itself have
                     # expired under TTL; re-check before fetching from it.
-                    docs_h = docs_by[holder]
-                    held_record = docs_h.get(d)
+                    held_record = docs_by[holder].get(d)
                     if held_record is not None and (
                         ts - held_record[1] > ttl_ms
                     ):
-                        if util_mode:
-                            used[holder] -= held_record[0]
-                            del docs_h[d]
-                            del acc_by[holder][d]
-                            del psz_by[holder][d]
-                            del pfc_by[holder][d]
-                            del pver_by[holder][d]
-                            by_group = holders_map.get(d)
-                            if by_group:
-                                held = by_group.get(group_by[holder])
-                                if held is not None:
-                                    held.discard(holder)
-                                    if not held:
-                                        del by_group[group_by[holder]]
-                                if not by_group:
-                                    del holders_map[d]
-                        else:
-                            caches[holder].expire(d)
-                    if d not in docs_h:
+                        caches[holder].expire(d)
+                        held_record = None
+                    if held_record is None:
                         hit = False
-                        holder = None
 
+                size = sizes[d]
                 if hit:
                     fetch = rtt_c[holder]
-                    transfer = size / bandwidth
-                    total = local_ms + query + fetch + transfer
                     fetched_version = docs_by[holder][d][2]
                     path_value = "group_hit"
                 else:
@@ -592,17 +527,17 @@ def run_batched(engine: "SimulationEngine") -> int:
                         )
                     else:
                         fetch = fetch0_by[c]
-                    transfer = size / bandwidth
-                    total = local_ms + query + fetch + transfer
                     fetched_version = origin_version[d]
                     path_value = "origin_fetch"
+                transfer = size / bandwidth
+                total = local_ms + query + fetch + transfer
 
                 # ---- placement ----
                 if cooperative and hit and (
                     rtt_c[holder] <= placement_threshold
                 ):
                     m_skips[c] += 1
-                else:
+                elif place:
                     fetch_cost = fetch + transfer
                     if util_mode:
                         admitted = False
@@ -733,30 +668,16 @@ def run_batched(engine: "SimulationEngine") -> int:
         barrier_index += 1
         barrier_ts = barrier.timestamp_ms
         if next_tick <= barrier_ts:
-            if window_totals:
-                sampler.observe_batch(
-                    window_local, window_group, window_origin,
-                    window_totals,
-                )
-                window_local = window_group = window_origin = 0
-                window_totals = []
-            while next_tick <= barrier_ts:
-                sampler.flush(next_tick, **sample_gauges(next_tick))
-                next_tick = sampler.next_tick_ms
-        if trace is not None and trace_buf:
+            next_tick = _flush_samples(
+                sampler, sample_gauges, barrier_ts, window_local,
+                window_group, window_origin, window_totals,
+            )
+            window_local = window_group = window_origin = 0
+            window_totals = []
+        if trace_buf:
             # The handler may append its own trace record; flush the
             # buffered request rows first to keep JSONL order exact.
-            trace.record_many([
-                TraceRecord(
-                    kind=KIND_REQUEST, timestamp_ms=row[0],
-                    cache=row[1], doc_id=row[2], path=row[3],
-                    total_ms=row[4], query_ms=row[5], fetch_ms=row[6],
-                    transfer_ms=row[7], messages=row[8],
-                    size_bytes=row[9], counted=row[10], stale=row[11],
-                )
-                for row in trace_buf
-            ])
-            trace_buf = []
+            _flush_trace(trace, trace_buf)
         if (
             util_mode
             and not partition_of
@@ -817,33 +738,21 @@ def run_batched(engine: "SimulationEngine") -> int:
                 ]
 
     # -- postlude ----------------------------------------------------
-    if total_requests:
-        if num_barriers and positions[-1] == total_requests:
-            last_ts = barriers[-1].timestamp_ms
-        else:
-            last_ts = req_ts[-1]
-    elif num_barriers:  # pragma: no cover - workloads require requests
+    # The last event is the last barrier unless a request follows it.
+    if num_barriers and positions[-1] == total_requests:
         last_ts = barriers[-1].timestamp_ms
-    else:  # pragma: no cover - workloads require requests
-        last_ts = 0.0
+    else:
+        last_ts = req_ts[-1] if req_ts else 0.0
 
-    if trace is not None and trace_buf:
-        trace.record_many([
-            TraceRecord(
-                kind=KIND_REQUEST, timestamp_ms=row[0], cache=row[1],
-                doc_id=row[2], path=row[3], total_ms=row[4],
-                query_ms=row[5], fetch_ms=row[6], transfer_ms=row[7],
-                messages=row[8], size_bytes=row[9], counted=row[10],
-                stale=row[11],
-            )
-            for row in trace_buf
-        ])
-        trace_buf = []
+    if trace_buf:
+        _flush_trace(trace, trace_buf)
     if sampler is not None:
-        if window_totals:
-            sampler.observe_batch(
-                window_local, window_group, window_origin, window_totals
-            )
+        # Every tick at or before the last event was flushed ahead of
+        # it, so this only folds the open window in.
+        _flush_samples(
+            sampler, sample_gauges, last_ts, window_local, window_group,
+            window_origin, window_totals,
+        )
         sampler.finalize(last_ts, **sample_gauges(last_ts))
 
     if util_mode:

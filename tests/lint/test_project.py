@@ -305,14 +305,20 @@ class TestCallGraphResolution:
         assert "time.monotonic" in findings[0].message
 
     def test_self_method_and_nested_def_edges(self):
+        # ``step`` is defined twice: the name binds the second ``def``,
+        # the first stays a node (line-tagged key) that ``run`` reaches.
         model = ProjectModel.build([
             make_source(
                 "src/repro/simulator/eng.py",
                 """\
                 class Engine:
-                    def run(self):
-                        def step():
-                            return 1
+                    def run(self, fast):
+                        if fast:
+                            def step():
+                                return 1
+                        else:
+                            def step():
+                                return 2
                         return self._tick()
 
                     def _tick(self):
@@ -322,8 +328,12 @@ class TestCallGraphResolution:
         ])
         run_node = model.functions["repro.simulator.eng:Engine.run"]
         targets = {edge.target for edge in run_node.edges if edge.internal}
+        assert "repro.simulator.eng:Engine.run.step@4" in targets
         assert "repro.simulator.eng:Engine.run.step" in targets
         assert "repro.simulator.eng:Engine._tick" in targets
+        info = model.modules["repro.simulator.eng"]
+        last = model.functions[info.functions["Engine.run.step"]]
+        assert last.line == 7
 
     def test_class_body_does_not_inherit_method_edges(self):
         # Methods are not reachable from <module>: importing a module

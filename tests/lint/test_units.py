@@ -156,6 +156,30 @@ class TestUnitMismatch:
             (UNIT_MISMATCH, "src/repro/exp/assign.py", 2),
         ]
 
+    def test_property_getter_before_its_setter_is_analysed(self):
+        # The setter's ``def`` rebinds the name; the getter must still
+        # be a function of its own in the call graph.
+        triples, _ = unit_triples(build_analysis((
+            "src/repro/exp/prop.py",
+            """\
+            from repro.obs.profiling import perf_seconds
+
+
+            class Probe:
+                @property
+                def wait(self):
+                    wait_ms = perf_seconds()
+                    return wait_ms
+
+                @wait.setter
+                def wait(self, value):
+                    self._wait = value
+            """,
+        )))
+        assert triples == [
+            (UNIT_MISMATCH, "src/repro/exp/prop.py", 7),
+        ]
+
     def test_same_unit_arithmetic_is_silent(self):
         analysis = build_analysis((
             "src/repro/exp/ok.py",

@@ -479,7 +479,11 @@ class TestKernelMatchesOracle:
 
 
 class TestInstrumentedEquivalence:
-    def run(self, testbed, capacity=None):
+    """Trace and sample output, plain and under ``faults_for``'s crashes,
+    recoveries and partition: the faulted runs put down-cache
+    ``origin_fetch`` rows and barrier-time flushes in the output."""
+
+    def run(self, testbed, capacity=None, faulted=False):
         network, workload, grouping = testbed
         trace = (
             TraceCollector(capacity=capacity)
@@ -489,15 +493,33 @@ class TestInstrumentedEquivalence:
         observer = Observer(
             trace=trace, sampler=MetricsSampler(interval_ms=500.0)
         )
-        result = simulate(network, grouping, workload, observer=observer)
+        failures, faults = (
+            faults_for(network, workload) if faulted else ((), None)
+        )
+        result = simulate(
+            network, grouping, workload, observer=observer,
+            failures=failures, faults=faults,
+        )
         return result, trace
 
-    @pytest.mark.parametrize("capacity", [None, 300])
+    @pytest.mark.parametrize(
+        "capacity, faulted",
+        [(None, False), (300, False), (None, True)],
+        ids=["None", "300", "faulted"],
+    )
     def test_trace_jsonl_is_byte_identical(
-        self, testbed, tmp_path, capacity
+        self, testbed, tmp_path, capacity, faulted
     ):
         def jsonl():
-            _, trace = self.run(testbed, capacity=capacity)
+            result, trace = self.run(
+                testbed, capacity=capacity, faulted=faulted
+            )
+            metrics = result.metrics
+            served_while_down = sum(
+                metrics.cache_stats(node).requests_while_down
+                for node in metrics.cache_nodes()
+            )
+            assert (served_while_down > 0) == faulted
             path = tmp_path / f"{capacity}.jsonl"
             trace.write_jsonl(path)
             return path.read_bytes()
@@ -507,12 +529,17 @@ class TestInstrumentedEquivalence:
 
     def test_sampled_series_is_identical(self, testbed):
         def series():
-            result, _ = self.run(testbed)
-            return json.dumps(
-                result.timeseries().to_dict(), sort_keys=True
-            )
+            return [
+                json.dumps(
+                    self.run(testbed, faulted=faulted)[0]
+                    .timeseries().to_dict(),
+                    sort_keys=True,
+                )
+                for faulted in (False, True)
+            ]
 
         kernel, oracle = kernel_and_oracle(series)
+        assert kernel[0] != kernel[1]
         assert kernel == oracle
 
 
