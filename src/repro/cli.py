@@ -786,15 +786,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(f"archived to {run.output_dir}")
         return 0
 
-    from repro.experiments.suite import run_figure
+    from repro.experiments.suite import figure_kwargs, run_figure
 
-    kwargs = {}
-    if args.paper_scale:
-        kwargs["paper_scale"] = True
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.repetitions is not None:
-        kwargs["repetitions"] = args.repetitions
+    kwargs = figure_kwargs(
+        args.figure, args.paper_scale, args.repetitions, args.seed
+    )
     if args.cache_dir:
         configure_cache(disk_dir=args.cache_dir)
     run_registry = _resolve_registry(args)
@@ -811,25 +807,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         retry_backoff_s=args.retry_backoff,
     )
     with scheduler, use_scheduler(scheduler):
-        try:
-            result, manifest = run_figure(
-                args.figure, kwargs, jobs=args.jobs,
-                worker_perf=args.worker_perf, progress=args.progress,
-                journal=journal,
-            )
-        except TypeError:
-            # e.g. fig3 takes no --repetitions; re-run with basics only.
-            # The reduced kwargs are a different sweep, so re-derive the
-            # journal before retrying.
-            kwargs.pop("repetitions", None)
-            journal, sweep_id = _experiment_journal(
-                args, run_registry, kwargs
-            )
-            result, manifest = run_figure(
-                args.figure, kwargs, jobs=args.jobs,
-                worker_perf=args.worker_perf, progress=args.progress,
-                journal=journal,
-            )
+        result, manifest = run_figure(
+            args.figure, kwargs, jobs=args.jobs,
+            worker_perf=args.worker_perf, progress=args.progress,
+            journal=journal,
+        )
     if journal is not None:
         resumed = (
             f", {journal.hits} unit(s) resumed" if journal.resume else ""

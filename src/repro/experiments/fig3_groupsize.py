@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis.report import ExperimentResult, SeriesResult
+from repro.analysis.report import ExperimentResult
 from repro.core.groups import single_group
 from repro.core.schemes import SLScheme
 from repro.experiments.base import (
@@ -21,6 +21,9 @@ from repro.experiments.base import (
     build_testbed,
     landmark_config,
     run_simulation,
+    series_means,
+    sweep_payloads,
+    sweep_result,
 )
 from repro.runtime.scheduler import map_tasks
 
@@ -85,31 +88,19 @@ def run_fig3(
     subset = subset_count or max(5, n // 10)
 
     swept = [size for size in group_sizes if size <= n]
-    payloads = [
-        {
-            "num_caches": n,
-            "seed": seed,
-            "size": size,
-            "subset": subset,
-            # A caller-supplied testbed is not reconstructible from the
-            # seed, so it rides along; cache-built ones are re-fetched.
-            "testbed": testbed if supplied else None,
-        }
-        for size in swept
-    ]
+    payloads = sweep_payloads(swept, 1, lambda size, _rep: [{
+        "num_caches": n,
+        "seed": seed,
+        "size": size,
+        "subset": subset,
+        # A caller-supplied testbed is not reconstructible from the
+        # seed, so it rides along; cache-built ones are re-fetched.
+        "testbed": testbed if supplied else None,
+    }])
     points = map_tasks(_fig3_point, payloads)
-    all_latency = [point[0] for point in points]
-    near_latency = [point[1] for point in points]
-    far_latency = [point[2] for point in points]
-
-    return ExperimentResult(
-        experiment_id="fig3",
-        x_label="avg_group_size",
-        x_values=tuple(swept),
-        series=(
-            SeriesResult("all_caches_ms", tuple(all_latency)),
-            SeriesResult(f"nearest_{subset}_ms", tuple(near_latency)),
-            SeriesResult(f"farthest_{subset}_ms", tuple(far_latency)),
-        ),
-        notes={"num_caches": float(n), "subset_count": float(subset)},
+    names = ("all_caches_ms", f"nearest_{subset}_ms", f"farthest_{subset}_ms")
+    series = dict(zip(names, series_means(points, 1, 1, range(len(names)))))
+    return sweep_result(
+        "fig3", "avg_group_size", swept, series,
+        {"num_caches": float(n), "subset_count": float(subset)},
     )

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis.gicost import average_group_interaction_cost
 from repro.analysis.latency import improvement_percent
-from repro.analysis.report import ExperimentResult, SeriesResult
-from repro.core.schemes import (
-    MinDistLandmarksScheme,
-    RandomLandmarksScheme,
-    SLScheme,
+from repro.analysis.report import ExperimentResult
+from repro.experiments.base import (
+    SELECTORS,
+    gicost_unit,
+    series_means,
+    sweep_payloads,
+    sweep_result,
 )
-from repro.experiments.base import landmark_config
-from repro.runtime.cache import cached_network
 from repro.runtime.scheduler import map_tasks
 from repro.utils.rng import RngFactory
 
@@ -28,36 +27,6 @@ DEFAULT_SIZES = (60, 100, 140, 180)
 PAPER_SIZES = (100, 200, 300, 400, 500)
 #: K is set to 10% of the cache count, per the paper.
 GROUP_FRACTION = 0.10
-
-_SCHEMES = {
-    "sl_ms": SLScheme,
-    "random_ms": RandomLandmarksScheme,
-    "mindist_ms": MinDistLandmarksScheme,
-}
-
-
-def _fig4_unit(payload: dict) -> float:
-    """GICost of one (size, repetition, selector) work unit.
-
-    The repetition's network and the selector's K-means seed stream are
-    both re-derived from the forked factory's root seed, so the unit is
-    a pure function of the payload — identical inline or on a worker.
-    """
-    network = cached_network(payload["n"], payload["fork_seed"])
-    scheme = _SCHEMES[payload["scheme"]](
-        landmark_config=landmark_config(
-            payload["num_landmarks"], num_caches=payload["n"]
-        )
-    )
-    grouping = scheme.form_groups(
-        network,
-        payload["k"],
-        # The label is the scheme name straight from the work-unit
-        # payload — one stream per (fork_seed, scheme) by construction.
-        # repro-lint: allow[stream-label-collision]
-        seed=RngFactory(payload["fork_seed"]).stream(payload["scheme"]),
-    )
-    return average_group_interaction_cost(network, grouping)
 
 
 def run_fig4(
@@ -70,39 +39,34 @@ def run_fig4(
     """Reproduce Figure 4's three GICost-vs-network-size series.
 
     Each point averages ``repetitions`` independent (topology, scheme)
-    runs to smooth out K-means initialization noise.
+    runs to smooth out K-means initialization noise.  A repetition's
+    network and every selector's seed stream derive from one fork of
+    the figure seed.
     """
     if paper_scale:
         network_sizes = network_sizes or PAPER_SIZES
     sizes = tuple(network_sizes or DEFAULT_SIZES)
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-
-    series = {name: [] for name in _SCHEMES}
     factory = RngFactory(seed)
 
-    payloads = []
-    for n in sizes:
-        k = max(2, round(GROUP_FRACTION * n))
-        for rep in range(repetitions):
-            fork_seed = factory.fork(f"n{n}-rep{rep}").root_seed
-            for name in _SCHEMES:
-                payloads.append({
-                    "n": n,
-                    "k": k,
-                    "num_landmarks": num_landmarks,
-                    "scheme": name,
-                    "fork_seed": fork_seed,
-                })
-    values = iter(map_tasks(_fig4_unit, payloads))
+    def point(n, rep):
+        fork_seed = factory.fork(f"n{n}-rep{rep}").root_seed
+        return [
+            {
+                "num_caches": n,
+                "k": max(2, round(GROUP_FRACTION * n)),
+                "num_landmarks": num_landmarks,
+                "scheme": scheme,
+                "seed": fork_seed,
+                "stream": name,
+            }
+            for name, scheme in SELECTORS.items()
+        ]
 
-    for n in sizes:
-        totals = {name: 0.0 for name in _SCHEMES}
-        for _rep in range(repetitions):
-            for name in _SCHEMES:
-                totals[name] += next(values)
-        for name in _SCHEMES:
-            series[name].append(totals[name] / repetitions)
+    payloads = sweep_payloads(sizes, repetitions, point)
+    values = map_tasks(gicost_unit, payloads)
+    series = dict(
+        zip(SELECTORS, series_means(values, repetitions, len(SELECTORS)))
+    )
 
     sl = series["sl_ms"]
     notes = {
@@ -119,13 +83,4 @@ def run_fig4(
             improvement_percent(m, s) for s, m in zip(sl, series["mindist_ms"])
         ),
     }
-    return ExperimentResult(
-        experiment_id="fig4",
-        x_label="num_caches",
-        x_values=sizes,
-        series=tuple(
-            SeriesResult(name, tuple(values))
-            for name, values in series.items()
-        ),
-        notes=notes,
-    )
+    return sweep_result("fig4", "num_caches", sizes, series, notes)

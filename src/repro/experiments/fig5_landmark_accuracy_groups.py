@@ -10,50 +10,19 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis.gicost import average_group_interaction_cost
-from repro.analysis.report import ExperimentResult, SeriesResult
-from repro.core.schemes import (
-    MinDistLandmarksScheme,
-    RandomLandmarksScheme,
-    SLScheme,
+from repro.analysis.report import ExperimentResult
+from repro.experiments.base import (
+    SELECTORS,
+    gicost_unit,
+    series_means,
+    sweep_payloads,
+    sweep_result,
 )
-from repro.experiments.base import landmark_config
-from repro.runtime.cache import cached_network
 from repro.runtime.scheduler import map_tasks
 from repro.utils.rng import RngFactory
 
 DEFAULT_K_VALUES = (5, 10, 15, 25, 40)
 PAPER_K_VALUES = (10, 25, 50, 75, 100)
-
-_SCHEMES = {
-    "sl_ms": SLScheme,
-    "random_ms": RandomLandmarksScheme,
-    "mindist_ms": MinDistLandmarksScheme,
-}
-
-
-def _fig5_unit(payload: dict) -> float:
-    """GICost of one (K, repetition, selector) work unit.
-
-    The figure sweeps K over a *fixed* network per repetition (the
-    network does not depend on K), so the topology is derived per
-    repetition and fetched from the testbed cache; only the selector's
-    seed stream varies with (K, selector).
-    """
-    network = cached_network(payload["num_caches"], payload["rep_seed"])
-    scheme = _SCHEMES[payload["scheme"]](
-        landmark_config=landmark_config(
-            payload["num_landmarks"], num_caches=payload["num_caches"]
-        )
-    )
-    grouping = scheme.form_groups(
-        network,
-        payload["k"],
-        seed=RngFactory(payload["rep_seed"]).stream(
-            f"k{payload['k']}-{payload['scheme']}"
-        ),
-    )
-    return average_group_interaction_cost(network, grouping)
 
 
 def run_fig5(
@@ -64,7 +33,12 @@ def run_fig5(
     repetitions: int = 3,
     paper_scale: bool = False,
 ) -> ExperimentResult:
-    """Reproduce Figure 5's GICost-vs-K series for the three selectors."""
+    """Reproduce Figure 5's GICost-vs-K series for the three selectors.
+
+    The network does not depend on K, so each repetition fixes one
+    network (seeded per repetition); only the selector's seed stream
+    varies with (K, selector).
+    """
     if paper_scale:
         num_caches = 500
         k_values = k_values or PAPER_K_VALUES
@@ -74,41 +48,30 @@ def run_fig5(
             f"k values must lie in [1, {num_caches}]: {k_values}"
         )
 
-    series = {name: [] for name in _SCHEMES}
     factory = RngFactory(seed)
     rep_seeds = [
         factory.fork(f"rep{rep}").root_seed for rep in range(repetitions)
     ]
 
-    payloads = [
-        {
-            "num_caches": num_caches,
-            "k": k,
-            "num_landmarks": num_landmarks,
-            "scheme": name,
-            "rep_seed": rep_seeds[rep],
-        }
-        for k in k_values
-        for rep in range(repetitions)
-        for name in _SCHEMES
-    ]
-    values = iter(map_tasks(_fig5_unit, payloads))
+    def point(k, rep):
+        return [
+            {
+                "num_caches": num_caches,
+                "k": k,
+                "num_landmarks": num_landmarks,
+                "scheme": scheme,
+                "seed": rep_seeds[rep],
+                "stream": f"k{k}-{name}",
+            }
+            for name, scheme in SELECTORS.items()
+        ]
 
-    for _k in k_values:
-        totals = {name: 0.0 for name in _SCHEMES}
-        for _rep in range(repetitions):
-            for name in _SCHEMES:
-                totals[name] += next(values)
-        for name in _SCHEMES:
-            series[name].append(totals[name] / repetitions)
-
-    return ExperimentResult(
-        experiment_id="fig5",
-        x_label="num_groups",
-        x_values=k_values,
-        series=tuple(
-            SeriesResult(name, tuple(values))
-            for name, values in series.items()
-        ),
-        notes={"num_caches": float(num_caches)},
+    payloads = sweep_payloads(k_values, repetitions, point)
+    values = map_tasks(gicost_unit, payloads)
+    series = dict(
+        zip(SELECTORS, series_means(values, repetitions, len(SELECTORS)))
+    )
+    return sweep_result(
+        "fig5", "num_groups", k_values, series,
+        {"num_caches": float(num_caches)},
     )

@@ -10,48 +10,18 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis.gicost import average_group_interaction_cost
-from repro.analysis.report import ExperimentResult, SeriesResult
-from repro.core.schemes import (
-    MinDistLandmarksScheme,
-    RandomLandmarksScheme,
-    SLScheme,
+from repro.analysis.report import ExperimentResult
+from repro.experiments.base import (
+    SELECTORS,
+    gicost_unit,
+    series_means,
+    sweep_payloads,
+    sweep_result,
 )
-from repro.experiments.base import landmark_config
-from repro.runtime.cache import cached_network
 from repro.runtime.scheduler import map_tasks
 from repro.utils.rng import RngFactory
 
 PAPER_LANDMARK_COUNTS = (10, 20, 25)
-
-_SCHEMES = {
-    "sl_ms": SLScheme,
-    "random_ms": RandomLandmarksScheme,
-    "mindist_ms": MinDistLandmarksScheme,
-}
-
-
-def _fig6_unit(payload: dict) -> float:
-    """GICost of one (L, repetition, selector) work unit.
-
-    The network is fixed per repetition (it does not depend on the
-    landmark count being swept), so the topology comes from the testbed
-    cache; the selector's seed stream is derived per (L, selector).
-    """
-    network = cached_network(payload["num_caches"], payload["rep_seed"])
-    scheme = _SCHEMES[payload["scheme"]](
-        landmark_config=landmark_config(
-            payload["num_landmarks"], num_caches=payload["num_caches"]
-        )
-    )
-    grouping = scheme.form_groups(
-        network,
-        payload["num_groups"],
-        seed=RngFactory(payload["rep_seed"]).stream(
-            f"l{payload['num_landmarks']}-{payload['scheme']}"
-        ),
-    )
-    return average_group_interaction_cost(network, grouping)
 
 
 def run_fig6(
@@ -62,51 +32,42 @@ def run_fig6(
     repetitions: int = 3,
     paper_scale: bool = False,
 ) -> ExperimentResult:
-    """Reproduce Figure 6's GICost bars per (selector, L) combination."""
+    """Reproduce Figure 6's GICost bars per (selector, L) combination.
+
+    The network does not depend on the landmark count being swept, so
+    each repetition fixes one network; the selector's seed stream is
+    derived per (L, selector).
+    """
     if paper_scale:
         num_caches = 500
     landmark_counts = tuple(landmark_counts or PAPER_LANDMARK_COUNTS)
     if any(count < 2 for count in landmark_counts):
         raise ValueError(f"landmark counts must be >= 2: {landmark_counts}")
 
-    series = {name: [] for name in _SCHEMES}
     factory = RngFactory(seed)
     rep_seeds = [
         factory.fork(f"rep{rep}").root_seed for rep in range(repetitions)
     ]
 
-    payloads = [
-        {
-            "num_caches": num_caches,
-            "num_groups": num_groups,
-            "num_landmarks": count,
-            "scheme": name,
-            "rep_seed": rep_seeds[rep],
-        }
-        for count in landmark_counts
-        for rep in range(repetitions)
-        for name in _SCHEMES
-    ]
-    values = iter(map_tasks(_fig6_unit, payloads))
+    def point(count, rep):
+        return [
+            {
+                "num_caches": num_caches,
+                "k": num_groups,
+                "num_landmarks": count,
+                "scheme": scheme,
+                "seed": rep_seeds[rep],
+                "stream": f"l{count}-{name}",
+            }
+            for name, scheme in SELECTORS.items()
+        ]
 
-    for _l in landmark_counts:
-        totals = {name: 0.0 for name in _SCHEMES}
-        for _rep in range(repetitions):
-            for name in _SCHEMES:
-                totals[name] += next(values)
-        for name in _SCHEMES:
-            series[name].append(totals[name] / repetitions)
-
-    return ExperimentResult(
-        experiment_id="fig6",
-        x_label="num_landmarks",
-        x_values=landmark_counts,
-        series=tuple(
-            SeriesResult(name, tuple(values))
-            for name, values in series.items()
-        ),
-        notes={
-            "num_caches": float(num_caches),
-            "num_groups": float(num_groups),
-        },
+    payloads = sweep_payloads(landmark_counts, repetitions, point)
+    values = map_tasks(gicost_unit, payloads)
+    series = dict(
+        zip(SELECTORS, series_means(values, repetitions, len(SELECTORS)))
+    )
+    return sweep_result(
+        "fig6", "num_landmarks", landmark_counts, series,
+        {"num_caches": float(num_caches), "num_groups": float(num_groups)},
     )

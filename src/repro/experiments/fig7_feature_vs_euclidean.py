@@ -11,45 +11,19 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis.gicost import average_group_interaction_cost
-from repro.analysis.report import ExperimentResult, SeriesResult
-from repro.core.schemes import EuclideanGNPScheme, SLScheme
-from repro.config import GNPConfig
-from repro.experiments.base import landmark_config
-from repro.runtime.cache import cached_network
+from repro.analysis.report import ExperimentResult
+from repro.experiments.base import (
+    gicost_unit,
+    series_means,
+    sweep_payloads,
+    sweep_result,
+)
 from repro.runtime.scheduler import map_tasks
 from repro.utils.rng import RngFactory
 
 DEFAULT_K_VALUES = (5, 10, 20, 40)
 PAPER_K_VALUES = (10, 25, 50, 75, 100)
-
-
-def _fig7_unit(payload: dict) -> float:
-    """GICost of one (K, repetition, scheme) work unit.
-
-    The network is fixed per repetition (it does not depend on K), so
-    the topology comes from the testbed cache; scheme seeds are derived
-    per (K, scheme).
-    """
-    network = cached_network(payload["num_caches"], payload["rep_seed"])
-    lm_config = landmark_config(
-        payload["num_landmarks"], num_caches=payload["num_caches"]
-    )
-    if payload["scheme"] == "sl":
-        scheme = SLScheme(landmark_config=lm_config)
-    else:
-        scheme = EuclideanGNPScheme(
-            gnp_config=GNPConfig(dimensions=payload["gnp_dimensions"]),
-            landmark_config=lm_config,
-        )
-    grouping = scheme.form_groups(
-        network,
-        payload["k"],
-        seed=RngFactory(payload["rep_seed"]).stream(
-            f"k{payload['k']}-{payload['scheme']}"
-        ),
-    )
-    return average_group_interaction_cost(network, grouping)
+SERIES = ("sl_feature_vectors_ms", "euclidean_gnp_ms")
 
 
 def run_fig7(
@@ -61,50 +35,42 @@ def run_fig7(
     repetitions: int = 2,
     paper_scale: bool = False,
 ) -> ExperimentResult:
-    """Reproduce Figure 7's GICost-vs-K comparison."""
+    """Reproduce Figure 7's GICost-vs-K comparison.
+
+    The network is fixed per repetition (it does not depend on K);
+    scheme seeds are derived per (K, scheme).
+    """
     if paper_scale:
         num_caches = 500
         k_values = k_values or PAPER_K_VALUES
     k_values = tuple(k_values or DEFAULT_K_VALUES)
 
-    sl_series = []
-    gnp_series = []
     factory = RngFactory(seed)
     rep_seeds = [
         factory.fork(f"rep{rep}").root_seed for rep in range(repetitions)
     ]
 
-    payloads = [
-        {
+    def point(k, rep):
+        common = {
             "num_caches": num_caches,
             "k": k,
             "num_landmarks": num_landmarks,
-            "gnp_dimensions": gnp_dimensions,
-            "scheme": scheme,
-            "rep_seed": rep_seeds[rep],
+            "seed": rep_seeds[rep],
         }
-        for k in k_values
-        for rep in range(repetitions)
-        for scheme in ("sl", "gnp")
-    ]
-    values = iter(map_tasks(_fig7_unit, payloads))
+        return [
+            {**common, "scheme": "SL", "stream": f"k{k}-sl"},
+            {
+                **common,
+                "scheme": "euclidean-gnp",
+                "gnp_dimensions": gnp_dimensions,
+                "stream": f"k{k}-gnp",
+            },
+        ]
 
-    for _k in k_values:
-        sl_total = 0.0
-        gnp_total = 0.0
-        for _rep in range(repetitions):
-            sl_total += next(values)
-            gnp_total += next(values)
-        sl_series.append(sl_total / repetitions)
-        gnp_series.append(gnp_total / repetitions)
-
-    return ExperimentResult(
-        experiment_id="fig7",
-        x_label="num_groups",
-        x_values=k_values,
-        series=(
-            SeriesResult("sl_feature_vectors_ms", tuple(sl_series)),
-            SeriesResult("euclidean_gnp_ms", tuple(gnp_series)),
-        ),
-        notes={"num_caches": float(num_caches)},
+    payloads = sweep_payloads(k_values, repetitions, point)
+    values = map_tasks(gicost_unit, payloads)
+    series = dict(zip(SERIES, series_means(values, repetitions, len(SERIES))))
+    return sweep_result(
+        "fig7", "num_groups", k_values, series,
+        {"num_caches": float(num_caches)},
     )

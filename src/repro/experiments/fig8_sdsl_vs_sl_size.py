@@ -11,44 +11,20 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.latency import improvement_percent
-from repro.analysis.report import ExperimentResult, SeriesResult
-from repro.config import SDSLConfig
-from repro.core.schemes import SDSLScheme, SLScheme
+from repro.analysis.report import ExperimentResult
 from repro.experiments.base import (
-    build_testbed,
-    landmark_config,
-    run_simulation,
+    latency_unit,
+    series_means,
+    sweep_payloads,
+    sweep_result,
 )
 from repro.runtime.scheduler import map_tasks
 
 DEFAULT_SIZES = (60, 100, 140)
 PAPER_SIZES = (100, 200, 300, 400, 500)
 GROUP_FRACTIONS = (0.10, 0.20)
-
-
-def _fig8_unit(payload: dict) -> float:
-    """Average latency of one (size, repetition, K, scheme) work unit.
-
-    The testbed is re-fetched from the content-keyed cache by its
-    explicit seed, so each of the four scheme/K runs over one testbed is
-    an independent pure task (one Dijkstra solve per (size, rep), not
-    per unit).
-    """
-    testbed = build_testbed(payload["n"], payload["testbed_seed"])
-    lm_config = landmark_config(
-        payload["num_landmarks"], num_caches=payload["n"]
-    )
-    if payload["scheme"] == "sl":
-        scheme = SLScheme(landmark_config=lm_config)
-    else:
-        scheme = SDSLScheme(
-            sdsl_config=SDSLConfig(theta=payload["theta"]),
-            landmark_config=lm_config,
-        )
-    grouping = scheme.form_groups(
-        testbed.network, payload["k"], seed=payload["group_seed"]
-    )
-    return run_simulation(testbed, grouping).average_latency_ms()
+#: One series per (K fraction, scheme), in payload order.
+SERIES = ("sl_k10_ms", "sdsl_k10_ms", "sl_k20_ms", "sdsl_k20_ms")
 
 
 def run_fig8(
@@ -63,45 +39,29 @@ def run_fig8(
 
     Each point averages ``repetitions`` independent (testbed, scheme)
     runs: single K-means runs are noisy enough to occasionally invert
-    the SL/SDSL ordering on one draw.
+    the SL/SDSL ordering on one draw.  The four scheme/K runs of one
+    (size, repetition) share its testbed.
     """
     if paper_scale:
         network_sizes = network_sizes or PAPER_SIZES
     sizes = tuple(network_sizes or DEFAULT_SIZES)
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
 
-    series = {
-        "sl_k10_ms": [],
-        "sdsl_k10_ms": [],
-        "sl_k20_ms": [],
-        "sdsl_k20_ms": [],
-    }
-    payloads = [
-        {
-            "n": n,
-            "k": max(2, round(fraction * n)),
+    def point(n, rep):
+        common = {
+            "num_caches": n,
             "num_landmarks": num_landmarks,
-            "theta": theta,
-            "scheme": scheme,
             "testbed_seed": seed + 1000 * rep + n,
-            "group_seed": seed + rep,
+            "seed": seed + rep,
         }
-        for n in sizes
-        for rep in range(repetitions)
-        for fraction in GROUP_FRACTIONS
-        for scheme in ("sl", "sdsl")
-    ]
-    values = iter(map_tasks(_fig8_unit, payloads))
+        return [
+            {**common, "k": max(2, round(fraction * n)), **scheme}
+            for fraction in GROUP_FRACTIONS
+            for scheme in ({"scheme": "SL"}, {"scheme": "SDSL", "theta": theta})
+        ]
 
-    for _n in sizes:
-        totals = {name: 0.0 for name in series}
-        for _rep in range(repetitions):
-            for suffix in ("k10", "k20"):
-                totals[f"sl_{suffix}_ms"] += next(values)
-                totals[f"sdsl_{suffix}_ms"] += next(values)
-        for name in series:
-            series[name].append(totals[name] / repetitions)
+    payloads = sweep_payloads(sizes, repetitions, point)
+    values = map_tasks(latency_unit, payloads)
+    series = dict(zip(SERIES, series_means(values, repetitions, len(SERIES))))
 
     notes = {
         "max_improvement_k20_pct": max(
@@ -110,13 +70,4 @@ def run_fig8(
         ),
         "theta": theta,
     }
-    return ExperimentResult(
-        experiment_id="fig8",
-        x_label="num_caches",
-        x_values=sizes,
-        series=tuple(
-            SeriesResult(name, tuple(values))
-            for name, values in series.items()
-        ),
-        notes=notes,
-    )
+    return sweep_result("fig8", "num_caches", sizes, series, notes)

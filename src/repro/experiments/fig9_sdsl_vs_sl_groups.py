@@ -9,42 +9,19 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.latency import improvement_percent
-from repro.analysis.report import ExperimentResult, SeriesResult
-from repro.config import SDSLConfig
-from repro.core.schemes import SDSLScheme, SLScheme
+from repro.analysis.report import ExperimentResult
 from repro.experiments.base import (
     build_testbed,
-    landmark_config,
-    run_simulation,
+    latency_unit,
+    series_means,
+    sweep_payloads,
+    sweep_result,
 )
 from repro.runtime.scheduler import map_tasks
 
 DEFAULT_K_VALUES = (5, 10, 15, 25, 40)
 PAPER_K_VALUES = (10, 25, 50, 75, 100)
-
-
-def _fig9_unit(payload: dict) -> float:
-    """Average latency of one (K, repetition, scheme) work unit.
-
-    All units share one testbed, re-fetched from the content-keyed
-    cache by the figure seed, so the Dijkstra solve happens once per
-    process rather than once per unit.
-    """
-    testbed = build_testbed(payload["num_caches"], payload["seed"])
-    lm_config = landmark_config(
-        payload["num_landmarks"], num_caches=payload["num_caches"]
-    )
-    if payload["scheme"] == "sl":
-        scheme = SLScheme(landmark_config=lm_config)
-    else:
-        scheme = SDSLScheme(
-            sdsl_config=SDSLConfig(theta=payload["theta"]),
-            landmark_config=lm_config,
-        )
-    grouping = scheme.form_groups(
-        testbed.network, payload["k"], seed=payload["run_seed"]
-    )
-    return run_simulation(testbed, grouping).average_latency_ms()
+SERIES = ("sl_ms", "sdsl_ms")
 
 
 def run_fig9(
@@ -65,54 +42,32 @@ def run_fig9(
         num_caches = 500
         k_values = k_values or PAPER_K_VALUES
     k_values = tuple(k_values or DEFAULT_K_VALUES)
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
 
-    # Warm the cache so forked pool workers inherit the built testbed.
-    build_testbed(num_caches, seed)
-
-    payloads = [
-        {
+    def point(k, rep):
+        common = {
             "num_caches": num_caches,
             "k": k,
             "num_landmarks": num_landmarks,
-            "theta": theta,
-            "scheme": scheme,
-            "seed": seed,
-            "run_seed": seed + 1000 * rep + k,
+            "testbed_seed": seed,
+            "seed": seed + 1000 * rep + k,
         }
-        for k in k_values
-        for rep in range(repetitions)
-        for scheme in ("sl", "sdsl")
-    ]
-    values = iter(map_tasks(_fig9_unit, payloads))
+        return [
+            {**common, "scheme": "SL"},
+            {**common, "scheme": "SDSL", "theta": theta},
+        ]
 
-    sl_series = []
-    sdsl_series = []
-    for _k in k_values:
-        sl_total = 0.0
-        sdsl_total = 0.0
-        for _rep in range(repetitions):
-            sl_total += next(values)
-            sdsl_total += next(values)
-        sl_series.append(sl_total / repetitions)
-        sdsl_series.append(sdsl_total / repetitions)
+    payloads = sweep_payloads(k_values, repetitions, point)
+    # Warm the cache so forked pool workers inherit the built testbed.
+    build_testbed(num_caches, seed)
+    values = map_tasks(latency_unit, payloads)
+    series = dict(zip(SERIES, series_means(values, repetitions, len(SERIES))))
 
     notes = {
         "mean_improvement_pct": sum(
             improvement_percent(sl, sdsl)
-            for sl, sdsl in zip(sl_series, sdsl_series)
-        ) / len(sl_series),
+            for sl, sdsl in zip(series["sl_ms"], series["sdsl_ms"])
+        ) / len(k_values),
         "theta": theta,
         "num_caches": float(num_caches),
     }
-    return ExperimentResult(
-        experiment_id="fig9",
-        x_label="num_groups",
-        x_values=k_values,
-        series=(
-            SeriesResult("sl_ms", tuple(sl_series)),
-            SeriesResult("sdsl_ms", tuple(sdsl_series)),
-        ),
-        notes=notes,
-    )
+    return sweep_result("fig9", "num_groups", k_values, series, notes)

@@ -22,12 +22,14 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.gicost import average_group_interaction_cost
-from repro.analysis.report import ExperimentResult, SeriesResult
-from repro.core.schemes import RandomLandmarksScheme, SDSLScheme, SLScheme
+from repro.analysis.report import ExperimentResult
 from repro.experiments.base import (
     build_testbed,
-    landmark_config,
+    payload_scheme,
     run_simulation,
+    series_means,
+    sweep_payloads,
+    sweep_result,
 )
 from repro.faults.config import FaultConfig
 from repro.runtime.scheduler import map_tasks
@@ -39,12 +41,11 @@ DEFAULT_FAIL_COUNTS = (0, 1, 2)
 #: K is set to 10% of the cache count, matching the other figures.
 GROUP_FRACTION = 0.10
 
-_SCHEMES = {
-    "sl": SLScheme,
-    "sdsl": SDSLScheme,
-    "random": RandomLandmarksScheme,
-}
-_METRICS = ("gicost_ms", "hit_rate", "p95_ms")
+#: Series prefix (also the seed-stream label) -> scheme name, for the
+#: probe-loss sweep and the landmark-failure sweep.
+SWEPT = {"sl": "SL", "sdsl": "SDSL", "random": "random-landmarks"}
+FAIL_SWEPT = {"sl": "SL", "random": "random-landmarks"}
+METRICS = ("gicost_ms", "hit_rate", "p95_ms")
 
 
 def _figr_unit(payload: dict) -> Dict[str, float]:
@@ -56,14 +57,9 @@ def _figr_unit(payload: dict) -> Dict[str, float]:
     units stay bit-identical to the pre-fault-injection pipeline.
     """
     testbed = build_testbed(
-        payload["n"], payload["fork_seed"],
+        payload["num_caches"], payload["seed"],
         requests_per_cache=payload["requests_per_cache"],
         num_documents=payload["num_documents"],
-    )
-    scheme = _SCHEMES[payload["scheme"]](
-        landmark_config=landmark_config(
-            payload["num_landmarks"], num_caches=payload["n"]
-        )
     )
     faults: Optional[FaultConfig] = None
     if payload["loss"] > 0.0 or payload["fail_landmarks"] > 0:
@@ -71,13 +67,13 @@ def _figr_unit(payload: dict) -> Dict[str, float]:
             probe_loss_rate=payload["loss"],
             crashed_landmarks=payload["fail_landmarks"],
         )
-    grouping = scheme.form_groups(
+    grouping = payload_scheme(payload).form_groups(
         testbed.network,
         payload["k"],
-        # The label is the scheme name straight from the work-unit
-        # payload — one stream per (fork_seed, scheme) by construction.
+        # The label is the series prefix straight from the work-unit
+        # payload — one stream per (seed, scheme) by construction.
         # repro-lint: allow[stream-label-collision]
-        seed=RngFactory(payload["fork_seed"]).stream(payload["scheme"]),
+        seed=RngFactory(payload["seed"]).stream(payload["stream"]),
         faults=faults,
     )
     gicost = average_group_interaction_cost(testbed.network, grouping)
@@ -116,80 +112,53 @@ def run_figr(
         if fail_landmark_counts is not None
         else DEFAULT_FAIL_COUNTS
     )
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     for rate in rates:
         FaultConfig(probe_loss_rate=rate).validate()
-    k = max(2, round(GROUP_FRACTION * num_caches))
     factory = RngFactory(seed)
 
-    def payload(loss, fails, scheme, fork_seed):
-        return {
-            "n": num_caches,
-            "k": k,
-            "num_landmarks": num_landmarks,
-            "requests_per_cache": requests_per_cache,
-            "num_documents": num_documents,
-            "scheme": scheme,
-            "loss": float(loss),
-            "fail_landmarks": int(fails),
-            "fork_seed": fork_seed,
-        }
+    def point(fork, loss, fails, swept):
+        return [
+            {
+                "num_caches": num_caches,
+                "k": max(2, round(GROUP_FRACTION * num_caches)),
+                "num_landmarks": num_landmarks,
+                "requests_per_cache": requests_per_cache,
+                "num_documents": num_documents,
+                "scheme": scheme,
+                "stream": name,
+                "loss": float(loss),
+                "fail_landmarks": int(fails),
+                "seed": fork.root_seed,
+            }
+            for name, scheme in swept.items()
+        ]
 
-    payloads = []
-    for rate in rates:
-        for rep in range(repetitions):
-            fork_seed = factory.fork(f"loss{rate}-rep{rep}").root_seed
-            for name in _SCHEMES:
-                payloads.append(payload(rate, 0, name, fork_seed))
-    fail_schemes = ("sl", "random")
-    for fails in fail_counts:
-        for rep in range(repetitions):
-            fork_seed = factory.fork(f"fail{fails}-rep{rep}").root_seed
-            for name in fail_schemes:
-                payloads.append(payload(0.0, fails, name, fork_seed))
-    values = iter(map_tasks(_figr_unit, payloads))
+    loss_payloads = sweep_payloads(rates, repetitions, lambda rate, rep: (
+        point(factory.fork(f"loss{rate}-rep{rep}"), rate, 0, SWEPT)
+    ))
+    fail_payloads = sweep_payloads(fail_counts, repetitions, lambda f, rep: (
+        point(factory.fork(f"fail{f}-rep{rep}"), 0.0, f, FAIL_SWEPT)
+    ))
+    values = map_tasks(_figr_unit, loss_payloads + fail_payloads)
+    loss_values = values[:len(loss_payloads)]
+    fail_values = values[len(loss_payloads):]
 
-    series = {
-        f"{name}_{metric}": []
-        for name in _SCHEMES
-        for metric in _METRICS
-    }
-    degraded_runs = 0
-    for _rate in rates:
-        totals = {key: 0.0 for key in series}
-        for _rep in range(repetitions):
-            for name in _SCHEMES:
-                unit = next(values)
-                degraded_runs += int(unit["degraded"])
-                for metric in _METRICS:
-                    totals[f"{name}_{metric}"] += unit[metric]
-        for key in series:
-            series[key].append(totals[key] / repetitions)
-
+    columns = [f"{name}_{metric}" for name in SWEPT for metric in METRICS]
+    series = dict(zip(columns, series_means(
+        loss_values, repetitions, len(SWEPT), METRICS
+    )))
+    fail_means = dict(zip(FAIL_SWEPT, series_means(
+        fail_values, repetitions, len(FAIL_SWEPT), ("gicost_ms",)
+    )))
     notes: Dict[str, float] = {}
-    for fails in fail_counts:
-        totals = {name: 0.0 for name in fail_schemes}
-        for _rep in range(repetitions):
-            for name in fail_schemes:
-                unit = next(values)
-                degraded_runs += int(unit["degraded"])
-                totals[name] += unit["gicost_ms"]
-        for name in fail_schemes:
-            notes[f"{name}_gicost_fail{fails}"] = totals[name] / repetitions
+    for i, fails in enumerate(fail_counts):
+        for name in FAIL_SWEPT:
+            notes[f"{name}_gicost_fail{fails}"] = fail_means[name][i]
         notes[f"sl_margin_fail{fails}"] = (
             notes[f"random_gicost_fail{fails}"]
             - notes[f"sl_gicost_fail{fails}"]
         )
-    notes["degraded_runs"] = float(degraded_runs)
-
-    return ExperimentResult(
-        experiment_id="figR",
-        x_label="probe_loss_rate",
-        x_values=rates,
-        series=tuple(
-            SeriesResult(name, tuple(points))
-            for name, points in series.items()
-        ),
-        notes=notes,
+    notes["degraded_runs"] = float(
+        sum(int(unit["degraded"]) for unit in values)
     )
+    return sweep_result("figR", "probe_loss_rate", rates, series, notes)

@@ -11,6 +11,7 @@ CLI exposes it as ``repro experiment all``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
@@ -37,11 +38,6 @@ from repro.runtime.scheduler import (
 
 PathLike = Union[str, Path]
 
-#: Figures whose runners accept a ``repetitions`` argument.
-_SUPPORTS_REPETITIONS = frozenset(
-    {"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "figR"}
-)
-
 
 @dataclass(frozen=True)
 class SuiteRun:
@@ -65,18 +61,27 @@ class SuiteRun:
         return "\n".join(lines)
 
 
-def _figure_kwargs(
+def figure_kwargs(
     experiment_id: str,
     paper_scale: bool,
     repetitions: Optional[int],
     seed: Optional[int],
 ) -> Dict[str, Any]:
+    """The registered runner's arguments for one figure run.
+
+    ``repetitions`` is passed only to runners whose signature names it
+    (fig3 has no repetitions and ignores the option).
+    """
     kwargs: Dict[str, Any] = {}
     if paper_scale:
         kwargs["paper_scale"] = True
     if seed is not None:
         kwargs["seed"] = seed
-    if repetitions is not None and experiment_id in _SUPPORTS_REPETITIONS:
+    runner = REGISTRY[experiment_id]
+    if (
+        repetitions is not None
+        and "repetitions" in inspect.signature(runner).parameters
+    ):
         kwargs["repetitions"] = repetitions
     return kwargs
 
@@ -225,7 +230,7 @@ def run_suite(
     )
     with scheduler, use_scheduler(scheduler):
         for experiment_id in selected:
-            kwargs = _figure_kwargs(
+            kwargs = figure_kwargs(
                 experiment_id, paper_scale, repetitions, seed
             )
             result, manifest = run_figure(

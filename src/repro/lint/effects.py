@@ -61,6 +61,7 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Deque,
     Dict,
     Iterable,
@@ -817,207 +818,164 @@ def _effect_terminal(
     return f"{target} ({node.path}:{line})"
 
 
+def _report_reached(
+    analysis: EffectAnalysis,
+    rule_id: str,
+    entries: Iterable[Tuple[str, str]],
+    sites: Callable[[LocalEffect], Iterable[Tuple[str, int, str]]],
+    message: Callable[[str, str, str, str, str], str],
+) -> List[Finding]:
+    """One finding per (entry, effect target) reachable from an entry.
+
+    ``entries`` are ``(function key, registration site)`` pairs;
+    ``sites(effect)`` lists one reached function's offending
+    ``(target, line, verb)`` triples.  The nearest reached function
+    (then the smallest key) gives a target's call chain; a pragma at
+    the effect site skips that site.  ``message(qualname, site, target,
+    verb, chain)`` renders the finding, anchored at the entry's ``def``.
+    """
+    model = analysis.model
+    findings: List[Finding] = []
+    seen: Set[Tuple[str, str]] = set()
+    for key, site in entries:
+        paths = _paths_from(model, key)
+        if not paths:
+            continue
+        node = model.functions[key]
+        for reached in sorted(paths, key=lambda k: (len(paths[k]), k)):
+            effect = analysis.local.get(reached)
+            if effect is None:
+                continue
+            for target, line, verb in sites(effect):
+                if (key, target) in seen or _site_suppressed(
+                    model, rule_id, reached, line
+                ):
+                    continue
+                seen.add((key, target))
+                chain = render_chain(
+                    model, paths[reached],
+                    _effect_terminal(model, reached, target, line),
+                )
+                findings.append(Finding(
+                    rule_id=rule_id,
+                    path=node.path,
+                    line=node.line,
+                    message=message(node.qualname, site, target, verb, chain),
+                ))
+    return findings
+
+
+def _task_entries(analysis: EffectAnalysis) -> List[Tuple[str, str]]:
+    return [(entry.key, "") for entry in analysis.task_entries]
+
+
 def check_shared_mutable_globals(
     analysis: EffectAnalysis,
 ) -> List[Finding]:
     """Task-reachable writes to unmerged module globals."""
-    model = analysis.model
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, str]] = set()
-    for entry in analysis.task_entries:
-        paths = _paths_from(model, entry.key)
-        if not paths:
-            continue
-        node = model.functions[entry.key]
-        for reached in sorted(paths, key=lambda k: (len(paths[k]), k)):
-            effect = analysis.local.get(reached)
-            if effect is None:
+
+    def sites(effect: LocalEffect) -> Iterable[Tuple[str, int, str]]:
+        for target in sorted(effect.writes):
+            var = analysis.globals.get(target)
+            if target in analysis.merge_backs or (
+                var is not None and var.kind == "contextvar"
+            ):
                 continue
-            for target in sorted(effect.writes):
-                if target in analysis.merge_backs:
-                    continue
-                var = analysis.globals.get(target)
-                if var is not None and var.kind == "contextvar":
-                    continue
-                if (entry.key, target) in seen:
-                    continue
-                line = effect.writes[target]
-                if _site_suppressed(model, SHARED_MUTABLE_GLOBAL,
-                                    reached, line):
-                    continue
-                seen.add((entry.key, target))
-                chain = render_chain(
-                    model, paths[reached],
-                    _effect_terminal(model, reached, target, line),
-                )
-                findings.append(Finding(
-                    rule_id=SHARED_MUTABLE_GLOBAL,
-                    path=node.path,
-                    line=node.line,
-                    message=(
-                        f"fork task {node.qualname} mutates module-level "
-                        f"{target} with no registered merge-back hook: "
-                        f"{chain}; worker-local mutations are dropped at "
-                        f"join — return the state with the task result "
-                        f"or register a merge-back "
-                        f"(repro.obs.profiling.register_counter)"
-                    ),
-                ))
-    return findings
+            yield target, effect.writes[target], ""
+
+    return _report_reached(
+        analysis, SHARED_MUTABLE_GLOBAL, _task_entries(analysis), sites,
+        lambda qualname, _site, target, _verb, chain: (
+            f"fork task {qualname} mutates module-level {target} with no "
+            f"registered merge-back hook: {chain}; worker-local mutations "
+            f"are dropped at join — return the state with the task result "
+            f"or register a merge-back (repro.obs.profiling.register_counter)"
+        ),
+    )
 
 
 def check_cache_key_escape(analysis: EffectAnalysis) -> List[Finding]:
     """Cache builders reading state outside their key arguments."""
-    model = analysis.model
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, str]] = set()
-    for entry in analysis.cache_builders:
-        paths = _paths_from(model, entry.key)
-        if not paths:
-            continue
-        node = model.functions[entry.key]
-        for reached in sorted(paths, key=lambda k: (len(paths[k]), k)):
-            effect = analysis.local.get(reached)
-            if effect is None:
-                continue
-            escapes: List[Tuple[str, int, str]] = []
-            for target in sorted(effect.reads):
-                escapes.append((target, effect.reads[target],
-                                "reads module state"))
-            for target in sorted(effect.writes):
-                escapes.append((target, effect.writes[target],
-                                "mutates module state"))
-            for target in sorted(effect.io):
-                escapes.append((target, effect.io[target],
-                                "performs IO via"))
-            for target, line, verb in escapes:
-                if (entry.key, target) in seen:
-                    continue
-                if _site_suppressed(model, CACHE_KEY_ESCAPE, reached,
-                                    line):
-                    continue
-                seen.add((entry.key, target))
-                chain = render_chain(
-                    model, paths[reached],
-                    _effect_terminal(model, reached, target, line),
-                )
-                findings.append(Finding(
-                    rule_id=CACHE_KEY_ESCAPE,
-                    path=node.path,
-                    line=node.line,
-                    message=(
-                        f"cache builder {node.qualname} (registered at "
-                        f"{entry.site_path}:{entry.site_line}) {verb} "
-                        f"{target}, which is not derivable from its key "
-                        f"arguments: {chain}; a stale hit returns a "
-                        f"value built from state the key never saw"
-                    ),
-                ))
-    return findings
+
+    def sites(effect: LocalEffect) -> Iterable[Tuple[str, int, str]]:
+        for table, verb in (
+            (effect.reads, "reads module state"),
+            (effect.writes, "mutates module state"),
+            (effect.io, "performs IO via"),
+        ):
+            for target in sorted(table):
+                yield target, table[target], verb
+
+    return _report_reached(
+        analysis, CACHE_KEY_ESCAPE,
+        [(e.key, f"{e.site_path}:{e.site_line}")
+         for e in analysis.cache_builders],
+        sites,
+        lambda qualname, site, target, verb, chain: (
+            f"cache builder {qualname} (registered at {site}) {verb} "
+            f"{target}, which is not derivable from its key arguments: "
+            f"{chain}; a stale hit returns a value built from state the "
+            f"key never saw"
+        ),
+    )
 
 
 def check_impure_event_handlers(
     analysis: EffectAnalysis,
 ) -> List[Finding]:
     """Handlers whose effects escape engine-owned instance state."""
-    model = analysis.model
-    findings: List[Finding] = []
-    for handler in analysis.event_handlers:
-        paths = _paths_from(model, handler)
-        if not paths:
-            continue
-        node = model.functions[handler]
-        reported: Set[str] = set()
-        for reached in sorted(paths, key=lambda k: (len(paths[k]), k)):
-            effect = analysis.local.get(reached)
-            if effect is None:
-                continue
-            sites: List[Tuple[str, int, str]] = []
-            for target in sorted(effect.writes):
-                sites.append((target, effect.writes[target], "writes"))
-            for target in sorted(effect.io):
-                sites.append((target, effect.io[target], "performs IO via"))
-            for target, line, verb in sites:
-                if target in reported:
-                    continue
-                if _site_suppressed(model, IMPURE_EVENT_HANDLER,
-                                    reached, line):
-                    continue
-                reported.add(target)
-                chain = render_chain(
-                    model, paths[reached],
-                    _effect_terminal(model, reached, target, line),
-                )
-                findings.append(Finding(
-                    rule_id=IMPURE_EVENT_HANDLER,
-                    path=node.path,
-                    line=node.line,
-                    message=(
-                        f"event handler {node.qualname} {verb} {target} "
-                        f"outside engine-owned state: {chain}; the "
-                        f"batched loop reorders whole slices, so handler "
-                        f"effects must stay on the engine instance"
-                    ),
-                ))
-    return findings
+
+    def sites(effect: LocalEffect) -> Iterable[Tuple[str, int, str]]:
+        for table, verb in (
+            (effect.writes, "writes"), (effect.io, "performs IO via"),
+        ):
+            for target in sorted(table):
+                yield target, table[target], verb
+
+    return _report_reached(
+        analysis, IMPURE_EVENT_HANDLER,
+        [(handler, "") for handler in analysis.event_handlers],
+        sites,
+        lambda qualname, _site, target, verb, chain: (
+            f"event handler {qualname} {verb} {target} outside "
+            f"engine-owned state: {chain}; the batched loop reorders whole "
+            f"slices, so handler effects must stay on the engine instance"
+        ),
+    )
 
 
 def check_fork_held_resources(
     analysis: EffectAnalysis,
 ) -> List[Finding]:
     """Pre-fork module-level resources used by task-reachable code."""
-    model = analysis.model
     resources = {
         key for key, var in analysis.globals.items()
         if var.kind == "resource"
     }
-    if not resources:
-        return []
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, str]] = set()
-    for entry in analysis.task_entries:
-        paths = _paths_from(model, entry.key)
-        if not paths:
-            continue
-        node = model.functions[entry.key]
-        for reached in sorted(paths, key=lambda k: (len(paths[k]), k)):
-            effect = analysis.local.get(reached)
-            if effect is None:
-                continue
-            uses: Dict[str, int] = {}
-            for table in (effect.reads, effect.writes):
-                for target, line in table.items():
-                    if target in resources and (
-                        target not in uses or line < uses[target]
-                    ):
-                        uses[target] = line
-            for target in sorted(uses):
-                if (entry.key, target) in seen:
-                    continue
-                line = uses[target]
-                if _site_suppressed(model, FORK_HELD_RESOURCE, reached,
-                                    line):
-                    continue
-                seen.add((entry.key, target))
-                var = analysis.globals[target]
-                chain = render_chain(
-                    model, paths[reached],
-                    _effect_terminal(model, reached, target, line),
-                )
-                findings.append(Finding(
-                    rule_id=FORK_HELD_RESOURCE,
-                    path=node.path,
-                    line=node.line,
-                    message=(
-                        f"fork task {node.qualname} uses {target}, an OS "
-                        f"resource created at import time "
-                        f"({var.path}:{var.line}) and inherited across "
-                        f"fork: {chain}; open it inside the task (or "
-                        f"after the pool starts) so workers get their "
-                        f"own handle"
-                    ),
-                ))
-    return findings
+
+    def sites(effect: LocalEffect) -> Iterable[Tuple[str, int, str]]:
+        uses: Dict[str, int] = {}
+        for table in (effect.reads, effect.writes):
+            for target, line in table.items():
+                if target in resources:
+                    uses[target] = min(line, uses.get(target, line))
+        return [(target, uses[target], "") for target in sorted(uses)]
+
+    def message(
+        qualname: str, _site: str, target: str, _verb: str, chain: str
+    ) -> str:
+        var = analysis.globals[target]
+        return (
+            f"fork task {qualname} uses {target}, an OS resource created "
+            f"at import time ({var.path}:{var.line}) and inherited across "
+            f"fork: {chain}; open it inside the task (or after the pool "
+            f"starts) so workers get their own handle"
+        )
+
+    return _report_reached(
+        analysis, FORK_HELD_RESOURCE, _task_entries(analysis), sites,
+        message,
+    )
 
 
 def effect_findings(analysis: EffectAnalysis) -> List[Finding]:

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.base import Rule
 from repro.lint.findings import Finding, sort_findings
@@ -547,26 +547,10 @@ class _BodyAnalyzer:
         declared = unit_from_name(name)
         if annotation is not None:
             declared = join(declared, annotation)
-        if (
-            declared.scale in _CONCRETE_SCALES
-            and unit.scale in _CONCRETE_SCALES
-            and declared.scale != unit.scale
-        ):
-            self._emit(UNIT_MISMATCH, line, (
-                f"assignment to '{name}' ({declared.label()}) from a "
-                f"{self._describe(unit, why)} value; convert explicitly "
-                f"via repro.types.ms_to_s/s_to_ms"
-            ))
-        if (
-            declared.domain in _CONCRETE_DOMAINS
-            and unit.domain in _CONCRETE_DOMAINS
-            and declared.domain != unit.domain
-        ):
-            self._emit(TIME_DOMAIN_MIXING, line, (
-                f"assignment to '{name}' ({declared.label()}) from a "
-                f"{self._describe(unit, why)} value; simulated, host, "
-                f"and unix-epoch clocks are unrelated timelines"
-            ))
+        self._clash(declared, unit, line, lambda: (
+            f"assignment to '{name}' ({declared.label()}) from a "
+            f"{self._describe(unit, why)} value"
+        ))
         if isinstance(target, ast.Name):
             # The declared unit is ground truth where it exists; the
             # flowed value fills in what the name leaves open.
@@ -772,30 +756,11 @@ class _BodyAnalyzer:
         for name, arg_node, (unit, why) in pairs:
             declared = callee.declared[name]
             line = getattr(arg_node, "lineno", 1)
-            if (
-                unit.scale in _CONCRETE_SCALES
-                and declared.scale in _CONCRETE_SCALES
-                and unit.scale != declared.scale
-            ):
-                self._emit(UNIT_MISMATCH, line, (
-                    f"{self._fn.qualname} passes a "
-                    f"{self._describe(unit, why)} value into parameter "
-                    f"'{name}' of {callee_key}, declared "
-                    f"{declared.label()}; convert explicitly via "
-                    f"repro.types.ms_to_s/s_to_ms"
-                ))
-            if (
-                unit.domain in _CONCRETE_DOMAINS
-                and declared.domain in _CONCRETE_DOMAINS
-                and unit.domain != declared.domain
-            ):
-                self._emit(TIME_DOMAIN_MIXING, line, (
-                    f"{self._fn.qualname} passes a "
-                    f"{self._describe(unit, why)} value into parameter "
-                    f"'{name}' of {callee_key}, declared "
-                    f"{declared.label()}; simulated, host, and "
-                    f"unix-epoch clocks are unrelated timelines"
-                ))
+            self._clash(unit, declared, line, lambda: (
+                f"{self._fn.qualname} passes a "
+                f"{self._describe(unit, why)} value into parameter "
+                f"'{name}' of {callee_key}, declared {declared.label()}"
+            ))
             flowed = Unit(
                 scale=unit.scale if declared.scale is None else None,
                 domain=unit.domain if declared.domain is None else None,
@@ -826,34 +791,43 @@ class _BodyAnalyzer:
         """Emit scale/domain conflicts; returns the joined fields
         (``None`` where a conflict was already reported)."""
         (lu, lwhy), (ru, rwhy) = left, right
-        scale: Optional[str]
-        domain: Optional[str]
-        if (
-            lu.scale in _CONCRETE_SCALES
-            and ru.scale in _CONCRETE_SCALES
-            and lu.scale != ru.scale
-        ):
+        scale_clash, domain_clash = self._clash(lu, ru, line, lambda: (
+            f"{context} mixes {self._describe(lu, lwhy)} with "
+            f"{self._describe(ru, rwhy)}"
+        ))
+        return (
+            None if scale_clash else _join_field(lu.scale, ru.scale),
+            None if domain_clash else _join_field(lu.domain, ru.domain),
+        )
+
+    def _clash(
+        self, a: Unit, b: Unit, line: int, subject: Callable[[], str]
+    ) -> Tuple[bool, bool]:
+        """Emit a scale clash and a time-domain clash between two units.
+
+        ``subject()`` opens each message.  Returns whether the scales
+        and whether the domains clashed.
+        """
+        scale = (
+            a.scale in _CONCRETE_SCALES
+            and b.scale in _CONCRETE_SCALES
+            and a.scale != b.scale
+        )
+        if scale:
             self._emit(UNIT_MISMATCH, line, (
-                f"{context} mixes {self._describe(lu, lwhy)} with "
-                f"{self._describe(ru, rwhy)}; convert explicitly via "
+                f"{subject()}; convert explicitly via "
                 f"repro.types.ms_to_s/s_to_ms"
             ))
-            scale = None
-        else:
-            scale = _join_field(lu.scale, ru.scale)
-        if (
-            lu.domain in _CONCRETE_DOMAINS
-            and ru.domain in _CONCRETE_DOMAINS
-            and lu.domain != ru.domain
-        ):
+        domain = (
+            a.domain in _CONCRETE_DOMAINS
+            and b.domain in _CONCRETE_DOMAINS
+            and a.domain != b.domain
+        )
+        if domain:
             self._emit(TIME_DOMAIN_MIXING, line, (
-                f"{context} mixes {self._describe(lu, lwhy)} with "
-                f"{self._describe(ru, rwhy)}; simulated, host, and "
-                f"unix-epoch clocks are unrelated timelines"
+                f"{subject()}; simulated, host, and unix-epoch clocks "
+                f"are unrelated timelines"
             ))
-            domain = None
-        else:
-            domain = _join_field(lu.domain, ru.domain)
         return scale, domain
 
     def _combine_additive(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, Optional, TextIO
 
 
 def timeout_seconds(text: str) -> float:
@@ -156,7 +156,7 @@ def _policy(args: argparse.Namespace) -> Any:
 
 
 def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    from repro.experiments.suite import run_figure
+    from repro.experiments.suite import figure_kwargs, run_figure
     from repro.obs.manifest import merge_sparse_stats
     from repro.runtime import TaskScheduler, configure_cache, use_scheduler
     from repro.runtime import chaos as chaos_module
@@ -170,13 +170,9 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         )
         return 2
 
-    kwargs: Dict[str, Any] = {}
-    if args.paper_scale:
-        kwargs["paper_scale"] = True
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.repetitions is not None:
-        kwargs["repetitions"] = args.repetitions
+    kwargs = figure_kwargs(
+        args.figure, args.paper_scale, args.repetitions, args.seed
+    )
     if args.cache_dir:
         configure_cache(disk_dir=args.cache_dir)
 
@@ -190,17 +186,9 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     )
     # Installed outermost, so the policy enters before every other hook.
     with task_hooks(policy), scheduler, use_scheduler(scheduler):
-        try:
-            result, manifest = run_figure(
-                args.figure, kwargs, jobs=args.jobs, worker_perf=True,
-            )
-        except TypeError:
-            # e.g. fig3 takes no --repetitions (mirrors
-            # `repro experiment`).
-            kwargs.pop("repetitions", None)
-            result, manifest = run_figure(
-                args.figure, kwargs, jobs=args.jobs, worker_perf=True,
-            )
+        result, manifest = run_figure(
+            args.figure, kwargs, jobs=args.jobs, worker_perf=True,
+        )
 
     manifest.label = f"chaos:{args.figure}"
     manifest.config.update({

@@ -76,15 +76,12 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 def _run(args: argparse.Namespace, out: TextIO) -> int:
     from repro.experiments import run_experiment
+    from repro.experiments.suite import figure_kwargs
     from repro.runtime import TaskScheduler, configure_cache, use_scheduler
 
-    kwargs = {}
-    if args.paper_scale:
-        kwargs["paper_scale"] = True
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.repetitions is not None:
-        kwargs["repetitions"] = args.repetitions
+    kwargs = figure_kwargs(
+        args.figure, args.paper_scale, args.repetitions, args.seed
+    )
     if args.cache_dir:
         configure_cache(disk_dir=args.cache_dir)
 
@@ -99,13 +96,7 @@ def _run(args: argparse.Namespace, out: TextIO) -> int:
         scheduler = TaskScheduler(args.jobs)
         with scheduler, use_scheduler(scheduler):
             with state.phase(f"experiment/{args.figure}"):
-                try:
-                    run_experiment(args.figure, **kwargs)
-                except TypeError:
-                    # e.g. fig3 takes no --repetitions (mirrors
-                    # `repro experiment`).
-                    kwargs.pop("repetitions", None)
-                    run_experiment(args.figure, **kwargs)
+                run_experiment(args.figure, **kwargs)
     state.ledger.save(args.out)
     sites = sum(1 for _ in state.ledger.sites())
     print(

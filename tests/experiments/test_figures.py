@@ -15,6 +15,19 @@ from repro.experiments import (
     run_fig8,
     run_fig9,
 )
+from repro.experiments.figr_fault_sweep import run_figr
+
+
+@pytest.mark.parametrize("repetitions", [0, -1])
+@pytest.mark.parametrize(
+    "runner",
+    [run_fig4, run_fig5, run_fig6, run_fig7, run_fig8, run_fig9, run_figr],
+    ids=["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "figR"],
+)
+def test_bad_repetitions_rejected(runner, repetitions):
+    """Every repeated sweep rejects fewer than one repetition."""
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        runner(repetitions=repetitions)
 
 
 class TestFig3:
@@ -57,10 +70,6 @@ class TestFig4:
             "sl_ms", "random_ms", "mindist_ms",
         }
         assert "improvement_over_random_pct_min" in result.notes
-
-    def test_bad_repetitions_rejected(self):
-        with pytest.raises(ValueError):
-            run_fig4(network_sizes=(10,), repetitions=0)
 
 
 class TestFig5:
@@ -129,10 +138,6 @@ class TestFig8:
             "sl_k10_ms", "sdsl_k10_ms", "sl_k20_ms", "sdsl_k20_ms",
         }
         assert "max_improvement_k20_pct" in result.notes
-
-    def test_bad_repetitions_rejected(self):
-        with pytest.raises(ValueError):
-            run_fig8(network_sizes=(10,), repetitions=0)
 
 
 class TestFig9:

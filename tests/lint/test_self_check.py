@@ -133,7 +133,8 @@ def test_effects_dump_over_src_is_deterministic(monkeypatch, capsys):
     # The known entry points of the experiment suite must be visible,
     # or the four rules are running against an empty universe.
     tasks = {t["function"] for t in payload["entry_points"]["tasks"]}
-    assert "repro.experiments.fig6_num_landmarks:_fig6_unit" in tasks
+    assert "repro.experiments.base:gicost_unit" in tasks
+    assert "repro.experiments.base:latency_unit" in tasks
     handlers = payload["entry_points"]["event_handlers"]
     assert "repro.simulator.engine:SimulationEngine._handle_request" in (
         handlers
@@ -147,23 +148,24 @@ def test_seeded_shared_global_write_in_task_is_caught(tmp_path):
     """An unmerged module-global write under map_tasks fails the lint.
 
     The walkthrough in docs/static-analysis.md: append a module-level
-    counter bump to a real fork-task unit and the effect pass reports
-    the full chain from the pool entry to the write.
+    counter bump to the shared GICost work unit and the effect pass
+    reports the full chain from the pool entry to the write.  fig6 is
+    copied along because its ``map_tasks(gicost_unit, ...)`` call is
+    what makes the unit a fork task.
     """
-    victim = REPO_ROOT / "src" / "repro" / "experiments" / (
-        "fig6_num_landmarks.py"
-    )
+    experiments = REPO_ROOT / "src" / "repro" / "experiments"
     copy_root = tmp_path / "src" / "repro" / "experiments"
     copy_root.mkdir(parents=True)
-    target = copy_root / "fig6_num_landmarks.py"
-    text = victim.read_text()
+    shutil.copy(experiments / "fig6_num_landmarks.py", copy_root)
+    target = copy_root / "base.py"
+    text = (experiments / "base.py").read_text()
     target.write_text(
         text
         + "\n\n_UNITS_DONE = {}\n\n\n"
           "def _tally(point):\n"
           "    _UNITS_DONE[point] = True\n"
     )
-    (tmp_path / "src" / "repro" / "experiments" / "__init__.py").touch()
+    (copy_root / "__init__.py").touch()
 
     report = lint_paths([tmp_path / "src"], root=tmp_path)
     effect_findings = [
@@ -176,11 +178,11 @@ def test_seeded_shared_global_write_in_task_is_caught(tmp_path):
 
     target.write_text(
         target.read_text().replace(
-            "def _fig6_unit(", "def _fig6_unit_orig(", 1
+            "def gicost_unit(", "def gicost_unit_orig(", 1
         )
-        + "\n\ndef _fig6_unit(*args):\n"
+        + "\n\ndef gicost_unit(*args):\n"
           "    _tally(args)\n"
-          "    return _fig6_unit_orig(*args)\n"
+          "    return gicost_unit_orig(*args)\n"
     )
     report = lint_paths([tmp_path / "src"], root=tmp_path)
     effect_findings = [

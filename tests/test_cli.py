@@ -155,6 +155,42 @@ class TestExperimentCommand:
             main(["experiment", "fig99"])
 
 
+class TestFigureArguments:
+    """Every figure command builds the runner's arguments one way."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["experiment", "fig4"],
+            ["sanitize", "run", "--figure", "fig4", "--out", "ledger.json"],
+            ["chaos", "run", "--figure", "fig4", "--jobs", "2"],
+        ],
+        ids=["experiment", "sanitize-run", "chaos-run"],
+    )
+    def test_type_error_inside_a_figure_is_not_retried(
+        self, command, monkeypatch, tmp_path
+    ):
+        """A figure that raises TypeError runs once, with --repetitions."""
+        from repro.experiments import registry
+
+        calls = []
+
+        def broken_fig4(seed=13, repetitions=3, paper_scale=False):
+            calls.append({"seed": seed, "repetitions": repetitions})
+            raise TypeError("a bug inside the figure")
+
+        monkeypatch.setitem(registry.REGISTRY, "fig4", broken_fig4)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError, match="a bug inside the figure"):
+            main([*command, "--seed", "5", "--repetitions", "2"])
+        assert calls == [{"seed": 5, "repetitions": 2}]
+
+    def test_fig3_ignores_repetitions(self, capsys):
+        code = main(["experiment", "fig3", "--repetitions", "2"])
+        assert code == 0
+        assert "== fig3 ==" in capsys.readouterr().out
+
+
 class TestSchedulerTimeArguments:
     """Invalid scheduler times are usage errors, not tracebacks."""
 
