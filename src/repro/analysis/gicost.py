@@ -13,10 +13,9 @@ also get no cooperation benefit, which the latency metric captures).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from repro.core.groups import CacheGroup, GroupingResult
 from repro.errors import SchemeError
+from repro.topology.distance import pairwise_rtt
 from repro.topology.network import EdgeCacheNetwork
 
 
@@ -27,11 +26,15 @@ def interaction_cost(
     avg_doc_transfer_ms: float = 0.0,
 ) -> float:
     """ICost between two caches: RTT plus average-document transfer."""
+    _check_transfer(avg_doc_transfer_ms)
+    return network.rtt(a, b) + avg_doc_transfer_ms
+
+
+def _check_transfer(avg_doc_transfer_ms: float) -> None:
     if avg_doc_transfer_ms < 0:
         raise SchemeError(
             f"avg_doc_transfer_ms must be >= 0, got {avg_doc_transfer_ms}"
         )
-    return network.rtt(a, b) + avg_doc_transfer_ms
 
 
 def group_interaction_cost(
@@ -42,9 +45,12 @@ def group_interaction_cost(
     """GICost of one group: mean pairwise ICost (0 for singletons)."""
     if group.size < 2:
         return 0.0
+    _check_transfer(avg_doc_transfer_ms)
+    # Pair RTTs in itertools.combinations order, each plus the transfer
+    # and summed left to right in Python like the per-pair definition.
     costs = [
-        interaction_cost(network, a, b, avg_doc_transfer_ms)
-        for a, b in combinations(group.members, 2)
+        rtt + avg_doc_transfer_ms
+        for rtt in pairwise_rtt(network.distances, group.members)
     ]
     return sum(costs) / len(costs)
 

@@ -79,6 +79,24 @@ def _relative_error_sum(distances_pred: np.ndarray, measured: np.ndarray) -> flo
     return float((err**2).sum())
 
 
+def _scatter_pairs(
+    ends: np.ndarray, contrib: np.ndarray, count: int
+) -> np.ndarray:
+    """``(count, dims)`` sums of ``contrib[p]`` into node ``iu[p]`` and
+    ``-contrib[p]`` into node ``ju[p]``, where ``ends = concat(iu, ju)``.
+
+    ``np.bincount`` adds each bin's weights from 0.0 in index order:
+    first the pairs at ``iu``, then the pairs at ``ju``, which is the
+    order of ``np.add.at(grad, iu, contrib)`` followed by
+    ``np.add.at(grad, ju, -contrib)``, so the sums are bit-identical.
+    """
+    weights = np.concatenate((contrib, -contrib))
+    return np.column_stack([
+        np.bincount(ends, weights=weights[:, dim], minlength=count)
+        for dim in range(contrib.shape[1])
+    ])
+
+
 def _embed_landmarks(
     measured: np.ndarray,
     dims: int,
@@ -101,6 +119,7 @@ def _embed_landmarks(
     iu, ju = np.triu_indices(count, k=1)
     target = measured[iu, ju]
     positive = target > 0
+    ends = np.concatenate((iu, ju))
 
     def objective(flat: np.ndarray):
         coords = flat.reshape(count, dims)
@@ -116,10 +135,7 @@ def _embed_landmarks(
         weight[positive] = 2.0 * err[positive] / target[positive]
         nonzero = dist > 0
         coef = np.where(nonzero, weight / np.where(nonzero, dist, 1.0), 0.0)
-        contrib = diff * coef[:, None]
-        grad = np.zeros_like(coords)
-        np.add.at(grad, iu, contrib)
-        np.add.at(grad, ju, -contrib)
+        grad = _scatter_pairs(ends, diff * coef[:, None], count)
         return value, grad.ravel()
 
     best_coords: Optional[np.ndarray] = None

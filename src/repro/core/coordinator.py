@@ -195,8 +195,7 @@ class GFCoordinator:
             )
             # Re-probe only the affected column: every cache measures
             # the replacement landmark, nothing else is touched.
-            for row, node in enumerate(nodes):
-                matrix[row, col] = self._prober.measure(node, new_lm)
+            matrix[:, col] = self._prober.measure_rows(nodes, [new_lm])[:, 0]
             lm_nodes[col] = new_lm
             replacements.append((dead_lm, new_lm))
         else:
@@ -268,24 +267,15 @@ class GFCoordinator:
         if original.plset is not None and original.plset_measured is not None:
             probe_nodes = [ORIGIN_NODE_ID, *original.plset]
             measured = original.plset_measured
-            surviving_rows = [
-                row
-                for row, node in enumerate(probe_nodes)
-                if node in taken and node not in down
-            ]
-            candidate_rows = [
-                row
-                for row, node in enumerate(probe_nodes)
-                if node not in taken and node not in down
-            ]
-            if candidate_rows and surviving_rows:
-                best_row = max(
-                    candidate_rows,
-                    key=lambda row: (
-                        measured[row, surviving_rows].min(), -row
-                    ),
-                )
-                return probe_nodes[best_row]
+            live = np.array([node not in down for node in probe_nodes])
+            in_set = np.array([node in taken for node in probe_nodes])
+            candidate_rows = np.flatnonzero(live & ~in_set)
+            surviving = live & in_set
+            if candidate_rows.size and surviving.any():
+                # argmax takes the first maximum: ties go to the lowest
+                # row, as in the greedy selector.
+                spread = measured[np.ix_(candidate_rows, surviving)].min(axis=1)
+                return probe_nodes[int(candidate_rows[np.argmax(spread)])]
         candidates = sorted(
             node
             for node in self._network.cache_nodes

@@ -10,7 +10,7 @@ their feature vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -81,11 +81,8 @@ def build_feature_vectors(
     nodes = list(nodes)
     if not nodes:
         raise LandmarkSelectionError("need at least one node to position")
-    matrix = np.empty((len(nodes), len(landmarks)), dtype=float)
-    landmark_list: List[NodeId] = list(landmarks)
     with phase_timer("features/probe"):
-        for i, node in enumerate(nodes):
-            matrix[i] = prober.measure_many(node, landmark_list)
+        matrix = prober.measure_rows(nodes, list(landmarks))
     with phase_timer("features/build"):
         return FeatureVectors(
             nodes=tuple(nodes), landmarks=landmarks, matrix=matrix

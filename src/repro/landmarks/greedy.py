@@ -73,15 +73,19 @@ class GreedyMaxMinSelector(LandmarkSelector):
             measured = np.nan_to_num(measured, nan=0.0)
 
         with phase_timer("landmarks/greedy"):
-            chosen_rows = [0]  # origin is always a landmark
-            candidate_rows = list(range(1, len(probe_nodes)))
+            # nearest[row]: the row's smallest measured distance to the
+            # landmarks chosen so far; the origin is always a landmark.
+            chosen_rows = [0]
+            nearest = measured[:, 0].copy()
+            candidate = np.ones(len(probe_nodes), dtype=bool)
+            candidate[0] = False
             while len(chosen_rows) < config.num_landmarks:
-                best_row = max(
-                    candidate_rows,
-                    key=lambda row: (measured[row, chosen_rows].min(), -row),
-                )
+                rows = np.flatnonzero(candidate)
+                # argmax takes the first maximum: ties go to the lowest row.
+                best_row = int(rows[np.argmax(nearest[rows])])
                 chosen_rows.append(best_row)
-                candidate_rows.remove(best_row)
+                candidate[best_row] = False
+                np.minimum(nearest, measured[:, best_row], out=nearest)
 
         nodes = tuple(probe_nodes[row] for row in chosen_rows)
         objective = min_pairwise(measured[np.ix_(chosen_rows, chosen_rows)])

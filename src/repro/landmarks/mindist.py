@@ -56,16 +56,32 @@ class MinDistSelector(LandmarkSelector):
         probe_nodes: List[NodeId] = [ORIGIN_NODE_ID, *plset]
         measured = prober.measure_matrix(probe_nodes)
 
+        # farthest[row]: the row's largest measured distance to the
+        # landmarks chosen so far; the origin is always a landmark.
         chosen_rows = [0]
-        candidate_rows = list(range(1, len(probe_nodes)))
+        farthest = measured[:, 0].copy()
+        candidate = np.ones(len(probe_nodes), dtype=bool)
+        candidate[0] = False
         while len(chosen_rows) < config.num_landmarks:
-            best_row = min(
-                candidate_rows,
-                key=lambda row: (measured[row, chosen_rows].max(), row),
-            )
+            rows = np.flatnonzero(candidate)
+            best_row = int(rows[_first_min(farthest[rows])])
             chosen_rows.append(best_row)
-            candidate_rows.remove(best_row)
+            candidate[best_row] = False
+            np.maximum(farthest, measured[:, best_row], out=farthest)
 
         nodes = tuple(probe_nodes[row] for row in chosen_rows)
         objective = min_pairwise(measured[np.ix_(chosen_rows, chosen_rows)])
         return LandmarkSet(nodes=nodes, min_pairwise_rtt=objective)
+
+
+def _first_min(values: np.ndarray) -> int:
+    """Position of the smallest value, ties to the first.
+
+    Under fault injection an unreachable pair measures NaN.  A NaN in
+    first position wins, and any later NaN is passed over, as a
+    ``min()`` scan over ``(value, row)`` keys does: NaN never compares
+    less than anything.
+    """
+    if np.isnan(values[0]):
+        return 0
+    return int(np.nanargmin(values))

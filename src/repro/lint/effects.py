@@ -204,6 +204,10 @@ class EntryPoint:
     site_path: str
     site_line: int
     via: str  # "map_tasks" | "scheduler" | "get_or_build" | ...
+    #: every ``path:line`` that registers a task entry, first site
+    #: included; a task entry is listed once however many call sites
+    #: dispatch it
+    call_sites: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -612,8 +616,12 @@ def _is_task_dispatch(info: ModuleInfo, node: ast.Call) -> bool:
 def _discover_entries(
     model: ProjectModel,
 ) -> Tuple[List[EntryPoint], List[EntryPoint]]:
-    """``(task entries, cache-builder roots)`` from every call site."""
-    tasks: Dict[Tuple[str, str, int], EntryPoint] = {}
+    """``(task entries, cache-builder roots)`` from every call site.
+
+    A task entry is listed once, at its first call site; a cache
+    builder once per registering site, which its findings name.
+    """
+    tasks: Dict[str, Dict[Tuple[str, int], str]] = {}
     builders: Dict[Tuple[str, str, int], EntryPoint] = {}
     for name in sorted(model.modules):
         info = model.modules[name]
@@ -625,9 +633,9 @@ def _discover_entries(
                        else f"scheduler.{node.func.attr}")
                 key = _resolve_callable_ref(model, info, node.args[0])
                 if key is not None:
-                    entry = EntryPoint(key=key, site_path=path,
-                                       site_line=node.lineno, via=via)
-                    tasks.setdefault((key, path, node.lineno), entry)
+                    tasks.setdefault(key, {}).setdefault(
+                        (path, node.lineno), via
+                    )
                 continue
             func = node.func
             if not (isinstance(func, ast.Attribute)
@@ -652,10 +660,16 @@ def _discover_entries(
                                    site_line=node.lineno,
                                    via="get_or_build")
                 builders.setdefault((key, path, node.lineno), entry)
-    return (
-        [tasks[k] for k in sorted(tasks)],
-        [builders[k] for k in sorted(builders)],
-    )
+    task_entries = []
+    for key in sorted(tasks):
+        sites = sorted(tasks[key])
+        path, line = sites[0]
+        task_entries.append(EntryPoint(
+            key=key, site_path=path, site_line=line,
+            via=tasks[key][path, line],
+            call_sites=tuple(f"{p}:{n}" for p, n in sites),
+        ))
+    return task_entries, [builders[k] for k in sorted(builders)]
 
 
 def _collect_merge_backs(model: ProjectModel) -> Dict[str, str]:
@@ -1052,7 +1066,7 @@ def effect_report(
         "entry_points": {
             "tasks": [
                 {"function": e.key, "site": f"{e.site_path}:{e.site_line}",
-                 "via": e.via}
+                 "via": e.via, "call_sites": list(e.call_sites)}
                 for e in analysis.task_entries
             ],
             "cache_builders": [

@@ -8,6 +8,7 @@ model a single probe of a path with true RTT ``d`` as
 from __future__ import annotations
 
 import abc
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +23,28 @@ class NoiseModel(abc.ABC):
         self, true_rtts_ms: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Return one noisy observation per entry of ``true_rtts_ms``."""
+
+    def perturb_rows(
+        self,
+        block: np.ndarray,
+        row_counts: Sequence[int],
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Perturb ``block`` as consecutive runs of ``row_counts`` rows.
+
+        The result equals one :meth:`perturb` call per non-empty run, in
+        order, stacked: a run of zero rows draws nothing.  One draw per
+        run, not one for the whole block, keeps the sanitizer ledger's
+        draw counts and digests those of a per-run loop.
+        """
+        runs = [
+            self.perturb(block[end - count:end], rng)
+            for count, end in zip(row_counts, np.cumsum(row_counts))
+            if count
+        ]
+        if not runs:
+            return np.asarray(block, dtype=float).copy()
+        return np.concatenate(runs)
 
 
 class NoNoise(NoiseModel):

@@ -43,11 +43,30 @@ class ProbeStats:
     _seen_pairs: set = field(default_factory=set, repr=False)
 
     def record(self, source: NodeId, target: NodeId, probe_count: int) -> None:
+        """:meth:`record_pairs` for one pair (the per-sample path)."""
         self.probes_sent += probe_count
         pair = (min(source, target), max(source, target))
         if pair not in self._seen_pairs:
             self._seen_pairs.add(pair)
             self.pairs_measured += 1
+
+    def record_pairs(
+        self, sources: np.ndarray, targets: np.ndarray, probe_count: int
+    ) -> None:
+        """Account ``probe_count`` probes to each ``(source, target)`` pair.
+
+        ``sources`` and ``targets`` are parallel arrays of probed pairs;
+        a pair counts towards ``pairs_measured`` the first time it (or
+        its mirror) is seen.
+        """
+        self.probes_sent += probe_count * len(sources)
+        seen = self._seen_pairs
+        before = len(seen)
+        seen.update(zip(
+            np.minimum(sources, targets).tolist(),
+            np.maximum(sources, targets).tolist(),
+        ))
+        self.pairs_measured += len(seen) - before
 
     def reset(self) -> None:
         self.probes_sent = 0
@@ -114,7 +133,9 @@ class Prober:
 
         With a fault model attached the per-probe loss/retry overlay
         applies (see :meth:`_faulted_mean`); every probe to the pair
-        lost means the result is NaN.
+        lost means the result is NaN.  Per-sample callers (Vivaldi,
+        membership joins) call this once per pair, so it stays a scalar
+        path; it draws what :meth:`measure_many` draws for the pair.
         """
         self._check_node(source)
         self._check_node(target)
@@ -132,50 +153,54 @@ class Prober:
     def measure_many(
         self, source: NodeId, targets: Sequence[NodeId]
     ) -> np.ndarray:
-        """Measured RTTs from ``source`` to each of ``targets``.
+        """Measured RTTs from ``source`` to each of ``targets``."""
+        return self.measure_rows([source], targets)[0]
 
-        Fully vectorised: one ``(pairs, probe_count)`` noise draw covers
-        every non-self target.  The numpy ``Generator`` fills arrays
-        from the same bit stream an equivalent sequence of per-target
-        draws would consume, so results are bit-identical to probing
-        each target in its own :meth:`measure` call (regression-tested).
+    def measure_rows(
+        self, sources: Sequence[NodeId], targets: Sequence[NodeId]
+    ) -> np.ndarray:
+        """Measured RTTs from each of ``sources`` to each of ``targets``.
+
+        Row ``i`` equals ``measure_many(sources[i], targets)`` issued in
+        source order, bit for bit, including the probe accounting and
+        the fault overlay.  Noise is drawn once per source row, as
+        ``measure_many`` draws it: one ``(probed, probe_count)`` block
+        of the row's non-self targets.  The numpy ``Generator`` fills
+        that block from the same bit stream per-target draws would
+        consume, and keeping one draw per row keeps the sanitizer
+        ledger's draw counts and digests those of a per-source loop.
+        Self pairs read 0.0 and draw nothing.
         """
-        self._check_node(source)
+        sources = list(sources)
         targets = list(targets)
-        for target in targets:
-            self._check_node(target)
-        if not targets:
-            return np.empty(0, dtype=float)
-        idx = np.asarray(targets, dtype=int)
-        true_rtts = self._network.distances.row(source)[idx]
-        probed = idx != source
-        raw = self._observe_raw(true_rtts, probed)
-        out = raw.mean(axis=1)
-        out[~probed] = 0.0
-        probe_count = self._config.probe_count
-        for target in targets:
-            if target != source:
-                self.stats.record(source, target, probe_count)
-        if self._faults is not None:
-            for pos, target in enumerate(targets):
-                if target != source:
-                    out[pos] = self._faulted_mean(
-                        source, target, float(true_rtts[pos]), raw[pos]
-                    )
+        out = np.zeros((len(sources), len(targets)), dtype=float)
+        if not sources:
+            return out
+        # The order a per-source loop checks them in: its first call
+        # checks the first source, then every target.
+        self._check_nodes([sources[0], *targets, *sources[1:]])
+        src = np.asarray(sources, dtype=int)
+        dst = np.asarray(targets, dtype=int)
+        rtt = self._network.distances.as_array()
+        probed = src[:, None] != dst[None, :]
+        rows, cols = np.nonzero(probed)
+        pair_src, pair_dst = src[rows], dst[cols]
+        out[rows, cols] = self._probe_pairs(
+            pair_src, pair_dst, rtt[pair_src, pair_dst],
+            probed.sum(axis=1),
+        )
         return out
 
     def measure_matrix(self, nodes: Sequence[NodeId]) -> np.ndarray:
         """Full measured RTT matrix among ``nodes`` (symmetric).
 
         Each unordered pair is probed once and mirrored, matching how
-        potential landmarks probe each other in SL step 1.  Vectorised
-        over the upper triangle in the same row-major pair order the
-        per-pair loop used, so the noise stream (and hence the measured
-        matrix) is unchanged.
+        potential landmarks probe each other in SL step 1.  The upper
+        triangle is probed in row-major pair order with one noise draw
+        for all of it.
         """
         nodes = list(nodes)
-        for node in nodes:
-            self._check_node(node)
+        self._check_nodes(nodes)
         n = len(nodes)
         matrix = np.zeros((n, n), dtype=float)
         if n < 2:
@@ -183,49 +208,47 @@ class Prober:
         iu, ju = np.triu_indices(n, k=1)
         node_arr = np.asarray(nodes, dtype=int)
         sources, dests = node_arr[iu], node_arr[ju]
-        rtt = self._network.distances.as_array()
-        true_rtts = rtt[sources, dests]
         probed = sources != dests
-        raw = self._observe_raw(true_rtts, probed)
-        values = raw.mean(axis=1)
-        values[~probed] = 0.0
-        probe_count = self._config.probe_count
-        for source, dest in zip(sources, dests):
-            if source != dest:
-                self.stats.record(int(source), int(dest), probe_count)
-        if self._faults is not None:
-            for pos in np.flatnonzero(probed):
-                values[pos] = self._faulted_mean(
-                    int(sources[pos]),
-                    int(dests[pos]),
-                    float(true_rtts[pos]),
-                    raw[pos],
-                )
+        sources, dests = sources[probed], dests[probed]
+        values = np.zeros(len(iu), dtype=float)
+        values[probed] = self._probe_pairs(
+            sources, dests, self._network.distances.as_array()[sources, dests],
+            [len(sources)],
+        )
         matrix[iu, ju] = values
         matrix[ju, iu] = values
         return matrix
 
-    def _observe_raw(
-        self, true_rtts: np.ndarray, probed: np.ndarray
+    def _probe_pairs(
+        self,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        true_rtts: np.ndarray,
+        row_counts: Sequence[int],
     ) -> np.ndarray:
-        """``(len, probe_count)`` noisy observations; unprobed rows zero.
+        """Mean measured RTT of each probed (non-self) pair, in order.
 
-        Entries where ``probed`` is False (self-probes) consume no
-        randomness, exactly as :meth:`measure` returns 0.0 without
-        drawing noise for ``source == target``.  The single
-        ``(count, probe_count)`` draw fills the main stream in the same
-        order per-target :meth:`measure` calls would, so the zero-fault
-        pipeline stays bit-identical.
+        ``row_counts`` splits the pairs into consecutive runs that each
+        take one noise draw (see :meth:`NoiseModel.perturb_rows`).  The
+        fault overlay then runs pair by pair in the same order, because
+        its float accumulations (``timeout_wait_ms``) depend on order.
         """
-        out = np.zeros((len(true_rtts), self._config.probe_count), dtype=float)
-        count = int(probed.sum())
-        if count:
-            probe_count = self._config.probe_count
-            stacked = np.broadcast_to(
-                true_rtts[probed][:, None], (count, probe_count)
-            )
-            out[probed] = self._noise.perturb(stacked, self._rng)
-        return out
+        probe_count = self._config.probe_count
+        raw = self._noise.perturb_rows(
+            np.repeat(true_rtts[:, None], probe_count, axis=1),
+            row_counts,
+            self._rng,
+        )
+        values = raw.mean(axis=1)
+        self.stats.record_pairs(sources, targets, probe_count)
+        if self._faults is not None:
+            for pos, (source, target) in enumerate(
+                zip(sources.tolist(), targets.tolist())
+            ):
+                values[pos] = self._faulted_mean(
+                    source, target, float(true_rtts[pos]), raw[pos]
+                )
+        return values
 
     def _faulted_mean(
         self,
@@ -312,6 +335,13 @@ class Prober:
         if not values:
             return float("nan")
         return float(np.mean(values)) * factor
+
+    def _check_nodes(self, nodes: Sequence[NodeId]) -> None:
+        """Raise for the first of ``nodes`` outside the network."""
+        ids = np.asarray(nodes, dtype=int)
+        bad = (ids < 0) | (ids >= self._network.distances.size)
+        if bad.any():
+            self._check_node(nodes[int(np.argmax(bad))])
 
     def _check_node(self, node: NodeId) -> None:
         if not 0 <= node < self._network.distances.size:

@@ -144,8 +144,9 @@ def pairwise_rtt(
     idx = np.asarray(list(nodes), dtype=int)
     if idx.size < 2:
         return []
-    if idx.min() < 0 or idx.max() >= matrix.size:
-        raise TopologyError(f"node ids out of range: {nodes!r}")
-    sub = matrix.as_array()[np.ix_(idx, idx)]
+    bad = np.flatnonzero((idx < 0) | (idx >= matrix.size))
+    if bad.size:
+        # The error :meth:`DistanceMatrix.rtt` raises for the first one.
+        matrix._check(int(idx[bad[0]]))
     iu, ju = np.triu_indices(idx.size, k=1)
-    return sub[iu, ju].tolist()
+    return matrix.as_array()[idx[iu], idx[ju]].tolist()

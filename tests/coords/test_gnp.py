@@ -8,6 +8,7 @@ from repro.errors import EmbeddingError
 from repro.landmarks import GreedyMaxMinSelector, build_feature_vectors
 from repro.probing import NoNoise, Prober
 from repro.coords import embed_gnp
+from repro.coords.gnp import _scatter_pairs
 
 
 @pytest.fixture
@@ -85,3 +86,24 @@ class TestEmbedGNP:
         assert a.landmark_fit_error == pytest.approx(
             b.landmark_fit_error, abs=1e-9
         )
+
+
+class TestScatterPairs:
+    """The bincount gradient scatter against the ``np.add.at`` pair."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_identical_to_add_at(self, seed):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(2, 30))
+        dims = int(rng.integers(1, 9))
+        iu, ju = np.triu_indices(count, k=1)
+        contrib = rng.normal(0.0, 10.0 ** rng.integers(-3, 4),
+                             size=(len(iu), dims))
+        # Exact zeros, as the guarded non-differentiable pairs give.
+        contrib[rng.random(len(iu)) < 0.2] = 0.0
+        expected = np.zeros((count, dims))
+        np.add.at(expected, iu, contrib)
+        np.add.at(expected, ju, -contrib)
+        got = _scatter_pairs(np.concatenate((iu, ju)), contrib, count)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))

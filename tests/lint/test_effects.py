@@ -160,6 +160,43 @@ class TestSharedMutableGlobal:
         ]
 
 
+    def test_entry_dispatched_from_two_sites_is_listed_once(self):
+        analysis = build_analysis(
+            DRIVER,
+            (
+                "src/repro/exp/again.py",
+                """\
+                from repro.runtime.scheduler import map_tasks
+
+                from repro.exp.work import unit
+
+
+                def rerun():
+                    map_tasks(unit, [(3,)])
+                    return map_tasks(unit, [(4,)])
+                """,
+            ),
+            WORK,
+        )
+        [entry] = analysis.task_entries
+        assert entry.key == "repro.exp.work:unit"
+        assert (entry.site_path, entry.site_line) == (
+            "src/repro/exp/again.py", 7
+        )
+        assert entry.call_sites == (
+            "src/repro/exp/again.py:7",
+            "src/repro/exp/again.py:8",
+            "src/repro/exp/driver.py:7",
+        )
+        # One finding, as when a single site dispatches the unit.
+        triples, _ = effect_triples(analysis)
+        assert triples == [
+            (SHARED_MUTABLE_GLOBAL, "src/repro/exp/work.py", 4)
+        ]
+        [task] = effect_report(analysis, [])["entry_points"]["tasks"]
+        assert task["call_sites"] == list(entry.call_sites)
+
+
 class TestCacheKeyEscape:
     CACHEMOD = (
         "src/repro/buildx/cachemod.py",

@@ -133,6 +133,8 @@ def test_effects_dump_over_src_is_deterministic(monkeypatch, capsys):
     # The known entry points of the experiment suite must be visible,
     # or the four rules are running against an empty universe.
     tasks = {t["function"] for t in payload["entry_points"]["tasks"]}
+    # Each entry is listed once, however many figures dispatch it.
+    assert len(tasks) == len(payload["entry_points"]["tasks"])
     assert "repro.experiments.base:gicost_unit" in tasks
     assert "repro.experiments.base:latency_unit" in tasks
     handlers = payload["entry_points"]["event_handlers"]

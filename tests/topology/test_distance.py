@@ -161,3 +161,11 @@ class TestPairwiseRtt:
     def test_single_node_no_pairs(self):
         m = DistanceMatrix(np.zeros((2, 2)))
         assert pairwise_rtt(m, [0]) == []
+
+    def test_first_unknown_node_raises_the_rtt_error(self):
+        m = DistanceMatrix(np.zeros((3, 3)))
+        with pytest.raises(TopologyError) as expected:
+            m.rtt(0, 7)
+        with pytest.raises(TopologyError) as got:
+            pairwise_rtt(m, [0, 7, -1, 2])
+        assert str(got.value) == str(expected.value)
