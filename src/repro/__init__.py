@@ -28,7 +28,6 @@ Quickstart::
 from repro.config import (
     CacheConfig,
     DocumentConfig,
-    ExperimentConfig,
     GNPConfig,
     KMeansConfig,
     LandmarkConfig,
@@ -81,7 +80,6 @@ __all__ = [
     # configs
     "CacheConfig",
     "DocumentConfig",
-    "ExperimentConfig",
     "GNPConfig",
     "KMeansConfig",
     "LandmarkConfig",

@@ -22,14 +22,13 @@ from repro.analysis.group_report import (
     group_report_table,
     summarize_groups,
 )
-from repro.analysis.latency import improvement_percent, latency_by_subset
+from repro.analysis.latency import improvement_percent
 from repro.analysis.report import ExperimentResult, SeriesResult
 
 __all__ = [
     "group_interaction_cost",
     "average_group_interaction_cost",
     "improvement_percent",
-    "latency_by_subset",
     "ExperimentResult",
     "SeriesResult",
     "ComparisonReport",

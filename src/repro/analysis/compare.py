@@ -36,10 +36,6 @@ class SeriesComparison:
                 out.append((c - b) / b)
         return tuple(out)
 
-    def max_abs_relative_delta(self) -> float:
-        deltas = [abs(d) for d in self.relative_deltas]
-        return max(deltas) if deltas else 0.0
-
     def regressed(self, tolerance: float = 0.15) -> bool:
         """True if any point moved *upward* beyond ``tolerance``.
 

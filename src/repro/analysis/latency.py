@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 from repro.errors import SchemeError
-from repro.simulator.runner import SimulationResult
-from repro.types import NodeId
 
 
 def improvement_percent(baseline: float, improved: float) -> float:
@@ -20,13 +16,3 @@ def improvement_percent(baseline: float, improved: float) -> float:
         raise SchemeError(f"baseline must be > 0, got {baseline}")
     return (baseline - improved) / baseline * 100.0
 
-
-def latency_by_subset(
-    result: SimulationResult,
-    subsets: Dict[str, Sequence[NodeId]],
-) -> Dict[str, float]:
-    """Average latency per named cache subset (e.g. nearest/farthest 50)."""
-    out: Dict[str, float] = {}
-    for name, caches in subsets.items():
-        out[name] = result.average_latency_ms(caches)
-    return out

@@ -80,6 +80,7 @@ from repro.obs.registry_cli import configure_parser as configure_runs_parser
 from repro.runtime.chaos_cli import (
     backoff_seconds,
     configure_parser as configure_chaos_parser,
+    positive_int,
     timeout_seconds,
 )
 from repro.sanitize.cli import configure_parser as configure_sanitize_parser
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("figure", choices=[*sorted(REGISTRY), "all"])
     exp.add_argument("--paper-scale", action="store_true")
     exp.add_argument("--seed", type=int)
-    exp.add_argument("--repetitions", type=int)
+    exp.add_argument("--repetitions", type=positive_int)
     exp.add_argument("--plot", action="store_true", help="ASCII chart")
     exp.add_argument("--out", help="write the result as JSON")
     exp.add_argument("--csv", help="write the result as CSV")
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="(with 'all') comma-separated subset, e.g. fig4,fig8",
     )
     exp.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="fan independent work units across N worker processes "
              "(results are bit-identical to --jobs 1)",
     )

@@ -6,7 +6,11 @@
   (SL), server-distance-biased (SDSL, ``Pr ∝ 1/d^θ``), and k-means++
   (extension);
 * :mod:`repro.clustering.kmedoids` — a k-medoids baseline (extension);
-* :mod:`repro.clustering.quality` — within-cluster quality measures.
+* :mod:`repro.clustering.hierarchical` — agglomerative clustering
+  (extension).
+
+Grouping quality is the paper's average group interaction cost, in
+:mod:`repro.analysis.gicost`.
 """
 
 from repro.clustering.assignments import Clustering
@@ -19,11 +23,6 @@ from repro.clustering.init import (
 from repro.clustering.hierarchical import HierarchicalClustering
 from repro.clustering.kmeans import KMeans
 from repro.clustering.kmedoids import KMedoids
-from repro.clustering.quality import (
-    mean_intra_cluster_distance,
-    silhouette_score,
-    within_cluster_sse,
-)
 
 __all__ = [
     "Clustering",
@@ -34,7 +33,4 @@ __all__ = [
     "KMeans",
     "KMedoids",
     "HierarchicalClustering",
-    "within_cluster_sse",
-    "mean_intra_cluster_distance",
-    "silhouette_score",
 ]

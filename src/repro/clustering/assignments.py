@@ -40,10 +40,6 @@ class Clustering:
         object.__setattr__(self, "labels", labels)
         labels.setflags(write=False)
 
-    @property
-    def num_points(self) -> int:
-        return self.labels.size
-
     def members(self, cluster: int) -> np.ndarray:
         """Point indices belonging to ``cluster``."""
         if not 0 <= cluster < self.k:

@@ -81,24 +81,6 @@ class TransitStubConfig:
         )
         return transit + stubs
 
-    def scaled_for(self, min_stub_routers: int) -> "TransitStubConfig":
-        """Return a copy with enough stub routers to host ``min_stub_routers``.
-
-        Scaling bumps ``stub_nodes_per_domain`` only, preserving the
-        hierarchical shape (and therefore the RTT distribution family).
-        """
-        if min_stub_routers <= 0:
-            raise ConfigurationError("min_stub_routers must be > 0")
-        domains = self.stub_domain_count
-        if domains == 0:
-            raise ConfigurationError(
-                "cannot scale a topology with no stub domains"
-            )
-        needed = -(-min_stub_routers // domains)  # ceil division
-        return replace(
-            self, stub_nodes_per_domain=max(self.stub_nodes_per_domain, needed)
-        )
-
     @property
     def stub_domain_count(self) -> int:
         """Number of stub domains the topology will contain."""
@@ -429,35 +411,3 @@ class SimulationConfig:
         if self.origin_load_window_ms <= 0:
             raise ConfigurationError("origin_load_window_ms must be > 0")
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Top-level bundle used by the experiment harness."""
-
-    topology: TransitStubConfig = field(default_factory=TransitStubConfig)
-    placement: PlacementConfig = field(default_factory=PlacementConfig)
-    probe: ProbeConfig = field(default_factory=ProbeConfig)
-    landmarks: LandmarkConfig = field(default_factory=LandmarkConfig)
-    kmeans: KMeansConfig = field(default_factory=KMeansConfig)
-    sdsl: SDSLConfig = field(default_factory=SDSLConfig)
-    gnp: GNPConfig = field(default_factory=GNPConfig)
-    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    simulation: SimulationConfig = field(default_factory=SimulationConfig)
-    seed: int = 7
-
-    def validate(self) -> None:
-        self.topology.validate()
-        self.placement.validate()
-        self.probe.validate()
-        self.landmarks.validate()
-        self.kmeans.validate()
-        self.sdsl.validate()
-        self.gnp.validate()
-        self.workload.validate()
-        self.simulation.validate()
-        if self.landmarks.num_landmarks - 1 > self.placement.num_caches:
-            raise ConfigurationError(
-                "cannot select more cache landmarks than there are caches: "
-                f"L-1={self.landmarks.num_landmarks - 1} > "
-                f"N={self.placement.num_caches}"
-            )

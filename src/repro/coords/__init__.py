@@ -3,18 +3,14 @@
 * :mod:`repro.coords.gnp` — Global Network Positioning-style
   least-squares Euclidean embedding (the paper's Section 5.2 baseline);
 * :mod:`repro.coords.vivaldi` — Vivaldi spring-relaxation coordinates
-  (extension; cited by the paper as related work);
-* :mod:`repro.coords.virtual_landmarks` — Lipschitz embedding + PCA à la
-  Tang & Crovella (extension).
+  (extension; cited by the paper as related work).
 """
 
 from repro.coords.gnp import GNPEmbedding, embed_gnp
 from repro.coords.vivaldi import VivaldiCoordinates
-from repro.coords.virtual_landmarks import virtual_landmark_embedding
 
 __all__ = [
     "GNPEmbedding",
     "embed_gnp",
     "VivaldiCoordinates",
-    "virtual_landmark_embedding",
 ]

@@ -66,19 +66,6 @@ class GNPEmbedding:
         )
 
 
-def _relative_error_sum(distances_pred: np.ndarray, measured: np.ndarray) -> float:
-    """GNP's objective: sum of squared *relative* errors.
-
-    Relative (normalised by the measured value) so short paths are not
-    drowned out by long ones.
-    """
-    mask = measured > 0
-    if not mask.any():
-        return 0.0
-    err = (distances_pred[mask] - measured[mask]) / measured[mask]
-    return float((err**2).sum())
-
-
 def _scatter_pairs(
     ends: np.ndarray, contrib: np.ndarray, count: int
 ) -> np.ndarray:

@@ -118,9 +118,6 @@ class GroupingResult:
         """Group sizes, in group-id order."""
         return [g.size for g in self.groups]
 
-    def average_group_size(self) -> float:
-        return len(self.all_members) / self.num_groups
-
 
 def groups_from_labels(
     nodes: Sequence[NodeId],

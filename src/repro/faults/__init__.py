@@ -12,7 +12,6 @@ from repro.faults.model import FaultModel
 from repro.faults.schedule import (
     FaultSchedule,
     PartitionSpec,
-    merge_fault_events,
     random_fault_schedule,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "FaultModel",
     "FaultSchedule",
     "PartitionSpec",
-    "merge_fault_events",
     "random_fault_schedule",
 ]

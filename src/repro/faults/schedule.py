@@ -15,7 +15,7 @@ workhorse of the resilience property tests and sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.types import NodeId
@@ -171,11 +171,3 @@ def random_fault_schedule(
         partitions=tuple(partitions),
         partition_timeout_ms=partition_timeout_ms,
     )
-
-
-def merge_fault_events(
-    schedule: "FaultSchedule",
-    extra_failures: Iterable[object] = (),
-) -> List[object]:
-    """Schedule events plus any caller-supplied raw failure events."""
-    return [*schedule.events(), *extra_failures]

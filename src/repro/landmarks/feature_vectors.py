@@ -56,10 +56,6 @@ class FeatureVectors:
             ) from None
         return self.matrix[row]
 
-    def l2_distance(self, a: NodeId, b: NodeId) -> float:
-        """Positional dissimilarity between two nodes (L2 norm)."""
-        return float(np.linalg.norm(self.vector_of(a) - self.vector_of(b)))
-
     def index_of(self) -> Dict[NodeId, int]:
         """Map node id -> row index."""
         return {node: i for i, node in enumerate(self.nodes)}

@@ -135,7 +135,7 @@ class Prober:
         applies (see :meth:`_faulted_mean`); every probe to the pair
         lost means the result is NaN.  Per-sample callers (Vivaldi,
         membership joins) call this once per pair, so it stays a scalar
-        path; it draws what :meth:`measure_many` draws for the pair.
+        path; it draws what :meth:`measure_rows` draws for the pair.
         """
         self._check_node(source)
         self._check_node(target)
@@ -150,25 +150,19 @@ class Prober:
             return float(observations.mean())
         return self._faulted_mean(source, target, true_rtt, observations)
 
-    def measure_many(
-        self, source: NodeId, targets: Sequence[NodeId]
-    ) -> np.ndarray:
-        """Measured RTTs from ``source`` to each of ``targets``."""
-        return self.measure_rows([source], targets)[0]
-
     def measure_rows(
         self, sources: Sequence[NodeId], targets: Sequence[NodeId]
     ) -> np.ndarray:
         """Measured RTTs from each of ``sources`` to each of ``targets``.
 
-        Row ``i`` equals ``measure_many(sources[i], targets)`` issued in
-        source order, bit for bit, including the probe accounting and
-        the fault overlay.  Noise is drawn once per source row, as
-        ``measure_many`` draws it: one ``(probed, probe_count)`` block
-        of the row's non-self targets.  The numpy ``Generator`` fills
-        that block from the same bit stream per-target draws would
-        consume, and keeping one draw per row keeps the sanitizer
-        ledger's draw counts and digests those of a per-source loop.
+        Row ``i`` equals what a per-source loop measures for
+        ``sources[i]`` in source order, bit for bit, including the probe
+        accounting and the fault overlay.  Noise is drawn once per
+        source row: one ``(probed, probe_count)`` block of the row's
+        non-self targets.  The numpy ``Generator`` fills that block from
+        the same bit stream per-target draws would consume, and keeping
+        one draw per row keeps the sanitizer ledger's draw counts and
+        digests those of a per-source loop.
         Self pairs read 0.0 and draw nothing.
         """
         sources = list(sources)

@@ -127,10 +127,6 @@ class TestbedCache:
             self._entries.popitem(last=False)
             self._stats["evictions"] += 1
 
-    def clear_memory(self) -> None:
-        """Drop every in-memory entry (the disk store is untouched)."""
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
 

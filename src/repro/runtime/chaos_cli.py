@@ -42,6 +42,21 @@ def timeout_seconds(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """``argparse`` type of ``--jobs`` and ``--repetitions``: an int >= 1.
+
+    Shared by ``repro experiment``, ``repro sanitize run`` and ``repro
+    chaos run`` so a zero or negative count is a usage error (exit 2)
+    before any work runs.
+    """
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
 def backoff_seconds(text: str) -> float:
     """``argparse`` type of ``--retry-backoff``: finite seconds >= 0."""
     value = float(text)
@@ -65,13 +80,13 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     run.add_argument("--figure", required=True, choices=sorted(REGISTRY))
     run.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
+        "--jobs", type=positive_int, default=2, metavar="N",
         help="worker processes (>= 2: a killed worker must leave "
              "survivors; default 2)",
     )
     _add_chaos_args(run)
     run.add_argument("--seed", type=int)
-    run.add_argument("--repetitions", type=int)
+    run.add_argument("--repetitions", type=positive_int)
     run.add_argument("--paper-scale", action="store_true")
     run.add_argument(
         "--cache-dir", metavar="DIR",

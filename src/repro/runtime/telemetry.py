@@ -185,26 +185,6 @@ class PerfCollector(TaskHook):
     def tasks(self) -> List[TaskPerf]:
         return list(self._tasks)
 
-    def stragglers(self, wall_ratio: float = 4.0) -> List[int]:
-        """Task indices whose attempt ran ``wall_ratio`` × the mean wall.
-
-        The queue-wait stats already summarised in ``worker_queue_wait_*``
-        say whether units *waited* unusually long; this names the units
-        that *ran* unusually long — the candidates for a tighter
-        ``task_timeout_s``.  Deterministic given the recorded perf data.
-        """
-        if wall_ratio <= 0:
-            raise ValueError(f"wall_ratio must be > 0, got {wall_ratio}")
-        tasks = self._tasks
-        if not tasks:
-            return []
-        mean_s = sum(t.wall_s for t in tasks) / len(tasks)
-        if mean_s <= 0:
-            return []
-        return sorted(
-            t.index for t in tasks if t.wall_s >= wall_ratio * mean_s
-        )
-
     def summary(self) -> Dict[str, float]:
         """The ``worker_*`` metrics merged into a figure's manifest.
 

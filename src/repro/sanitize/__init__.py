@@ -26,7 +26,6 @@ from repro.sanitize.instrument import (
     EVENT_SITE,
     SanitizeError,
     SanitizerState,
-    active_state,
     sanitize,
 )
 from repro.sanitize.ledger import (
@@ -50,7 +49,6 @@ __all__ = [
     "SanitizeError",
     "SanitizerState",
     "SiteEntry",
-    "active_state",
     "diff_ledgers",
     "fold",
     "fold_segment",

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional, TextIO
 
+from repro.runtime.chaos_cli import positive_int
 from repro.sanitize.instrument import sanitize
 from repro.sanitize.ledger import (
     Ledger,
@@ -44,9 +45,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     run.add_argument("--figure", required=True, choices=sorted(REGISTRY))
     run.add_argument("--out", required=True, metavar="PATH",
                      help="write the ledger JSON here")
-    run.add_argument("--jobs", type=int, default=1, metavar="N")
+    run.add_argument("--jobs", type=positive_int, default=1, metavar="N")
     run.add_argument("--seed", type=int)
-    run.add_argument("--repetitions", type=int)
+    run.add_argument("--repetitions", type=positive_int)
     run.add_argument("--paper-scale", action="store_true")
     run.add_argument(
         "--cache-dir", metavar="DIR",

@@ -79,11 +79,6 @@ class SanitizeError(RuntimeError):
     """Misuse of the sanitizer (nesting, diffing incompatible ledgers)."""
 
 
-def active_state() -> Optional["SanitizerState"]:
-    """The sanitizer currently recording, if any."""
-    return _ACTIVE
-
-
 def _caller_site() -> Tuple[str, Tuple[str, ...]]:
     """Fingerprint + short stack of the first frame outside plumbing."""
     frame = sys._getframe(1)
@@ -122,9 +117,6 @@ class SanitizerState:
         self._phase_str = "main"
 
     # -- phases ------------------------------------------------------
-
-    def current_phase(self) -> str:
-        return self._phase_str
 
     def _phase_changed(self) -> None:
         self._phase_str = "/".join(self._phases) if self._phases else "main"

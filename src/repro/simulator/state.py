@@ -12,15 +12,12 @@ reference oracle, and test/analysis inspection.
 
 Records are plain lists (not dataclasses) because the batched kernel
 creates one per admitted document on the hot path; index with the
-``REC_*`` constants.  The numpy export helpers materialise the columnar
-analysis surface (occupancy, residency, version matrices) on demand.
+``REC_*`` constants.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, List
 
 from repro.errors import SimulationError
 from repro.types import DocumentId, NodeId
@@ -68,38 +65,3 @@ class CacheStore:
         """Registered nodes in registration order."""
         return list(self.docs)
 
-    # -- numpy export surface ------------------------------------------
-
-    def used_bytes_array(self, nodes: Sequence[NodeId]) -> np.ndarray:
-        """Used bytes per cache as an int64 vector in ``nodes`` order."""
-        return np.asarray(
-            [self.used[node] for node in nodes], dtype=np.int64
-        )
-
-    def occupancy_fractions(self, nodes: Sequence[NodeId]) -> np.ndarray:
-        """``used/capacity`` per cache as a float vector in ``nodes`` order."""
-        return np.asarray(
-            [self.used[node] / self.capacity[node] for node in nodes],
-            dtype=float,
-        )
-
-    def residency_matrix(
-        self, nodes: Sequence[NodeId], num_documents: int
-    ) -> np.ndarray:
-        """Boolean (cache, document) residency matrix in ``nodes`` order."""
-        out = np.zeros((len(nodes), num_documents), dtype=bool)
-        for row, node in enumerate(nodes):
-            resident = list(self.docs[node])
-            if resident:
-                out[row, resident] = True
-        return out
-
-    def version_matrix(
-        self, nodes: Sequence[NodeId], num_documents: int
-    ) -> np.ndarray:
-        """Stored version per (cache, document); -1 where not resident."""
-        out = np.full((len(nodes), num_documents), -1, dtype=np.int64)
-        for row, node in enumerate(nodes):
-            for doc_id, record in self.docs[node].items():
-                out[row, doc_id] = record[REC_VERSION]
-        return out

@@ -79,20 +79,6 @@ class DistanceMatrix:
         """The full read-only RTT matrix."""
         return self._rtt
 
-    def nearest_to(self, node: NodeId, candidates: Sequence[NodeId]) -> NodeId:
-        """The candidate with the smallest RTT to ``node``.
-
-        Ties resolve to the earliest candidate (``np.argmin`` returns
-        the first minimum), matching the previous ``min()`` semantics.
-        """
-        idx = np.asarray(list(candidates), dtype=int)
-        if idx.size == 0:
-            raise ValueError("candidates must be non-empty")
-        if idx.min() < 0 or idx.max() >= self.size:
-            raise TopologyError(f"candidate ids out of range: {candidates!r}")
-        row = self.row(node)
-        return int(idx[int(np.argmin(row[idx]))])
-
     def _check(self, node: NodeId) -> None:
         if not 0 <= node < self.size:
             raise TopologyError(

@@ -106,25 +106,6 @@ class NetworkGraph:
         except KeyError:
             raise TopologyError(f"unknown router {router}") from None
 
-    def position_of(self, router: RouterId) -> Optional[Tuple[float, float]]:
-        try:
-            return self._graph.nodes[router]["position"]
-        except KeyError:
-            raise TopologyError(f"unknown router {router}") from None
-
-    def has_link(self, a: RouterId, b: RouterId) -> bool:
-        return self._graph.has_edge(a, b)
-
-    def link_latency(self, a: RouterId, b: RouterId) -> float:
-        if not self._graph.has_edge(a, b):
-            raise TopologyError(f"no link between {a} and {b}")
-        return self._graph[a][b][self.LATENCY_KEY]
-
-    def neighbors(self, router: RouterId) -> List[RouterId]:
-        if router not in self._graph:
-            raise TopologyError(f"unknown router {router}")
-        return list(self._graph.neighbors(router))
-
     def domains(self) -> Dict[str, List[RouterId]]:
         """Map domain label -> routers, in insertion order."""
         out: Dict[str, List[RouterId]] = {}

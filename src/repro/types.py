@@ -16,9 +16,6 @@ nodes ``1..N`` of the edge cache network (the paper writes ``Os`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
-
 # Aliases are intentionally plain ints: they index numpy arrays everywhere.
 RouterId = int
 NodeId = int
@@ -72,71 +69,6 @@ def s_to_ms(value_s: Seconds) -> Ms:
     """
     return value_s * MS_PER_S
 
+
 #: Node id of the origin server in every EdgeCacheNetwork.
 ORIGIN_NODE_ID: NodeId = 0
-
-
-def cache_node_id(cache_index: int) -> NodeId:
-    """Map a paper-style cache index (``Ec_i``) to its network node id."""
-    if cache_index < 0:
-        raise ValueError(f"cache_index must be >= 0, got {cache_index}")
-    return cache_index + 1
-
-
-def cache_index(node_id: NodeId) -> int:
-    """Map a network node id back to its paper-style cache index."""
-    if node_id <= ORIGIN_NODE_ID:
-        raise ValueError(
-            f"node id {node_id} does not denote an edge cache "
-            f"(origin server is node {ORIGIN_NODE_ID})"
-        )
-    return node_id - 1
-
-
-@dataclass(frozen=True)
-class Millis:
-    """A latency value in milliseconds.
-
-    A tiny wrapper used at API boundaries where a bare float would be
-    ambiguous (seconds vs milliseconds).  Internal numeric kernels use
-    plain floats in milliseconds throughout.
-    """
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"latency cannot be negative: {self.value}")
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __add__(self, other: "Millis") -> "Millis":
-        return Millis(self.value + float(other))
-
-    def __lt__(self, other: "Millis") -> bool:
-        return self.value < float(other)
-
-
-@dataclass(frozen=True)
-class Bytes:
-    """A size value in bytes (documents, cache capacity)."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"size cannot be negative: {self.value}")
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def as_node_list(nodes: Sequence[NodeId]) -> List[NodeId]:
-    """Return ``nodes`` as a list, validating ids are non-negative ints."""
-    out: List[NodeId] = []
-    for node in nodes:
-        if int(node) != node or node < 0:
-            raise ValueError(f"invalid node id: {node!r}")
-        out.append(int(node))
-    return out

@@ -146,13 +146,3 @@ def generate_flash_crowd_workload(
     return Workload(
         catalog=catalog, requests=requests, updates=tuple(updates)
     )
-
-
-def burst_window(
-    crowd: FlashCrowdConfig, duration_ms: float
-) -> tuple:
-    """The ``(start_ms, end_ms)`` of the ±2σ burst window."""
-    crowd.validate()
-    center = crowd.center_fraction * duration_ms
-    sigma = crowd.width_fraction * duration_ms
-    return (max(0.0, center - 2 * sigma), min(duration_ms, center + 2 * sigma))

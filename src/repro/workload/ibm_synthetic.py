@@ -85,10 +85,6 @@ class Workload:
             max((u.timestamp_ms for u in self.updates), default=0.0),
         )
 
-    def requests_of(self, cache: NodeId) -> RequestLog:
-        """The request stream arriving at one cache."""
-        return self.requests[self.requests.cache_nodes == cache]
-
     def save(self, request_path: PathLike, update_path: PathLike) -> None:
         """Write both logs to disk (catalog is regenerable from config)."""
         write_request_log(self.requests, request_path)

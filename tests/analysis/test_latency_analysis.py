@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import improvement_percent, latency_by_subset
+from repro.analysis import improvement_percent
 from repro.core.groups import singleton_groups
 from repro.errors import SchemeError
 from repro.simulator import simulate
@@ -30,10 +30,6 @@ class TestLatencyBySubset:
             singleton_groups(small_network.cache_nodes),
             small_workload,
         )
-        subsets = {
-            "near": small_network.caches_nearest_origin(5),
-            "far": small_network.caches_farthest_origin(5),
-        }
-        out = latency_by_subset(result, subsets)
-        assert set(out) == {"near", "far"}
-        assert out["far"] > out["near"]
+        near = small_network.caches_nearest_origin(5)
+        far = small_network.caches_farthest_origin(5)
+        assert result.average_latency_ms(far) > result.average_latency_ms(near)

@@ -18,7 +18,6 @@ class TestClustering:
         c = make([0, 1, 0, 2], k=3)
         assert c.members(0).tolist() == [0, 2]
         assert c.members(1).tolist() == [1]
-        assert c.num_points == 4
 
     def test_cluster_sizes(self):
         c = make([0, 1, 0], k=3)

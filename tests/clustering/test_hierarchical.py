@@ -19,6 +19,19 @@ def two_blocks():
     return d
 
 
+def mean_intra_cluster_distance(d, clustering):
+    """Mean over non-empty clusters of the mean pairwise distance."""
+    per_cluster = []
+    for cluster in np.unique(clustering.labels):
+        members = clustering.members(cluster)
+        m = members.size
+        block = d[np.ix_(members, members)]
+        per_cluster.append(
+            np.triu(block, k=1).sum() / (m * (m - 1) / 2) if m > 1 else 0.0
+        )
+    return float(np.mean(per_cluster))
+
+
 class TestHierarchicalClustering:
     def test_recovers_blocks(self):
         result = HierarchicalClustering(k=2).fit(two_blocks())
@@ -73,8 +86,6 @@ class TestHierarchicalClustering:
 
     def test_on_real_network_rtts(self, small_network):
         """Complete linkage on true RTTs yields tight groups."""
-        from repro.clustering.quality import mean_intra_cluster_distance
-
         d = small_network.distances.submatrix(small_network.cache_nodes)
         result = HierarchicalClustering(k=5).fit(d)
         tight = mean_intra_cluster_distance(d, result)

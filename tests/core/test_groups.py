@@ -52,7 +52,6 @@ class TestGroupingResult:
         assert result.group_of(3).group_id == 1
         assert result.membership() == {1: 0, 2: 0, 3: 1}
         assert result.sizes() == [2, 1]
-        assert result.average_group_size() == 1.5
 
     def test_overlap_rejected(self):
         with pytest.raises(SchemeError):

@@ -27,7 +27,8 @@ class TestZeroFaultByteIdentity:
         )
         targets = [0, 1, 2, 3]
         np.testing.assert_array_equal(
-            plain.measure_many(4, targets), overlay.measure_many(4, targets)
+            plain.measure_rows([4], targets)[0],
+            overlay.measure_rows([4], targets)[0],
         )
 
     def test_measure_matrix_identical(self, paper_network):
@@ -95,7 +96,7 @@ class TestLossAndRetries:
         prober = fault_prober(
             paper_network, FaultConfig(probe_loss_rate=0.5)
         )
-        prober.measure_many(1, [0, 2, 3, 4, 5, 6])
+        prober.measure_rows([1], [0, 2, 3, 4, 5, 6])
         base = 6 * prober.config.probe_count
         assert prober.stats.probes_sent == base + prober.stats.retries
 
@@ -136,6 +137,6 @@ class TestFaultDeterminism:
         targets = [0, 2, 3, 4, 5, 6]
         batched = fault_prober(paper_network, self.config(), seed=3)
         looped = fault_prober(paper_network, self.config(), seed=3)
-        many = batched.measure_many(1, targets)
+        many = batched.measure_rows([1], targets)[0]
         singles = np.array([looped.measure(1, t) for t in targets])
         np.testing.assert_array_equal(many, singles)

@@ -6,7 +6,6 @@ from repro.errors import SimulationError
 from repro.faults import (
     FaultSchedule,
     PartitionSpec,
-    merge_fault_events,
     random_fault_schedule,
 )
 from repro.simulator.events import (
@@ -118,13 +117,6 @@ class TestEventLowering:
     def test_events_validate_first(self):
         with pytest.raises(SimulationError):
             FaultSchedule(crashes=((-5.0, 1),)).events()
-
-    def test_merge_appends_extra_failures(self):
-        schedule = FaultSchedule(crashes=((10.0, 3),))
-        extra = [CacheFailEvent(99.0, 7)]
-        merged = merge_fault_events(schedule, extra)
-        assert len(merged) == 2
-        assert merged[-1] is extra[0]
 
 
 class TestRandomSchedule:

@@ -1,6 +1,5 @@
 """Tests for feature-vector construction (SL step 2)."""
 
-import numpy as np
 import pytest
 
 from repro.config import ProbeConfig
@@ -40,13 +39,6 @@ class TestBuildFeatureVectors:
         fv = build_feature_vectors(exact_prober, paper_landmarks, nodes=[2, 4])
         assert fv.nodes == (2, 4)
         assert fv.matrix.shape == (2, 3)
-
-    def test_l2_distance(self, exact_prober, paper_landmarks):
-        fv = build_feature_vectors(exact_prober, paper_landmarks)
-        expected = np.linalg.norm(
-            np.array([12.0, 0.0, 17.0]) - np.array([8.0, 4.0, 14.4])
-        )
-        assert fv.l2_distance(1, 2) == pytest.approx(expected)
 
     def test_unknown_node_rejected(self, exact_prober, paper_landmarks):
         fv = build_feature_vectors(exact_prober, paper_landmarks)

@@ -54,11 +54,11 @@ class TestMeasure:
 
 class TestMeasureMany:
     def test_order_preserved(self, exact_prober):
-        out = exact_prober.measure_many(0, [3, 1, 2])
+        out = exact_prober.measure_rows([0], [3, 1, 2])[0]
         assert out.tolist() == [12.0, 12.0, 8.0]
 
     def test_empty_targets(self, exact_prober):
-        assert exact_prober.measure_many(0, []).size == 0
+        assert exact_prober.measure_rows([0], [])[0].size == 0
 
 
 class TestMeasureMatrix:
@@ -126,7 +126,7 @@ class TestVectorisedEquivalence:
         expected = np.array(
             [sequential.measure(1, target) for target in targets]
         )
-        got = vectorised.measure_many(1, targets)
+        got = vectorised.measure_rows([1], targets)[0]
         assert np.array_equal(got, expected)
         assert (
             vectorised.stats.probes_sent == sequential.stats.probes_sent
@@ -137,8 +137,8 @@ class TestVectorisedEquivalence:
     ):
         with_self = Prober(paper_network, seed=43)
         without_self = Prober(paper_network, seed=43)
-        batch = with_self.measure_many(1, [1, 2, 3])
-        plain = without_self.measure_many(1, [2, 3])
+        batch = with_self.measure_rows([1], [1, 2, 3])[0]
+        plain = without_self.measure_rows([1], [2, 3])[0]
         assert batch[0] == 0.0
         assert np.array_equal(batch[1:], plain)
 

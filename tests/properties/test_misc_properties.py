@@ -58,7 +58,7 @@ class TestCompareProperties:
         report = compare_results(result, result)
         assert report.regressions(tolerance=0.0) == []
         for series in report.series:
-            assert series.max_abs_relative_delta() == 0.0
+            assert all(d == 0.0 for d in series.relative_deltas)
 
     @settings(max_examples=40, deadline=None)
     @given(experiment_results(), st.floats(1.2, 3.0))

@@ -74,14 +74,6 @@ class TestTestbedCache:
         assert reader.stats()["disk_hits"] == 1
         assert reader.stats()["misses"] == 0
 
-    def test_clear_memory_keeps_disk(self, tmp_path):
-        cache = Cache(disk_dir=tmp_path)
-        cache.get_or_build("key", lambda: "v")
-        cache.clear_memory()
-        assert len(cache) == 0
-        value = cache.get_or_build("key", lambda: pytest.fail("rebuilt"))
-        assert value == "v"
-
     def test_stats_delta(self):
         before = {"hits": 2, "misses": 1}
         after = {"hits": 5, "misses": 1, "evictions": 3}

@@ -113,19 +113,6 @@ class TestPerfCollectorMath:
         assert manifest.run_stats["worker_retries"] == 0.0
         assert manifest.run_stats["worker_timeouts"] == 0.0
 
-    def test_stragglers_names_outlier_task_indices(self):
-        collector = PerfCollector(jobs=4)
-        collector.on_map_begin(5)
-        for index in range(4):
-            collector.record_task(index, {"wall_s": 1.0}, None)
-        collector.record_task(4, {"wall_s": 50.0}, None)
-        # mean = 10.8; only the 50s task crosses 4x the mean.
-        assert collector.stragglers() == [4]
-        assert collector.stragglers(wall_ratio=1.0) == [4]
-        assert PerfCollector(jobs=2).stragglers() == []
-        with pytest.raises(ValueError):
-            collector.stragglers(wall_ratio=0.0)
-
 
 class TestProgressReporter:
     def test_reports_progress_and_final_line(self):

@@ -230,6 +230,41 @@ class TestSchedulerTimeArguments:
         assert (args.task_timeout, args.retry_backoff) == (2.5, 0.0)
 
 
+class TestCountArguments:
+    """Zero or negative counts are usage errors before any work runs."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["experiment", "fig3"],
+            ["experiment", "fig4"],
+            ["experiment", "all"],
+            ["sanitize", "run", "--figure", "fig6", "--out", "x.json"],
+            ["chaos", "run", "--figure", "fig6"],
+        ],
+        ids=["experiment-fig3", "experiment-fig4", "experiment-all",
+             "sanitize-run", "chaos-run"],
+    )
+    @pytest.mark.parametrize(
+        "option",
+        [["--jobs", "0"], ["--jobs", "-2"], ["--repetitions", "0"]],
+        ids=lambda option: " ".join(option),
+    )
+    def test_rejected_with_exit_code_2(
+        self, capsys, tmp_path, monkeypatch, command, option
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, *option])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {option[0]}: must be a positive integer" \
+            in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExperimentAll:
     def test_all_archives_selected(self, capsys, tmp_path, monkeypatch):
         """'experiment all' runs the registry and archives results."""

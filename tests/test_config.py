@@ -5,7 +5,6 @@ import pytest
 from repro.config import (
     CacheConfig,
     DocumentConfig,
-    ExperimentConfig,
     GNPConfig,
     KMeansConfig,
     LandmarkConfig,
@@ -58,16 +57,6 @@ class TestTransitStubConfig:
     def test_zero_latency_rejected(self):
         with pytest.raises(ConfigurationError):
             TransitStubConfig(intra_stub_latency_ms=(0.0, 5.0)).validate()
-
-    def test_scaled_for_grows_stub_tier(self):
-        cfg = TransitStubConfig()
-        scaled = cfg.scaled_for(min_stub_routers=10_000)
-        assert scaled.stub_domain_count * scaled.stub_nodes_per_domain >= 10_000
-
-    def test_scaled_for_never_shrinks(self):
-        cfg = TransitStubConfig()
-        scaled = cfg.scaled_for(min_stub_routers=1)
-        assert scaled.stub_nodes_per_domain == cfg.stub_nodes_per_domain
 
     def test_sized_for_density_shrinks_small_networks(self):
         cfg = TransitStubConfig()
@@ -238,16 +227,3 @@ class TestSimulationConfig:
     def test_full_warmup_rejected(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(warmup_fraction=1.0).validate()
-
-
-class TestExperimentConfig:
-    def test_default_validates(self):
-        ExperimentConfig().validate()
-
-    def test_landmarks_exceeding_caches_rejected(self):
-        cfg = ExperimentConfig(
-            placement=PlacementConfig(num_caches=5),
-            landmarks=LandmarkConfig(num_landmarks=10),
-        )
-        with pytest.raises(ConfigurationError):
-            cfg.validate()

@@ -1,81 +1,8 @@
-"""Tests for repro.types: id conventions and value wrappers."""
+"""Tests for repro.types: id conventions."""
 
-import pytest
-
-from repro.types import (
-    ORIGIN_NODE_ID,
-    Bytes,
-    Millis,
-    as_node_list,
-    cache_index,
-    cache_node_id,
-)
+from repro.types import ORIGIN_NODE_ID
 
 
 class TestCacheIdMapping:
     def test_origin_is_node_zero(self):
         assert ORIGIN_NODE_ID == 0
-
-    def test_cache_zero_maps_to_node_one(self):
-        assert cache_node_id(0) == 1
-
-    def test_roundtrip(self):
-        for i in range(10):
-            assert cache_index(cache_node_id(i)) == i
-
-    def test_negative_cache_index_rejected(self):
-        with pytest.raises(ValueError):
-            cache_node_id(-1)
-
-    def test_origin_has_no_cache_index(self):
-        with pytest.raises(ValueError):
-            cache_index(ORIGIN_NODE_ID)
-
-    def test_negative_node_rejected(self):
-        with pytest.raises(ValueError):
-            cache_index(-3)
-
-
-class TestMillis:
-    def test_float_conversion(self):
-        assert float(Millis(2.5)) == 2.5
-
-    def test_addition(self):
-        assert float(Millis(1.0) + Millis(2.0)) == 3.0
-
-    def test_comparison(self):
-        assert Millis(1.0) < Millis(2.0)
-        assert not Millis(2.0) < Millis(1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Millis(-0.1)
-
-
-class TestBytes:
-    def test_int_conversion(self):
-        assert int(Bytes(1024)) == 1024
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Bytes(-1)
-
-
-class TestAsNodeList:
-    def test_passthrough(self):
-        assert as_node_list([0, 1, 2]) == [0, 1, 2]
-
-    def test_coerces_numpy_ints(self):
-        import numpy as np
-
-        out = as_node_list(list(np.arange(3)))
-        assert out == [0, 1, 2]
-        assert all(isinstance(n, int) for n in out)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            as_node_list([0, -1])
-
-    def test_rejects_fractional(self):
-        with pytest.raises(ValueError):
-            as_node_list([0.5])

@@ -73,18 +73,6 @@ class TestDistanceMatrix:
         with pytest.raises(TopologyError):
             m.submatrix([0, 5])
 
-    def test_nearest_to(self):
-        base = np.array(
-            [[0.0, 5.0, 2.0], [5.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
-        )
-        m = DistanceMatrix(base)
-        assert m.nearest_to(0, [1, 2]) == 2
-
-    def test_nearest_to_empty_candidates(self):
-        m = DistanceMatrix(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            m.nearest_to(0, [])
-
 
 class TestComputeRttMatrix:
     def test_shortest_paths_doubled(self):

@@ -7,9 +7,15 @@ from repro.config import DocumentConfig, WorkloadConfig
 from repro.errors import WorkloadError
 from repro.workload.flash_crowd import (
     FlashCrowdConfig,
-    burst_window,
     generate_flash_crowd_workload,
 )
+
+
+def burst_window(crowd, duration_ms):
+    """The ``(start_ms, end_ms)`` of the ±2σ burst window."""
+    center = crowd.center_fraction * duration_ms
+    sigma = crowd.width_fraction * duration_ms
+    return max(0.0, center - 2 * sigma), min(duration_ms, center + 2 * sigma)
 
 
 def small_config():

