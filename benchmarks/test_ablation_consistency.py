@@ -6,7 +6,6 @@ trade-off: invalidation serves zero stale content at the cost of
 invalidation fan-out messages; TTLs trade staleness for silence.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

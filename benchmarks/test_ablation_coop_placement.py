@@ -6,7 +6,6 @@ nobody nearby has.  This bench quantifies whether the trade pays off
 under the default workload.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

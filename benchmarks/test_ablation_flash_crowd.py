@@ -7,7 +7,6 @@ peaks* — so the cooperation gain grows both with burstiness and with
 congestion modelling.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

@@ -6,7 +6,6 @@ penalty, the beacon pays one in-group RTT, and ICP-style multicast pays
 the farthest-peer RTT on every group-wide miss.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

@@ -5,7 +5,6 @@ seeds in feature space* (which k-means++ also provides) versus from
 *server-distance information* (which only SDSL has).
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

@@ -5,7 +5,6 @@ M*(L-1) caches.  Larger M means a better max-min spread at the cost of
 O(M^2) more probes.  The bench records the accuracy/probes trade-off.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

@@ -7,7 +7,6 @@ management" motivation from the paper's introduction.  This bench
 measures how much extra value cooperation gets under congestion.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

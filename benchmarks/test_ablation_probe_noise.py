@@ -5,7 +5,6 @@ clustering accuracy against jitter magnitude and probe count, verifying
 that averaging buys back accuracy lost to jitter.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

@@ -5,7 +5,6 @@ this bench quantifies what that buys over classic policies under the
 dynamic-content workload (where invalidation-awareness matters).
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

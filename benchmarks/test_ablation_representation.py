@@ -5,7 +5,6 @@ coordinates the related-work section cites: how much clustering
 accuracy does each representation deliver, and at what probing cost?
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

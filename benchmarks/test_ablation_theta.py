@@ -6,7 +6,6 @@ theta=2 the library default and checks that extreme theta does not
 collapse the scheme.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

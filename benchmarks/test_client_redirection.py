@@ -6,7 +6,6 @@ the client substrate with the SDSL-grouped network and verifies the
 policy ordering end to end.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

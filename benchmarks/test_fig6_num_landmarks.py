@@ -8,7 +8,6 @@ deviation: on our substrate the SL-vs-random gap at moderate L is
 within noise, while the paper reports a consistent SL win).
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

@@ -4,7 +4,6 @@ Shape requirement: SDSL at or below SL across the K sweep on a fixed
 network (paper: "irrespective of the number of cache groups formed").
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import report, shape_check

@@ -110,9 +110,7 @@ def generate_client_workload(
 
     horizon = float(requests.timestamps_ms[-1])
     updates = generate_update_log(catalog, config, horizon, rng)
-    workload = Workload(
-        catalog=catalog, requests=requests, updates=tuple(updates)
-    )
+    workload = Workload(catalog=catalog, requests=requests, updates=updates)
     return ClientWorkload(workload=workload, access_rtt=access_rtt)
 
 

@@ -127,12 +127,21 @@ def _recompute_centers(
     old_centers: np.ndarray,
     k: int,
 ) -> np.ndarray:
-    """Mean vector per cluster; empty clusters keep their old center."""
+    """Mean vector per cluster; empty clusters keep their old center.
+
+    One stable sort lays each cluster's rows out as one contiguous
+    block in their original order, so each block's ``mean`` adds the
+    same rows in the same order as ``points[labels == cluster]`` would.
+    """
     centers = old_centers.copy()
-    for cluster in range(k):
-        mask = labels == cluster
-        if mask.any():
-            centers[cluster] = points[mask].mean(axis=0)
+    order = np.argsort(labels, kind="stable")
+    grouped = points[order]
+    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    start = 0
+    for cluster, end in enumerate(ends):
+        if end > start:
+            centers[cluster] = grouped[start:end].mean(axis=0)
+        start = end
     return centers
 
 

@@ -44,8 +44,9 @@ PathLike = Union[str, Path]
 
 #: Bump to invalidate every persisted cache entry (keys embed this).
 #: v2: a pickled ``Workload`` holds a columnar ``RequestLog``, not a
-#: tuple of ``RequestRecord``.
-CACHE_FORMAT_VERSION = 2
+#: tuple of ``RequestRecord``.  v3: and a columnar ``UpdateLog``, not a
+#: tuple of ``UpdateRecord``.
+CACHE_FORMAT_VERSION = 3
 
 #: Counter names exposed by :meth:`TestbedCache.stats`.
 STAT_FIELDS = ("hits", "misses", "disk_hits", "disk_stores", "evictions")

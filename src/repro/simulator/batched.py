@@ -7,12 +7,15 @@ folds for every request.  This module replaces that hot path with a
 *slice kernel* over :class:`~repro.simulator.events.EventColumns`:
 
 * Requests live as pre-extracted timestamp/cache/doc columns; no
-  ``RequestEvent`` objects exist at all.
-* The rare *barrier* events (origin updates, failures, recoveries,
-  partition edges) split the request stream into causality-safe
-  slices: between two barriers no cache fails, no partition moves and
-  no origin version changes, so requests are processed in a tight
-  loop with every per-run constant bound to a local.
+  ``RequestEvent`` objects exist at all, and the kernel iterates
+  memoryviews of the columns, so no per-request list is built.
+* The *barriers* (origin updates, failures, recoveries, partition
+  edges) split the request stream into causality-safe slices: between
+  two barriers no cache fails, no partition moves and no origin
+  version changes, so requests are processed in a tight loop with
+  every per-run constant bound to a local.  Updates arrive as
+  timestamp and document columns; an ``OriginUpdateEvent`` is built
+  only for a handler that needs one.
 * Cache state is driven inline: the kernel mutates the shared
   :class:`~repro.simulator.state.CacheStore` records and the
   replacement policies' :meth:`~repro.simulator.replacement.
@@ -61,7 +64,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
 from repro.errors import SimulationError
 from repro.obs.trace import KIND_REQUEST, TraceRecord
 from repro.simulator import events as events_module
-from repro.simulator.events import OriginUpdateEvent
+from repro.simulator.events import EventColumns, OriginUpdateEvent
 
 if TYPE_CHECKING:
     from repro.simulator.engine import SimulationEngine
@@ -111,19 +114,26 @@ def _flush_trace(trace, rows: list) -> None:
     del rows[:]
 
 
-def _merged_stream(
-    req_ts: list, barriers: tuple, positions: list
-) -> Iterator[Tuple[str, float]]:
+def _merged_stream(columns: EventColumns) -> Iterator[Tuple[str, float]]:
     """(type name, timestamp) pairs in merged event order (ledger feed)."""
+    req_ts = columns.req_timestamps.tolist()
+    events = iter(columns.barrier_events)
     lo = 0
-    for index, barrier in enumerate(barriers):
-        hi = positions[index]
-        for j in range(lo, hi):
-            yield ("RequestEvent", req_ts[j])
+    for hi, ts, doc in zip(
+        columns.barrier_positions.tolist(),
+        columns.barrier_timestamps.tolist(),
+        columns.barrier_docs.tolist(),
+    ):
+        for t in req_ts[lo:hi]:
+            yield ("RequestEvent", t)
         lo = hi
-        yield (type(barrier).__name__, barrier.timestamp_ms)
-    for j in range(lo, len(req_ts)):
-        yield ("RequestEvent", req_ts[j])
+        if doc >= 0:
+            yield (OriginUpdateEvent.__name__, ts)
+        else:
+            event = next(events)
+            yield (type(event).__name__, event.timestamp_ms)
+    for t in req_ts[lo:]:
+        yield ("RequestEvent", t)
 
 
 def run_batched(engine: "SimulationEngine") -> int:
@@ -140,20 +150,22 @@ def run_batched(engine: "SimulationEngine") -> int:
     engine._columns_consumed = True
 
     # -- event stream ------------------------------------------------
-    req_ts = columns.req_timestamps.tolist()
-    req_cache = columns.req_caches.tolist()
-    req_doc = columns.req_docs.tolist()
-    barriers = columns.barriers
+    req_ts_column = columns.req_timestamps
+    req_cache_column = columns.req_caches
+    req_doc_column = columns.req_docs
+    total_requests = req_ts_column.size
     positions = columns.barrier_positions.tolist()
-    total_requests = len(req_ts)
-    num_barriers = len(barriers)
+    barrier_times = columns.barrier_timestamps.tolist()
+    barrier_docs = columns.barrier_docs.tolist()
+    barrier_events = columns.barrier_events
+    num_barriers = len(positions)
 
     hook = events_module.column_ledger()
     if hook is not None:
         # The whole merged stream is recorded before processing, as
         # the oracle does, so ledgers agree even for runs that fail
         # mid-way.
-        hook.record_stream(_merged_stream(req_ts, barriers, positions))
+        hook.record_stream(_merged_stream(columns))
 
     # -- shared state, bound to locals -------------------------------
     config = engine._config
@@ -235,6 +247,7 @@ def run_batched(engine: "SimulationEngine") -> int:
     catalog = origin.catalog
     sizes = catalog.sizes.tolist()
     num_docs = len(sizes)
+    doc_ints = list(range(num_docs))
     origin_versions = origin.hot_state()["versions"]
     origin_version = [0] * num_docs
     for doc, doc_version in origin_versions.items():
@@ -311,7 +324,11 @@ def run_batched(engine: "SimulationEngine") -> int:
     # -- the slice loop ----------------------------------------------
     # Each barrier slice is further split at the warm-up boundary so
     # ``counted`` is a loop constant, and iterated with one zip over
-    # list slices instead of three indexed loads per event.
+    # memoryview slices of the request columns instead of three indexed
+    # loads per event.  A view yields each row's float and ints as the
+    # loop reaches them, so no list of the log is ever built; doc ids
+    # map through ``doc_ints``, so the heap entries and cache records
+    # that requests make share one int object per document.
     #
     # A request takes one of two service paths.  A local hit keeps an
     # accounting block of its own: its latency and histogram bin are
@@ -322,6 +339,11 @@ def run_batched(engine: "SimulationEngine") -> int:
     # fetch, a request at a down cache) takes the fetch path, which
     # has one origin-cost expression and one accounting tail.
     barrier_index = 0
+    event_index = 0
+    req_ts_view = memoryview(req_ts_column)
+    req_cache_view = memoryview(req_cache_column)
+    req_doc_view = memoryview(req_doc_column)
+    doc_int = doc_ints.__getitem__
     i = 0
     while True:
         hi = (
@@ -337,11 +359,10 @@ def run_batched(engine: "SimulationEngine") -> int:
             else:
                 sub_hi = hi
                 counted = True
-            lo_next = sub_hi
             for ts, c, d in zip(
-                req_ts[lo:sub_hi],
-                req_cache[lo:sub_hi],
-                req_doc[lo:sub_hi],
+                req_ts_view[lo:sub_hi],
+                req_cache_view[lo:sub_hi],
+                map(doc_int, req_doc_view[lo:sub_hi]),
             ):
                 if next_tick <= ts:
                     next_tick = _flush_samples(
@@ -658,15 +679,15 @@ def run_batched(engine: "SimulationEngine") -> int:
                         transfer, messages, size, counted, stale,
                     ))
 
-            lo = lo_next
+            lo = sub_hi
         i = hi
         if barrier_index >= num_barriers:
             break
 
-        # ---- barrier event ----
-        barrier = barriers[barrier_index]
+        # ---- barrier ----
+        barrier_ts = barrier_times[barrier_index]
+        doc = barrier_docs[barrier_index]
         barrier_index += 1
-        barrier_ts = barrier.timestamp_ms
         if next_tick <= barrier_ts:
             next_tick = _flush_samples(
                 sampler, sample_gauges, barrier_ts, window_local,
@@ -678,18 +699,19 @@ def run_batched(engine: "SimulationEngine") -> int:
             # The handler may append its own trace record; flush the
             # buffered request rows first to keep JSONL order exact.
             _flush_trace(trace, trace_buf)
-        if (
-            util_mode
-            and not partition_of
-            and type(barrier) is OriginUpdateEvent
-        ):
+        if doc < 0:
+            # Failures, recoveries and partition edges: the engine's
+            # handler on the shared state.
+            barrier = barrier_events[event_index]
+            event_index += 1
+            handlers[type(barrier)](engine, barrier)
+        elif util_mode and not partition_of:
             # Origin update, inline: OriginServer.apply_update (same
             # checks, same messages) then the engine's invalidation
             # fan-out, replaying EdgeCache.invalidate/_remove,
             # UtilityPolicy.on_invalidation_feedback/on_remove and
             # GroupProtocol.drop_copy on the shared state.  With no
             # partition active every holder is reachable.
-            doc = barrier.doc_id
             if not 0 <= doc < num_docs:
                 raise SimulationError(
                     f"unknown document {doc} (catalog size {num_docs})"
@@ -728,21 +750,19 @@ def run_batched(engine: "SimulationEngine") -> int:
                             del pver_by[h][doc]
                             m_inval[h] += 1
         else:
-            # Every other barrier (failures, partition edges, updates
-            # under LRU/LFU or an active partition): the engine's
-            # handler on the shared state.
-            handlers[type(barrier)](engine, barrier)
-            if type(barrier) is OriginUpdateEvent:
-                origin_version[barrier.doc_id] = origin_versions[
-                    barrier.doc_id
-                ]
+            # An update under LRU/LFU or an active partition: the
+            # engine's handler, on the one event object it needs.
+            handlers[OriginUpdateEvent](
+                engine, OriginUpdateEvent(barrier_ts, doc)
+            )
+            origin_version[doc] = origin_versions[doc]
 
     # -- postlude ----------------------------------------------------
     # The last event is the last barrier unless a request follows it.
     if num_barriers and positions[-1] == total_requests:
-        last_ts = barriers[-1].timestamp_ms
+        last_ts = barrier_times[-1]
     else:
-        last_ts = req_ts[-1] if req_ts else 0.0
+        last_ts = req_ts_column[-1].item() if total_requests else 0.0
 
     if trace_buf:
         _flush_trace(trace, trace_buf)

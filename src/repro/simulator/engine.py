@@ -177,16 +177,10 @@ class SimulationEngine:
                     f"request targets cache {bad} which is "
                     f"not in the network"
                 )
-        # Barrier events in push order (updates, failures, faults): the
-        # columns' stable timestamp sort and the oracle's push-index
-        # tie-break both read this order.
+        # Barriers in push order (updates, then failures, then faults):
+        # the columns' stable timestamp sort and the oracle's push-index
+        # tie-break both read this order.  Updates stay columns.
         barrier_events: List[Event] = []
-        for update in workload.updates:
-            barrier_events.append(
-                OriginUpdateEvent(
-                    timestamp_ms=update.timestamp_ms, doc_id=update.doc_id
-                )
-            )
         for failure in failures:
             if failure.cache_node not in self._caches:
                 raise SimulationError(
@@ -216,7 +210,7 @@ class SimulationEngine:
                 barrier_events.append(fault_event)
         self._barrier_events = tuple(barrier_events)
         self._columns = columns_from_arrays(
-            req_ts, req_cache, req_doc, barrier_events
+            req_ts, req_cache, req_doc, workload.updates, barrier_events
         )
         self._columns_consumed = False
 
@@ -557,11 +551,12 @@ def run_reference(engine: SimulationEngine) -> int:
 
     Same signature and contract as the kernel, built from nothing the
     kernel uses to order events: one :class:`RequestEvent` per workload
-    request (pushed first) and the engine's barrier events, sorted by
-    the key ``(timestamp, priority, push index)`` and dispatched one by
-    one through the engine's handler table.  Tests swap it in with
-    ``monkeypatch.setattr(repro.simulator.engine, "run_batched",
-    run_reference)`` and require byte-equal results.
+    request (pushed first), one :class:`OriginUpdateEvent` per row of
+    the workload's update columns, then the engine's other barrier
+    events, sorted by the key ``(timestamp, priority, push index)`` and
+    dispatched one by one through the engine's handler table.  Tests
+    swap it in with ``monkeypatch.setattr(repro.simulator.engine,
+    "run_batched", run_reference)`` and require byte-equal results.
     """
     if engine._columns_consumed:
         return 0
@@ -575,6 +570,13 @@ def run_reference(engine: SimulationEngine) -> int:
             requests.doc_ids.tolist(),
         )
     ]
+    updates = engine._workload.updates
+    pushed.extend(
+        OriginUpdateEvent(timestamp_ms=t, doc_id=d)
+        for t, d in zip(
+            updates.timestamps_ms.tolist(), updates.doc_ids.tolist()
+        )
+    )
     pushed.extend(engine._barrier_events)
     order = sorted(
         range(len(pushed)),

@@ -15,12 +15,15 @@ order, which keeps runs fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.types import DocumentId, NodeId, SimMs
+
+if TYPE_CHECKING:
+    from repro.workload.trace import UpdateLog
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,13 @@ class EventColumns:
 
     Requests — by far the bulk of any workload — live as three parallel
     numpy columns sorted by timestamp (stable, so ties keep workload
-    order — the push-order tie-break).  The rare *barrier* events
-    (origin updates, cache failures and recoveries, partition edges —
-    everything with priority 0) stay as ordinary event objects, sorted
-    stably by timestamp in push order.
+    order — the push-order tie-break).  The *barriers* (everything with
+    priority 0) are sorted stably by timestamp in push order: origin
+    updates first, then the other barrier events.  Barrier ``i`` runs
+    at ``barrier_timestamps[i]``; it updates document
+    ``barrier_docs[i]``, or, where that is -1, it is the next of
+    ``barrier_events`` (cache failures and recoveries, partition
+    edges), the only barriers kept as event objects.
 
     ``barrier_positions[i]`` is the index of the first request that
     must be processed *after* barrier ``i``: barriers carry priority 0
@@ -122,7 +128,9 @@ class EventColumns:
     req_timestamps: np.ndarray
     req_caches: np.ndarray
     req_docs: np.ndarray
-    barriers: Tuple[Event, ...]
+    barrier_timestamps: np.ndarray
+    barrier_docs: np.ndarray
+    barrier_events: Tuple[Event, ...]
     barrier_positions: np.ndarray
 
 
@@ -130,9 +138,15 @@ def columns_from_arrays(
     req_ts: np.ndarray,
     req_cache: np.ndarray,
     req_doc: np.ndarray,
-    barrier_events: Sequence[Event],
+    updates: UpdateLog,
+    barrier_events: Sequence[Event] = (),
 ) -> EventColumns:
-    """Assemble :class:`EventColumns` from pre-extracted request columns."""
+    """Assemble :class:`EventColumns` from request and update columns.
+
+    ``barrier_events`` are the barriers other than updates, in push
+    order; ``updates`` are pushed before them.
+    """
+    barrier_events = tuple(barrier_events)
     if not (req_ts.size == req_cache.size == req_doc.size):
         raise SimulationError(
             "request columns disagree on length: "
@@ -157,20 +171,34 @@ def columns_from_arrays(
             raise SimulationError(
                 f"barrier events must have priority 0, got {event!r}"
             )
-    barriers = tuple(
-        sorted(barrier_events, key=lambda e: e.timestamp_ms)
-    )
-    positions = np.searchsorted(
-        req_ts,
-        np.asarray([b.timestamp_ms for b in barriers], dtype=np.float64),
-        side="left",
-    ).astype(np.int64)
+    # One stable sort over updates-then-events: ties keep push order,
+    # the order sorted(..., key=timestamp) gives the pushed objects.
+    num_updates = len(updates)
+    timestamps = np.concatenate([
+        updates.timestamps_ms,
+        np.asarray(
+            [event.timestamp_ms for event in barrier_events],
+            dtype=np.float64,
+        ),
+    ])
+    order = np.argsort(timestamps, kind="stable")
+    timestamps = timestamps[order]
+    docs = np.concatenate([
+        updates.doc_ids, np.full(len(barrier_events), -1, dtype=np.int64)
+    ])[order]
     return EventColumns(
         req_timestamps=req_ts,
         req_caches=req_cache,
         req_docs=req_doc,
-        barriers=barriers,
-        barrier_positions=positions,
+        barrier_timestamps=timestamps,
+        barrier_docs=docs,
+        barrier_events=tuple(
+            barrier_events[index - num_updates]
+            for index in order[docs < 0].tolist()
+        ),
+        barrier_positions=np.searchsorted(
+            req_ts, timestamps, side="left"
+        ).astype(np.int64),
     )
 
 

@@ -13,6 +13,7 @@ from repro.workload.zipf import ZipfSampler
 from repro.workload.trace import (
     RequestLog,
     RequestRecord,
+    UpdateLog,
     UpdateRecord,
     read_request_log,
     read_update_log,
@@ -39,6 +40,7 @@ __all__ = [
     "ZipfSampler",
     "RequestLog",
     "RequestRecord",
+    "UpdateLog",
     "UpdateRecord",
     "read_request_log",
     "write_request_log",

@@ -143,6 +143,4 @@ def generate_flash_crowd_workload(
         np.concatenate(doc_columns),
     )
     updates = generate_update_log(catalog, config, duration_ms, rng)
-    return Workload(
-        catalog=catalog, requests=requests, updates=tuple(updates)
-    )
+    return Workload(catalog=catalog, requests=requests, updates=updates)

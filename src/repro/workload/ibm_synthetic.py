@@ -22,7 +22,9 @@ from repro.workload.documents import DocumentCatalog, build_catalog
 from repro.workload.requests import generate_request_log
 from repro.workload.trace import (
     RequestLog,
+    UpdateLog,
     as_request_log,
+    as_update_log,
     read_request_log,
     read_update_log,
     write_request_log,
@@ -37,31 +39,28 @@ PathLike = Union[str, Path]
 class Workload:
     """A catalog plus time-sorted request and update logs.
 
-    ``requests`` is a :class:`RequestLog`; a sequence of
-    :class:`RequestRecord` (tests, hand-built logs) is converted once
-    on construction.
+    ``requests`` is a :class:`RequestLog` and ``updates`` an
+    :class:`UpdateLog`; a sequence of records (tests, hand-built logs)
+    is converted once on construction.
     """
 
     catalog: DocumentCatalog
     requests: RequestLog
-    updates: tuple
+    updates: UpdateLog
 
     def __post_init__(self) -> None:
         requests = as_request_log(self.requests)
+        updates = as_update_log(self.updates)
         object.__setattr__(self, "requests", requests)
+        object.__setattr__(self, "updates", updates)
         if not requests:
             raise WorkloadError("a workload needs at least one request")
-        unknown = requests.doc_ids >= len(self.catalog)
-        if unknown.any():
-            raise WorkloadError(
-                f"request for unknown doc "
-                f"{int(requests.doc_ids[np.argmax(unknown)])} "
-                f"(catalog size {len(self.catalog)})"
-            )
-        for record in self.updates:
-            if record.doc_id >= len(self.catalog):
+        for kind, log in (("request", requests), ("update", updates)):
+            unknown = log.doc_ids >= len(self.catalog)
+            if unknown.any():
                 raise WorkloadError(
-                    f"update for unknown doc {record.doc_id} "
+                    f"{kind} for unknown doc "
+                    f"{int(log.doc_ids[np.argmax(unknown)])} "
                     f"(catalog size {len(self.catalog)})"
                 )
 
@@ -80,15 +79,15 @@ class Workload:
         A maximum, not the last row: the engine accepts (and re-sorts)
         shuffled logs.
         """
-        return max(
-            float(self.requests.timestamps_ms.max()),
-            max((u.timestamp_ms for u in self.updates), default=0.0),
-        )
+        latest = float(self.requests.timestamps_ms.max())
+        if self.updates:
+            latest = max(latest, float(self.updates.timestamps_ms.max()))
+        return latest
 
     def save(self, request_path: PathLike, update_path: PathLike) -> None:
         """Write both logs to disk (catalog is regenerable from config)."""
         write_request_log(self.requests, request_path)
-        write_update_log(list(self.updates), update_path)
+        write_update_log(self.updates, update_path)
 
 
 def generate_workload(
@@ -111,7 +110,7 @@ def generate_workload(
         raise WorkloadError("generated an empty request log")
     horizon = config.duration_ms or float(requests.timestamps_ms[-1])
     updates = generate_update_log(catalog, config, horizon, rng)
-    return Workload(catalog=catalog, requests=requests, updates=tuple(updates))
+    return Workload(catalog=catalog, requests=requests, updates=updates)
 
 
 def load_workload(
@@ -122,4 +121,4 @@ def load_workload(
     """Rebuild a workload from logs previously written by ``save``."""
     requests = as_request_log(read_request_log(request_path))
     updates = read_update_log(update_path)
-    return Workload(catalog=catalog, requests=requests, updates=tuple(updates))
+    return Workload(catalog=catalog, requests=requests, updates=updates)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.config import WorkloadConfig
 from repro.errors import WorkloadError
 from repro.workload.documents import DocumentCatalog
-from repro.workload.trace import UpdateRecord
+from repro.workload.trace import UpdateLog
 from repro.workload.zipf import ZipfSampler
 
 
@@ -25,25 +25,26 @@ def generate_update_log(
     config: WorkloadConfig,
     horizon_ms: float,
     rng: np.random.Generator,
-) -> List[UpdateRecord]:
+) -> UpdateLog:
     """Generate a time-sorted update log up to ``horizon_ms``.
 
-    Returns an empty list when the catalog has no dynamic documents.
+    Returns an empty log when the catalog has no dynamic documents.
     """
     config.validate()
     if horizon_ms <= 0:
         raise WorkloadError(f"horizon_ms must be > 0, got {horizon_ms}")
+    times: List[float] = []
+    docs: List[int] = []
     dynamic = catalog.dynamic_ids()
     if not dynamic:
-        return []
+        return UpdateLog(times, docs)
 
     sampler = ZipfSampler(len(dynamic), config.zipf_alpha)
-    records: List[UpdateRecord] = []
     t = 0.0
     while True:
         t += float(rng.exponential(config.mean_update_interarrival_ms))
         if t > horizon_ms:
             break
-        target = dynamic[sampler.sample_one(rng)]
-        records.append(UpdateRecord(timestamp_ms=t, doc_id=target))
-    return records
+        times.append(t)
+        docs.append(dynamic[sampler.sample_one(rng)])
+    return UpdateLog(times, docs)

@@ -2,8 +2,6 @@
 
 import csv
 
-import pytest
-
 from repro.analysis.export import (
     CACHE_COLUMNS,
     export_cache_stats,

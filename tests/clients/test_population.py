@@ -5,7 +5,6 @@ import pytest
 
 from repro.clients import place_clients
 from repro.errors import PlacementError
-from repro.topology import build_network, network_from_matrix
 
 
 class TestPlaceClients:

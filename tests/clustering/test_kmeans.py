@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.clustering import KMeans, UniformRandomInit
+from repro.clustering import KMeans
 from repro.config import KMeansConfig
 from repro.errors import ClusteringError
 
@@ -130,3 +130,34 @@ class TestPaperFigure2:
         )
         # {Ec0, Ec1}, {Ec2, Ec3}, {Ec4, Ec5} in node ids.
         assert groups == [(1, 2), (3, 4), (5, 6)]
+
+
+def masked_centers(points, labels, old_centers, k):
+    """The per-cluster mask scan that ``_recompute_centers`` replaces."""
+    centers = old_centers.copy()
+    for cluster in range(k):
+        mask = labels == cluster
+        if mask.any():
+            centers[cluster] = points[mask].mean(axis=0)
+    return centers
+
+
+class TestRecomputeCenters:
+    @pytest.mark.parametrize("dims", [1, 2, 7, 25])
+    def test_bit_identical_to_the_mask_scan(self, dims):
+        from repro.clustering.kmeans import _recompute_centers
+
+        rng = np.random.default_rng(dims)
+        for _ in range(20):
+            n = int(rng.integers(1, 400))
+            k = int(rng.integers(1, 60))
+            # Labels from a random subset of clusters: some stay empty.
+            used = rng.choice(k, size=int(rng.integers(1, k + 1)))
+            labels = used[rng.integers(0, used.size, size=n)]
+            points = rng.normal(0.0, 1e3, size=(n, dims))
+            old = rng.normal(size=(k, dims))
+            got = _recompute_centers(points, labels, old, k)
+            expected = masked_centers(points, labels, old, k)
+            assert got.tobytes() == expected.tobytes()
+            empty = np.bincount(labels, minlength=k) == 0
+            assert np.array_equal(got[empty], old[empty])

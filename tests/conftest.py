@@ -7,8 +7,6 @@ import pytest
 
 from repro.config import (
     DocumentConfig,
-    LandmarkConfig,
-    ProbeConfig,
     WorkloadConfig,
 )
 from repro.probing import NoNoise, Prober

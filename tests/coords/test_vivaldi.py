@@ -1,6 +1,5 @@
 """Tests for Vivaldi coordinates (extension)."""
 
-import numpy as np
 import pytest
 
 from repro.coords import VivaldiCoordinates

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import KMeansConfig, LandmarkConfig, ProbeConfig
+from repro.config import LandmarkConfig, ProbeConfig
 from repro.core import GFCoordinator
 from repro.errors import SchemeError
 from repro.landmarks import GreedyMaxMinSelector, RandomSelector

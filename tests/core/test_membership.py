@@ -1,6 +1,5 @@
 """Tests for dynamic group membership (join/leave under churn)."""
 
-import numpy as np
 import pytest
 
 from repro.config import LandmarkConfig

@@ -4,7 +4,6 @@ The paper walks a 6-cache network (N=6, K=3, L=3, M=2) through all three
 SL steps.  These tests pin the library to that walkthrough.
 """
 
-import numpy as np
 import pytest
 
 from repro.config import KMeansConfig, LandmarkConfig

@@ -5,7 +5,6 @@ import pytest
 
 from repro.config import (
     GNPConfig,
-    KMeansConfig,
     LandmarkConfig,
     SDSLConfig,
 )

@@ -1,7 +1,5 @@
 """Tests for shared experiment plumbing."""
 
-import pytest
-
 from repro.experiments.base import (
     build_testbed,
     default_workload_config,

@@ -5,7 +5,7 @@ import pytest
 from repro.config import ProbeConfig
 from repro.errors import LandmarkSelectionError
 from repro.landmarks import LandmarkSet, build_feature_vectors
-from repro.probing import NoNoise, Prober
+from repro.probing import Prober
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """Tests for the min-dist (adversarial) landmark selector."""
 
 import numpy as np
-import pytest
 
 from repro.config import LandmarkConfig
 from repro.landmarks import GreedyMaxMinSelector, MinDistSelector

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import LandmarkConfig, ProbeConfig
+from repro.config import LandmarkConfig
 from repro.errors import LandmarkSelectionError
 from repro.landmarks import RandomSelector
 from repro.probing import Prober

@@ -1,7 +1,6 @@
 """The ``repro lint`` subcommand: formats, exit codes, baseline flags."""
 
 import json
-import textwrap
 
 import pytest
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.persist import load_network, save_network
-from repro.topology import build_network, network_from_matrix
+from repro.topology import build_network
 
 
 class TestNetworkRoundTrip:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.clustering import KMeans, ServerDistanceBiasedInit
-from repro.config import KMeansConfig
 
 
 @st.composite

@@ -1,7 +1,6 @@
 """Property tests for the reporting/comparison utilities."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

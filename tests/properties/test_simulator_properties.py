@@ -12,12 +12,23 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.core.groups import groups_from_labels, GroupingResult
-from repro.simulator import OriginUpdateEvent, simulate
+from repro.simulator import (
+    CacheFailEvent,
+    CacheRecoverEvent,
+    OriginUpdateEvent,
+    simulate,
+)
 from repro.simulator.cache import EdgeCache
 from repro.simulator.events import columns_from_arrays
 from repro.simulator.replacement import make_policy
 from repro.topology import build_network
-from repro.workload import generate_workload
+from repro.workload import UpdateLog, generate_workload
+
+#: Event times: a few fixed values (-0.0 among them) force ties.
+event_times = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 2.5]),
+    st.floats(min_value=0, max_value=1e6, allow_nan=False),
+)
 
 
 class TestEventColumnsProperties:
@@ -27,10 +38,7 @@ class TestEventColumnsProperties:
             st.floats(min_value=0, max_value=1e6, allow_nan=False),
             min_size=0, max_size=60,
         ),
-        st.lists(
-            st.floats(min_value=0, max_value=1e6, allow_nan=False),
-            min_size=0, max_size=10,
-        ),
+        st.lists(event_times, min_size=0, max_size=10),
     )
     def test_merged_order_non_decreasing(self, times, barrier_times):
         count = len(times)
@@ -38,7 +46,7 @@ class TestEventColumnsProperties:
             np.asarray(times, dtype=np.float64),
             np.ones(count, dtype=np.int64),
             np.arange(count, dtype=np.int64),
-            [OriginUpdateEvent(t, 0) for t in barrier_times],
+            UpdateLog(barrier_times, [0] * len(barrier_times)),
         )
         requests = merged.req_timestamps.tolist()
         assert requests == sorted(times)
@@ -50,11 +58,52 @@ class TestEventColumnsProperties:
         # request at or after its own timestamp.
         stream, lo = [], 0
         positions = merged.barrier_positions.tolist()
-        for position, barrier in zip(positions, merged.barriers):
-            stream += requests[lo:position] + [barrier.timestamp_ms]
+        for position, barrier_ts in zip(
+            positions, merged.barrier_timestamps.tolist()
+        ):
+            stream += requests[lo:position] + [barrier_ts]
             lo = position
         stream += requests[lo:]
         assert stream == sorted(stream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(event_times, st.integers(0, 9)), max_size=20
+        ),
+        st.lists(
+            st.tuples(
+                event_times,
+                st.sampled_from([CacheFailEvent, CacheRecoverEvent]),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_barrier_order_is_the_sorted_push_order(self, updates, others):
+        """Updates pushed first, then the other events: the one stable
+        sort gives the order ``sorted(pushed, key=timestamp_ms)`` does."""
+        events = [kind(t, 1 + i) for i, (t, kind) in enumerate(others)]
+        log = UpdateLog(
+            [t for t, _ in updates], [doc for _, doc in updates]
+        )
+        merged = columns_from_arrays(
+            np.asarray([0.5]), np.ones(1, dtype=np.int64),
+            np.zeros(1, dtype=np.int64), log, events,
+        )
+        pushed = [OriginUpdateEvent(t, doc) for t, doc in updates] + events
+        expected = sorted(pushed, key=lambda event: event.timestamp_ms)
+        remaining = iter(merged.barrier_events)
+        rebuilt = [
+            OriginUpdateEvent(t, doc) if doc >= 0 else next(remaining)
+            for t, doc in zip(
+                merged.barrier_timestamps.tolist(),
+                merged.barrier_docs.tolist(),
+            )
+        ]
+        assert rebuilt == expected
+        assert [
+            repr(event.timestamp_ms) for event in rebuilt
+        ] == [repr(event.timestamp_ms) for event in expected]
 
 
 class TestCacheProperties:

@@ -7,7 +7,6 @@ callback stream stay consistent.
 """
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,

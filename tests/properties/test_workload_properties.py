@@ -10,7 +10,6 @@ from repro.workload import (
     RequestRecord,
     UpdateRecord,
     ZipfSampler,
-    build_catalog,
     generate_workload,
     read_request_log,
     read_update_log,

@@ -102,6 +102,23 @@ class TestKeys:
         assert make_testbed_key(50, 3, 151, 400) != base
         assert make_testbed_key(50, 3, 150, 401) != base
 
+    def test_entry_written_under_format_2_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        # Format 2 pickled a workload's update log as a tuple of records.
+        assert CACHE_FORMAT_VERSION == 3
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime_cache, "CACHE_FORMAT_VERSION", 2)
+            old_key = make_testbed_key(50, 3, 150, 400)
+        Cache(disk_dir=tmp_path).get_or_build(old_key, lambda: "format 2")
+        reader = Cache(disk_dir=tmp_path)
+        value = reader.get_or_build(
+            make_testbed_key(50, 3, 150, 400), lambda: "rebuilt"
+        )
+        assert value == "rebuilt"
+        assert reader.stats()["disk_hits"] == 0
+        assert reader.stats()["misses"] == 1
+
 
 class TestModuleCache:
     def test_configure_preserves_counters(self, tmp_path):

@@ -475,6 +475,39 @@ class TestKernelMatchesOracle:
         assert kernel == oracle
 
 
+def test_requests_share_one_doc_id_int_per_document():
+    """The kernel reads request doc ids through one shared int per
+    document, so the heap entries and cache records that requests make
+    hold no int object of their own (ids above 256 are not interned)."""
+    network = build_network(num_caches=8, seed=5)
+    workload = generate_workload(
+        network.cache_nodes,
+        WorkloadConfig(
+            documents=DocumentConfig(num_documents=600, dynamic_fraction=0.0),
+            requests_per_cache=400,
+            zipf_alpha=0.3,
+        ),
+        seed=5,
+    )
+    nodes = network.cache_nodes
+    grouping = GroupingResult(
+        scheme="test", groups=groups_from_labels(nodes, [0] * len(nodes))
+    )
+    engine = SimulationEngine(
+        network, grouping, workload, SimulationConfig(warmup_fraction=0.0)
+    )
+    engine.run()
+    objects = {}
+    for node in nodes:
+        cache = engine.cache(node)
+        for _, _, doc in cache.policy.hot_state()["heap"]:
+            objects.setdefault(doc, set()).add(id(doc))
+        for doc in cache.store.docs[node]:
+            objects.setdefault(doc, set()).add(id(doc))
+    assert max(objects) > 256
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
 # -- fixed layers on top of the engine ------------------------------------
 
 

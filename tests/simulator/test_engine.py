@@ -9,9 +9,8 @@ from repro.config import (
     CacheConfig,
     DocumentConfig,
     SimulationConfig,
-    WorkloadConfig,
 )
-from repro.core.groups import CacheGroup, GroupingResult, single_group
+from repro.core.groups import CacheGroup, GroupingResult
 from repro.errors import SimulationError
 import repro.simulator.engine as engine_module
 from repro.simulator import SimulationEngine, simulate

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator import (
-    CacheFailEvent,
-    CacheRecoverEvent,
-    OriginUpdateEvent,
-)
+from repro.simulator import CacheFailEvent, CacheRecoverEvent
 from repro.simulator.events import columns_from_arrays
+from repro.workload.trace import UpdateRecord, as_update_log
 
 
-def columns(timestamps, barriers=(), caches=None, docs=None):
+def columns(timestamps, barriers=(), caches=None, docs=None, updates=()):
     """Columns for requests at ``timestamps`` (cache i+1, doc i)."""
     count = len(timestamps)
     return columns_from_arrays(
@@ -22,30 +19,42 @@ def columns(timestamps, barriers=(), caches=None, docs=None):
             dtype=np.int64,
         ),
         np.asarray(docs if docs is not None else range(count), dtype=np.int64),
+        as_update_log(updates),
         barriers,
     )
 
 
 class TestEventColumns:
     def test_barrier_sorts_before_request_at_equal_timestamp(self):
-        update = OriginUpdateEvent(2.0, 0)
-        merged = columns([1.0, 2.0, 3.0], [update])
-        assert merged.barriers == (update,)
+        merged = columns([1.0, 2.0, 3.0], updates=[UpdateRecord(2.0, 4)])
+        assert merged.barrier_timestamps.tolist() == [2.0]
+        assert merged.barrier_docs.tolist() == [4]
+        assert merged.barrier_events == ()
         # The barrier runs before request index 1 (the one at t=2.0).
         assert merged.barrier_positions.tolist() == [1]
 
     def test_equal_timestamp_barriers_keep_push_order(self):
-        pushed = [
-            CacheRecoverEvent(5.0, 3),
-            OriginUpdateEvent(5.0, 7),
-            CacheFailEvent(1.0, 2),
-            OriginUpdateEvent(5.0, 1),
-        ]
-        merged = columns([0.5, 5.0], pushed)
-        assert merged.barriers == (
-            pushed[2], pushed[0], pushed[1], pushed[3],
+        # Updates are pushed before the other barrier events.
+        recover, fail = CacheRecoverEvent(5.0, 3), CacheFailEvent(1.0, 2)
+        merged = columns(
+            [0.5, 5.0], [recover, fail],
+            updates=[UpdateRecord(5.0, 7), UpdateRecord(5.0, 1)],
         )
+        assert merged.barrier_timestamps.tolist() == [1.0, 5.0, 5.0, 5.0]
+        assert merged.barrier_docs.tolist() == [-1, 7, 1, -1]
+        assert merged.barrier_events == (fail, recover)
         assert merged.barrier_positions.tolist() == [1, 1, 1, 1]
+
+    def test_shuffled_update_log_is_resorted_stably(self):
+        merged = columns(
+            [1.0],
+            updates=[
+                UpdateRecord(9.0, 1), UpdateRecord(2.0, 2),
+                UpdateRecord(9.0, 3), UpdateRecord(2.0, 4),
+            ],
+        )
+        assert merged.barrier_timestamps.tolist() == [2.0, 2.0, 9.0, 9.0]
+        assert merged.barrier_docs.tolist() == [2, 4, 1, 3]
 
     def test_shuffled_request_log_is_resorted_stably(self):
         merged = columns(
@@ -60,7 +69,7 @@ class TestEventColumns:
 
     def test_negative_barrier_timestamp_rejected(self):
         with pytest.raises(SimulationError, match=">= 0"):
-            columns([1.0], [OriginUpdateEvent(-1.0, 0)])
+            columns([1.0], [CacheRecoverEvent(-1.0, 1)])
 
     def test_nan_barrier_timestamp_rejected(self):
         with pytest.raises(SimulationError, match="got nan"):
@@ -72,5 +81,5 @@ class TestEventColumns:
                 np.asarray([1.0, 2.0]),
                 np.asarray([1], dtype=np.int64),
                 np.asarray([0, 0], dtype=np.int64),
-                (),
+                as_update_log(()),
             )

@@ -7,7 +7,7 @@ from repro.config import (
     DocumentConfig,
     SimulationConfig,
 )
-from repro.core.groups import CacheGroup, GroupingResult, single_group
+from repro.core.groups import CacheGroup, GroupingResult
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulator import SimulationEngine
 from repro.simulator.origin_load import MAX_UTILISATION, OriginLoadTracker

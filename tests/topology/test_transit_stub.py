@@ -1,7 +1,6 @@
 """Tests for repro.topology.transit_stub: the GT-ITM substitute."""
 
 import numpy as np
-import pytest
 
 from repro.config import TransitStubConfig
 from repro.topology.graph import RouterTier

@@ -1,7 +1,5 @@
 """Tests for repro.utils.stats: online and batch statistics."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -1,6 +1,5 @@
 """Tests for the bounded Zipf sampler."""
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
