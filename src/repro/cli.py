@@ -10,9 +10,12 @@ The subcommands cover the operational workflow end to end::
     repro report     run.json
     repro experiment fig4 --repetitions 2 --plot
 
-``repro experiment`` runs any registered paper-figure experiment and
-prints its table (optionally an ASCII sketch of the curves); results
-can be archived as JSON/CSV for later comparison.  ``repro simulate``
+``repro experiment`` runs one registered paper-figure experiment (or
+``all`` of them) and prints its table (optionally an ASCII sketch of
+the curves); results can be archived as JSON/CSV for later comparison.
+It, ``repro chaos run`` and ``repro sanitize run`` share their run
+options and hand them to :func:`repro.experiments.run_suite`, the one
+function that runs figures.  ``repro simulate``
 optionally instruments the run (``--trace``, ``--sample-ms``,
 ``--manifest``); ``repro report`` pretty-prints an archived manifest
 and its time-series summary.  ``repro lint`` runs the determinism
@@ -28,8 +31,8 @@ the first non-deterministic site (see :mod:`repro.sanitize`)::
     repro sanitize diff serial.json parallel.json
 
 ``repro runs`` queries the run registry — the append-only history that
-``experiment``/``simulate``/``sanitize run`` write to when
-``--registry DIR`` (or ``REPRO_REGISTRY``) is set (see
+``experiment``/``simulate``/``chaos run``/``sanitize run`` write to
+when ``--registry DIR`` (or ``REPRO_REGISTRY``) is set (see
 :mod:`repro.obs.registry`)::
 
     repro runs list --registry runs/
@@ -51,10 +54,11 @@ the archived results byte-identical to a clean run (see
     repro chaos run --figure fig6 --kill-rate 0.2 --jobs 2 --out r.json
     repro chaos plan --tasks 9 --kill-rate 0.2
 
-An interrupted registry-backed sweep resumes from its task journal,
+An interrupted registry-backed sweep resumes from its task journals,
 re-running only unfinished work units::
 
     repro experiment fig6 --registry runs/ --resume auto
+    repro experiment all --registry runs/ --resume auto
 """
 
 from __future__ import annotations
@@ -70,20 +74,29 @@ from repro.analysis.export import (
     export_cache_stats,
     export_experiment_result,
 )
-from repro.bench.cli import configure_parser as configure_bench_parser
+from repro.bench.cli import (
+    configure_parser as configure_bench_parser,
+    run_bench_cli,
+)
 from repro.config import LandmarkConfig, WorkloadConfig, DocumentConfig
 from repro.core.schemes import scheme_by_name
 from repro.errors import ReproError
 from repro.experiments import REGISTRY
-from repro.lint.cli import configure_parser as configure_lint_parser
-from repro.obs.registry_cli import configure_parser as configure_runs_parser
-from repro.runtime.chaos_cli import (
-    backoff_seconds,
-    configure_parser as configure_chaos_parser,
-    positive_int,
-    timeout_seconds,
+from repro.lint.cli import configure_parser as configure_lint_parser, run_lint
+from repro.obs.registry_cli import (
+    configure_parser as configure_runs_parser,
+    run_runs,
 )
-from repro.sanitize.cli import configure_parser as configure_sanitize_parser
+from repro.runtime.chaos_cli import (
+    add_figure_run_args,
+    add_registry_arg,
+    configure_parser as configure_chaos_parser,
+    run_chaos,
+)
+from repro.sanitize.cli import (
+    configure_parser as configure_sanitize_parser,
+    run_sanitize,
+)
 from repro.persist import (
     load_grouping,
     load_network,
@@ -182,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest", metavar="PATH",
         help="write a run manifest (config, phase timings, time series)",
     )
-    _add_registry_arg(sim)
+    add_registry_arg(sim)
     _add_formation_fault_args(sim)
     sim.add_argument(
         "--crash", action="append", default=[], metavar="NODE:FAIL[:RECOVER]",
@@ -214,29 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="run a registered paper-figure experiment"
     )
     exp.add_argument("figure", choices=[*sorted(REGISTRY), "all"])
-    exp.add_argument("--paper-scale", action="store_true")
-    exp.add_argument("--seed", type=int)
-    exp.add_argument("--repetitions", type=positive_int)
+    add_figure_run_args(exp)
     exp.add_argument("--plot", action="store_true", help="ASCII chart")
     exp.add_argument("--out", help="write the result as JSON")
     exp.add_argument("--csv", help="write the result as CSV")
     exp.add_argument(
         "--out-dir",
-        help="(with 'all') archive every figure as JSON/CSV + summary.md",
+        help="archive every figure run as JSON/CSV + summary.md",
     )
     exp.add_argument(
         "--figures",
         help="(with 'all') comma-separated subset, e.g. fig4,fig8",
-    )
-    exp.add_argument(
-        "--jobs", type=positive_int, default=1, metavar="N",
-        help="fan independent work units across N worker processes "
-             "(results are bit-identical to --jobs 1)",
-    )
-    exp.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="persist built networks/workloads under DIR "
-             "(e.g. results/cache) and reuse them across runs",
     )
     exp.add_argument(
         "--worker-perf", action="store_true",
@@ -249,30 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
              "aggregate events/s) while a figure's units run",
     )
     exp.add_argument(
-        "--task-timeout", type=timeout_seconds, metavar="S",
-        help="per-attempt deadline in seconds; an attempt running "
-             "longer is presumed wedged and re-dispatched (with "
-             "--jobs > 1)",
-    )
-    exp.add_argument(
-        "--max-retries", type=int, default=3, metavar="N",
-        help="extra attempts a crashed/timed-out work unit may consume "
-             "before the run fails (default 3)",
-    )
-    exp.add_argument(
-        "--retry-backoff", type=backoff_seconds, default=0.1, metavar="S",
-        help="base pause before re-dispatching after a worker failure, "
-             "doubling per consecutive failure up to 5s (default 0.1)",
-    )
-    exp.add_argument(
         "--resume", metavar="SWEEP_ID",
-        help="resume an interrupted sweep from its task journal in the "
+        help="resume an interrupted sweep from its task journals in the "
              "registry: completed work units are skipped and the "
              "archive matches an uninterrupted run byte for byte "
-             "(needs --registry; pass the sweep id printed by the "
-             "original run, or 'auto')",
+             "(needs --registry; pass 'auto', or the sweep id printed "
+             "by the original single-figure run)",
     )
-    _add_registry_arg(exp)
 
     lint = sub.add_parser(
         "lint",
@@ -319,15 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
-
-
-def _add_registry_arg(parser: argparse.ArgumentParser) -> None:
-    """The --registry flag shared by simulate/experiment (and sanitize)."""
-    parser.add_argument(
-        "--registry", metavar="DIR",
-        help="append this run's manifest to the run registry at DIR "
-             "(default: $REPRO_REGISTRY; see 'repro runs')",
-    )
 
 
 def _resolve_registry(args: argparse.Namespace):
@@ -690,181 +665,73 @@ def render_manifest_text(manifest) -> str:
     return "\n\n".join(sections)
 
 
-def render_manifest_json(manifest) -> str:
-    """Machine-readable report: the exact archived manifest payload."""
-    import json
-
-    from repro.persist.results import manifest_payload
-
-    def _default(value):
-        if hasattr(value, "tolist"):
-            return value.tolist()
-        return str(value)
-
-    return json.dumps(
-        manifest_payload(manifest), indent=2, sort_keys=True,
-        default=_default,
-    ) + "\n"
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.persist import load_manifest
+    from repro.persist.results import load_manifest, manifest_json
 
     manifest = load_manifest(args.manifest)
     if args.output_format == "json":
-        sys.stdout.write(render_manifest_json(manifest))
+        sys.stdout.write(manifest_json(manifest))
     else:
         print(render_manifest_text(manifest))
     return 0
 
 
-def _experiment_journal(args: argparse.Namespace, run_registry, kwargs):
-    """The sweep's TaskJournal (or None) and its sweep id.
-
-    With a registry configured, every single-figure sweep journals its
-    completed work units under ``journals/<sweep_id>.jsonl``.  Plain
-    runs journal in record-only mode (lookups never served, so changed
-    code can never silently reuse stale results); ``--resume`` switches
-    lookups on after validating the id against this sweep's content.
-    """
-    if run_registry is None:
-        return None, None
-    from repro.runtime.journal import TaskJournal, sweep_id_for
-
-    sweep_id = sweep_id_for(args.figure, kwargs)
-    resume = False
-    if args.resume:
-        if args.resume != "auto" and (
-            len(args.resume) < 4 or not sweep_id.startswith(args.resume)
-        ):
-            raise ReproError(
-                f"--resume {args.resume!r} does not match this sweep: "
-                f"the figure/seed/repetitions given here derive sweep id "
-                f"{sweep_id}; re-run with the exact flags of the "
-                f"interrupted run (or pass 'auto')"
-            )
-        resume = True
-    journal = TaskJournal(
-        run_registry.journal_path(sweep_id), resume=resume
-    )
-    return journal, sweep_id
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.runtime import TaskScheduler, configure_cache, use_scheduler
+    from repro.experiments import run_suite
 
-    if args.figure == "all":
-        from repro.experiments import run_suite
-
-        if args.resume:
-            raise ReproError(
-                "--resume works on single-figure sweeps; run the "
-                "interrupted figure directly (each figure journals "
-                "separately)"
-            )
-        figures = None
-        if args.figures:
-            figures = [f.strip() for f in args.figures.split(",") if f.strip()]
-        run = run_suite(
-            figures=figures,
-            output_dir=args.out_dir,
-            paper_scale=args.paper_scale,
-            repetitions=args.repetitions,
-            seed=args.seed,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            worker_perf=args.worker_perf,
-            progress=args.progress,
-            registry_dir=args.registry,
-            task_timeout_s=args.task_timeout,
-            max_retries=args.max_retries,
-            retry_backoff_s=args.retry_backoff,
-        )
-        for experiment_id in sorted(run.results):
-            print(run.results[experiment_id].render())
-            print()
-        if run.output_dir is not None:
-            print(f"archived to {run.output_dir}")
-        return 0
-
-    from repro.experiments.suite import figure_kwargs, run_figure
-
-    kwargs = figure_kwargs(
-        args.figure, args.paper_scale, args.repetitions, args.seed
-    )
-    if args.cache_dir:
-        configure_cache(disk_dir=args.cache_dir)
-    run_registry = _resolve_registry(args)
-    if args.resume and run_registry is None:
-        raise ReproError(
-            "--resume requires --registry DIR (or $REPRO_REGISTRY): "
-            "the task journal lives under the registry root"
-        )
-    journal, sweep_id = _experiment_journal(args, run_registry, kwargs)
-    scheduler = TaskScheduler(
-        args.jobs,
+    single = args.figure != "all"
+    figures = None
+    if single:
+        figures = [args.figure]
+    elif args.figures:
+        figures = [f.strip() for f in args.figures.split(",") if f.strip()]
+    registry = _resolve_registry(args)
+    run = run_suite(
+        figures=figures,
+        output_dir=args.out_dir,
+        paper_scale=args.paper_scale,
+        repetitions=args.repetitions,
+        seed=args.seed,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        worker_perf=args.worker_perf,
+        progress=args.progress,
+        registry_dir=registry.root if registry is not None else None,
+        resume=args.resume,
         task_timeout_s=args.task_timeout,
         max_retries=args.max_retries,
         retry_backoff_s=args.retry_backoff,
     )
-    with scheduler, use_scheduler(scheduler):
-        result, manifest = run_figure(
-            args.figure, kwargs, jobs=args.jobs,
-            worker_perf=args.worker_perf, progress=args.progress,
-            journal=journal,
-        )
-    if journal is not None:
-        resumed = (
-            f", {journal.hits} unit(s) resumed" if journal.resume else ""
-        )
-        print(
-            f"task journal {sweep_id}: {journal.completed} unit(s) on "
-            f"record{resumed} (resume with --resume {sweep_id})"
-        )
-    if run_registry is not None:
-        appended = run_registry.append(manifest, kind="experiment")
-        print(f"registered run {appended.record.run_id}")
-    print(result.render())
-    if args.plot:
-        print()
-        print(sketch(result))
-    if args.out:
-        save_result(result, args.out)
-        print(f"wrote {args.out}")
-    if args.csv:
-        export_experiment_result(result, args.csv)
-        print(f"wrote {args.csv}")
+    for experiment_id in sorted(run.results):
+        journal = run.journals.get(experiment_id)
+        if journal is not None:
+            sweep_id = journal.path.stem
+            resumed = (
+                f", {journal.hits} unit(s) resumed" if journal.resume else ""
+            )
+            print(
+                f"task journal {sweep_id}: {journal.completed} unit(s) on "
+                f"record{resumed} (resume with --resume {sweep_id})"
+            )
+        if experiment_id in run.run_ids:
+            print(f"registered run {run.run_ids[experiment_id]}")
+        print(run.results[experiment_id].render())
+        if not single:
+            print()
+    if single:
+        result = run.results[args.figure]
+        if args.plot:
+            print()
+            print(sketch(result))
+        if args.out:
+            save_result(result, args.out)
+            print(f"wrote {args.out}")
+        if args.csv:
+            export_experiment_result(result, args.csv)
+            print(f"wrote {args.csv}")
+    if run.output_dir is not None:
+        print(f"archived to {run.output_dir}")
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import run_lint
-
-    return run_lint(args)
-
-
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from repro.sanitize.cli import run_sanitize
-
-    return run_sanitize(args)
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.runtime.chaos_cli import run_chaos
-
-    return run_chaos(args)
-
-
-def _cmd_runs(args: argparse.Namespace) -> int:
-    from repro.obs.registry_cli import run_runs
-
-    return run_runs(args)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.cli import run_bench_cli
-
-    return run_bench_cli(args)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -884,11 +751,11 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "report": _cmd_report,
     "experiment": _cmd_experiment,
-    "lint": _cmd_lint,
-    "sanitize": _cmd_sanitize,
-    "chaos": _cmd_chaos,
-    "runs": _cmd_runs,
-    "bench": _cmd_bench,
+    "lint": run_lint,
+    "sanitize": run_sanitize,
+    "chaos": run_chaos,
+    "runs": run_runs,
+    "bench": run_bench_cli,
     "compare": _cmd_compare,
 }
 

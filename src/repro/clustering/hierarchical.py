@@ -11,8 +11,6 @@ dissimilarity matrix (measured RTTs or feature-space distances), via
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster import hierarchy
-from scipy.spatial.distance import squareform
 
 from repro.clustering.assignments import Clustering
 from repro.errors import ClusteringError
@@ -47,6 +45,9 @@ class HierarchicalClustering:
         Deterministic (no seed needed): agglomeration order is fixed by
         the matrix.
         """
+        from scipy.cluster import hierarchy
+        from scipy.spatial.distance import squareform
+
         d = np.asarray(dissimilarity, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ClusteringError(

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.config import GNPConfig
 from repro.errors import EmbeddingError
@@ -100,6 +99,8 @@ def _embed_landmarks(
     objective evaluations per step — which used to dominate the whole
     Figure 7 run.
     """
+    from scipy import optimize
+
     count = measured.shape[0]
     scale = float(measured.max()) or 1.0
 
@@ -152,6 +153,8 @@ def _embed_node(
     Same analytic-gradient treatment as phase 1, specialised to a
     single moving point against fixed landmark coordinates.
     """
+    from scipy import optimize
+
     dims = landmark_coords.shape[1]
     positive = rtts_to_landmarks > 0
     target = rtts_to_landmarks[positive]

@@ -1,12 +1,12 @@
-"""Run the full figure suite and archive the results.
+"""Run figures and archive what they produce, for every command.
 
-``run_suite`` executes every registered experiment, writes each result
-as JSON and CSV into an output directory, and produces a markdown
-summary (one table per figure) — the artifact a reproduction run leaves
-behind.  Each archived figure also gets a ``<fig>.manifest.json`` run
-manifest carrying the seed/scale arguments and the per-phase timings
-(testbed build, scheme runs, simulation) collected while it ran.  The
-CLI exposes it as ``repro experiment all``.
+``run_suite`` is the only code that builds the task scheduler,
+configures the testbed cache and installs the task journal, so
+``repro experiment`` (one figure or ``all``), ``repro chaos run`` and
+``repro sanitize run`` all run figures the same way.  Each archived
+figure gets ``<fig>.json``, ``<fig>.csv`` and a ``<fig>.manifest.json``
+run manifest (seed/scale arguments plus per-phase timings), next to a
+combined ``summary.md``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class SuiteRun:
     results: Dict[str, ExperimentResult]
     output_dir: Optional[Path]
     manifests: Dict[str, RunManifest] = field(default_factory=dict)
+    #: Per figure, the sweep's TaskJournal (registry runs only).
+    journals: Dict[str, Any] = field(default_factory=dict)
+    #: Per figure, the run id its manifest was registered under.
+    run_ids: Dict[str, str] = field(default_factory=dict)
 
     def summary_markdown(self) -> str:
         """A markdown report with one section per figure."""
@@ -96,9 +100,9 @@ def run_figure(
 ) -> Tuple[ExperimentResult, RunManifest]:
     """Run one registered figure under full manifest instrumentation.
 
-    The caller owns scheduler/cache setup (``use_scheduler`` must
-    already be active for ``jobs`` to matter here — ``jobs`` is only
-    recorded).  Returns the figure's result plus a manifest carrying
+    :func:`run_suite` owns scheduler/cache setup (``use_scheduler``
+    must already be active for ``jobs`` to matter here — ``jobs`` is
+    only recorded).  Returns the figure's result plus a manifest carrying
     phase timings, testbed-cache counters, and — when ``worker_perf``
     or ``progress`` is set — the scheduler's ``worker_*`` summary.
     The telemetry module is imported only when actually enabled, so
@@ -170,6 +174,7 @@ def run_suite(
     worker_perf: bool = False,
     progress: bool = False,
     registry_dir: Optional[PathLike] = None,
+    resume: Optional[str] = None,
     task_timeout_s: Optional[float] = None,
     max_retries: int = 3,
     retry_backoff_s: float = 0.1,
@@ -188,15 +193,20 @@ def run_suite(
     ``worker_perf`` records per-task worker telemetry (wall, queue
     wait, cache hits, events/s) into each figure's manifest as a
     ``worker_*`` summary; ``progress`` adds a stderr heartbeat for long
-    sweeps.  ``registry_dir`` appends every figure's manifest to the
-    run registry at that root (see :mod:`repro.obs.registry`).  All
-    three leave the archived results byte-identical — they only add
-    observability around the same computation.
+    sweeps.  ``registry_dir`` is an explicit run-registry root (read
+    from no environment variable here): each figure journals its work
+    units under ``journals/<sweep_id>.jsonl`` in record-only mode and
+    its manifest is appended as ``kind="experiment"``.  ``resume``
+    (``"auto"``, or a sweep-id prefix of at least 4 characters that
+    every selected figure must match) serves completed units from the
+    journals.  None of these changes the archived results.
 
     ``task_timeout_s``/``max_retries``/``retry_backoff_s`` configure the
     scheduler's supervised mode (crash/deadline retries with capped
     exponential backoff — see :mod:`repro.runtime.scheduler`); retries
     re-run pure work units, so they too leave results byte-identical.
+    Task hooks the caller installed (a chaos policy, the sanitizer's
+    ledger hook) stay outermost.
     """
     selected = list(figures) if figures is not None else sorted(REGISTRY)
     unknown = [f for f in selected if f not in REGISTRY]
@@ -204,6 +214,40 @@ def run_suite(
         raise ReproError(
             f"unknown figures: {', '.join(unknown)}; "
             f"known: {', '.join(sorted(REGISTRY))}"
+        )
+    kwargs = {
+        experiment_id: figure_kwargs(
+            experiment_id, paper_scale, repetitions, seed
+        )
+        for experiment_id in selected
+    }
+
+    run_registry = None
+    journals: Dict[str, Any] = {}
+    if registry_dir is not None:
+        from repro.obs.registry import RunRegistry
+        from repro.runtime.journal import TaskJournal, sweep_id_for
+
+        run_registry = RunRegistry(registry_dir)
+        for experiment_id, figure_args in kwargs.items():
+            sweep_id = sweep_id_for(experiment_id, figure_args)
+            if resume not in (None, "auto") and (
+                len(resume) < 4 or not sweep_id.startswith(resume)
+            ):
+                raise ReproError(
+                    f"--resume {resume!r} does not match this sweep: the "
+                    f"figure/seed/repetitions given here derive sweep id "
+                    f"{sweep_id} for {experiment_id}; re-run with the "
+                    f"exact flags of the interrupted run (or pass 'auto')"
+                )
+            journals[experiment_id] = TaskJournal(
+                run_registry.journal_path(sweep_id),
+                resume=resume is not None,
+            )
+    elif resume is not None:
+        raise ReproError(
+            "--resume requires --registry DIR (or $REPRO_REGISTRY): "
+            "the task journal lives under the registry root"
         )
 
     out_path: Optional[Path] = None
@@ -214,14 +258,7 @@ def run_suite(
     if cache_dir is not None:
         configure_cache(disk_dir=cache_dir)
 
-    run_registry = None
-    if registry_dir is not None:
-        from repro.obs.registry import RunRegistry
-
-        run_registry = RunRegistry(registry_dir)
-
-    results: Dict[str, ExperimentResult] = {}
-    manifests: Dict[str, RunManifest] = {}
+    run = SuiteRun(results={}, output_dir=out_path, journals=journals)
     scheduler = TaskScheduler(
         jobs,
         task_timeout_s=task_timeout_s,
@@ -230,17 +267,16 @@ def run_suite(
     )
     with scheduler, use_scheduler(scheduler):
         for experiment_id in selected:
-            kwargs = figure_kwargs(
-                experiment_id, paper_scale, repetitions, seed
-            )
             result, manifest = run_figure(
-                experiment_id, kwargs, jobs=jobs,
+                experiment_id, kwargs[experiment_id], jobs=jobs,
                 worker_perf=worker_perf, progress=progress,
+                journal=journals.get(experiment_id),
             )
-            results[experiment_id] = result
-            manifests[experiment_id] = manifest
+            run.results[experiment_id] = result
+            run.manifests[experiment_id] = manifest
             if run_registry is not None:
-                run_registry.append(manifest, kind="experiment")
+                appended = run_registry.append(manifest, kind="experiment")
+                run.run_ids[experiment_id] = appended.record.run_id
             if out_path is not None:
                 save_result(result, out_path / f"{experiment_id}.json")
                 export_experiment_result(
@@ -250,7 +286,6 @@ def run_suite(
                     manifest, out_path / f"{experiment_id}.manifest.json"
                 )
 
-    run = SuiteRun(results=results, output_dir=out_path, manifests=manifests)
     if out_path is not None:
         (out_path / "summary.md").write_text(
             run.summary_markdown(), encoding="utf-8"

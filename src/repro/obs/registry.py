@@ -26,12 +26,12 @@ JSON, truncated to 12 hex chars.  Re-appending a byte-identical
 manifest re-uses the archived file and is reported as a duplicate, so
 the store only ever grows by distinct runs.
 
-``experiment``, ``simulate``, and ``sanitize run`` append automatically
-when ``--registry DIR`` (or the ``REPRO_REGISTRY`` environment default)
-is set; ``repro runs list|show|compare|gc`` queries the history.  This
-module is never imported by the simulator/experiment hot paths — only
-by the CLI layer when a registry is actually requested — so disabled
-runs pay nothing.
+``experiment``, ``simulate``, ``chaos run`` and ``sanitize run``
+append automatically when ``--registry DIR`` (or the ``REPRO_REGISTRY``
+environment default) is set; ``repro runs list|show|compare|gc``
+queries the history.  This module is never imported by the
+simulator/experiment hot paths — only when a registry is actually
+requested — so disabled runs pay nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import RegistryError
 from repro.obs.manifest import RunManifest
+from repro.persist.results import _plain, manifest_json
 
 PathLike = Union[str, Path]
 
@@ -72,15 +73,6 @@ _JOURNAL_DIR = "journals"
 def canonical_manifest_json(manifest: RunManifest) -> str:
     """The canonical JSON serialisation run ids are hashed over."""
     return json.dumps(manifest.to_dict(), sort_keys=True, default=_plain)
-
-
-def _plain(value: Any) -> Any:
-    """JSON fallback for numpy scalars living in manifest payloads."""
-    for attr in ("item", "tolist"):
-        converter = getattr(value, attr, None)
-        if callable(converter):
-            return converter()
-    raise TypeError(f"not JSON-serialisable: {type(value).__name__}")
 
 
 def manifest_run_id(manifest: RunManifest) -> str:
@@ -323,20 +315,14 @@ class RunRegistry:
         )
 
     def _write_manifest(self, path: Path, manifest: RunManifest) -> None:
-        # Same payload shape repro.persist.save_manifest writes, so
-        # `repro report` and load_manifest read archived runs directly.
-        from repro.persist.results import manifest_payload
-
-        blob = json.dumps(
-            manifest_payload(manifest), indent=2, sort_keys=True,
-            default=_plain,
-        )
+        # Same bytes repro.persist.save_manifest writes, so `repro
+        # report` and load_manifest read archived runs directly.
         fd, tmp_name = tempfile.mkstemp(
             dir=str(self.manifest_dir), suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(blob + "\n")
+                handle.write(manifest_json(manifest))
             os.replace(tmp_name, path)
         except OSError:
             try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Any, Union
 
 from repro.analysis.report import ExperimentResult, SeriesResult
 from repro.errors import ReproError
@@ -67,13 +67,17 @@ def load_result(path: PathLike) -> ExperimentResult:
         raise ReproError(f"{path}: malformed result payload") from exc
 
 
-def manifest_payload(manifest: RunManifest) -> dict:
-    """The versioned JSON payload a manifest is persisted as.
+def _plain(value: Any) -> Any:
+    """JSON fallback for numpy scalars living in manifests and payloads."""
+    for attr in ("item", "tolist"):
+        converter = getattr(value, attr, None)
+        if callable(converter):
+            return converter()
+    raise TypeError(f"not JSON-serialisable: {type(value).__name__}")
 
-    Shared by :func:`save_manifest`, the run registry's archived
-    manifests, and ``repro report --format json`` so every machine-
-    readable view of a run has one shape.
-    """
+
+def manifest_payload(manifest: RunManifest) -> dict:
+    """The versioned JSON payload a manifest is persisted as."""
     return {
         "format_version": _MANIFEST_FORMAT_VERSION,
         "kind": "run_manifest",
@@ -81,12 +85,21 @@ def manifest_payload(manifest: RunManifest) -> dict:
     }
 
 
+def manifest_json(manifest: RunManifest) -> str:
+    """The JSON text of a persisted manifest.
+
+    The one encoder behind :func:`save_manifest`, the run registry's
+    archived manifests and ``repro report --format json``, so every
+    machine-readable view of a run has the same bytes.
+    """
+    return json.dumps(
+        manifest_payload(manifest), indent=2, sort_keys=True, default=_plain
+    ) + "\n"
+
+
 def save_manifest(manifest: RunManifest, path: PathLike) -> None:
     """Write a run manifest to ``path`` as JSON."""
-    payload = manifest_payload(manifest)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    Path(path).write_text(manifest_json(manifest), encoding="utf-8")
 
 
 def load_manifest(path: PathLike) -> RunManifest:

@@ -18,6 +18,12 @@ The canonical CI use::
 
 Exit codes: ``0`` — run survived (or plan printed); ``1`` — runtime
 failure (e.g. retry budget exhausted); ``2`` — usage error.
+
+This module also declares the options every figure-running command
+shares (:func:`add_figure_run_args`) and their ``argparse`` types, so
+``repro experiment``, ``repro chaos run`` and ``repro sanitize run``
+parse them one way before handing them to
+:func:`repro.experiments.run_suite`.
 """
 
 from __future__ import annotations
@@ -25,46 +31,99 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, Optional, TextIO
+from typing import Any, Callable, Optional, TextIO
 
 
-def timeout_seconds(text: str) -> float:
-    """``argparse`` type of ``--task-timeout``: positive, finite seconds.
+def _checked_type(
+    name: str,
+    convert: Callable[[str], Any],
+    accept: Callable[[Any], bool],
+    requirement: str,
+) -> Callable[[str], Any]:
+    """An ``argparse`` type: ``convert`` the text, then ``accept`` it.
 
-    Shared by ``repro experiment`` and ``repro chaos run`` so a bad value
-    is a usage error (exit 2) rather than the scheduler's ``ValueError``.
+    A rejected value is a usage error (exit 2) before any work runs,
+    never the scheduler's ``ValueError``.
     """
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite seconds, got {text!r}"
-        )
-    return value
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = name  # argparse names the type in its messages
+    return parse
 
 
-def positive_int(text: str) -> int:
-    """``argparse`` type of ``--jobs`` and ``--repetitions``: an int >= 1.
+positive_int = _checked_type(
+    "positive_int", int, lambda v: v >= 1, "a positive integer"
+)
+non_negative_int = _checked_type(
+    "non_negative_int", int, lambda v: v >= 0, "a non-negative integer"
+)
+timeout_seconds = _checked_type(
+    "timeout_seconds", float, lambda v: v > 0 and math.isfinite(v),
+    "positive and finite seconds",
+)
+backoff_seconds = _checked_type(
+    "backoff_seconds", float, lambda v: v >= 0 and math.isfinite(v),
+    "finite seconds >= 0",
+)
 
-    Shared by ``repro experiment``, ``repro sanitize run`` and ``repro
-    chaos run`` so a zero or negative count is a usage error (exit 2)
-    before any work runs.
+
+def add_registry_arg(parser: argparse.ArgumentParser) -> None:
+    """The ``--registry`` option of every command that appends runs."""
+    parser.add_argument(
+        "--registry", metavar="DIR",
+        help="append this run's manifest to the run registry at DIR "
+             "(default: $REPRO_REGISTRY; see 'repro runs')",
+    )
+
+
+def add_figure_run_args(
+    parser: argparse.ArgumentParser, supervised: bool = True
+) -> None:
+    """The options of every command that runs figures through run_suite.
+
+    ``supervised`` adds the scheduler's timeout/retry settings; a
+    command changes a default with ``parser.set_defaults``.
     """
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}"
-        )
-    return value
-
-
-def backoff_seconds(text: str) -> float:
-    """``argparse`` type of ``--retry-backoff``: finite seconds >= 0."""
-    value = float(text)
-    if not (value >= 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            f"must be finite seconds >= 0, got {text!r}"
-        )
-    return value
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--repetitions", type=positive_int)
+    parser.add_argument("--paper-scale", action="store_true")
+    parser.add_argument(
+        "--jobs", type=positive_int, default=1, metavar="N",
+        help="fan independent work units across N worker processes "
+             "(results are bit-identical to --jobs 1; default "
+             "%(default)s)",
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="DIR",
+        help="persist built networks/workloads under DIR "
+             "(e.g. results/cache) and reuse them across runs",
+    )
+    add_registry_arg(parser)
+    if not supervised:
+        return
+    parser.add_argument(
+        "--task-timeout", type=timeout_seconds, metavar="S",
+        help="per-attempt deadline in seconds; an attempt running "
+             "longer is presumed wedged and re-dispatched (with "
+             "--jobs > 1)",
+    )
+    parser.add_argument(
+        "--max-retries", type=non_negative_int, default=3, metavar="N",
+        help="extra attempts a crashed/timed-out work unit may consume "
+             "before the run fails (default %(default)s)",
+    )
+    parser.add_argument(
+        "--retry-backoff", type=backoff_seconds, default=0.1, metavar="S",
+        help="base pause before re-dispatching after a worker failure, "
+             "doubling per consecutive failure up to 5s "
+             "(default %(default)s)",
+    )
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -79,45 +138,16 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
              "under the supervised scheduler",
     )
     run.add_argument("--figure", required=True, choices=sorted(REGISTRY))
-    run.add_argument(
-        "--jobs", type=positive_int, default=2, metavar="N",
-        help="worker processes (>= 2: a killed worker must leave "
-             "survivors; default 2)",
-    )
     _add_chaos_args(run)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--repetitions", type=positive_int)
-    run.add_argument("--paper-scale", action="store_true")
-    run.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="persist built testbeds under DIR (shared with "
-             "'repro experiment')",
-    )
-    run.add_argument(
-        "--task-timeout", type=timeout_seconds, metavar="S",
-        help="per-attempt deadline in seconds (needed for --delay-rate "
-             "to actually trigger timeout recovery)",
-    )
-    run.add_argument(
-        "--max-retries", type=int, default=5, metavar="N",
-        help="extra attempts each task may consume (default 5)",
-    )
-    run.add_argument(
-        "--retry-backoff", type=backoff_seconds, default=0.05, metavar="S",
-        help="base backoff before re-dispatch, doubling per consecutive "
-             "failure (default 0.05)",
-    )
+    add_figure_run_args(run)
+    # A killed worker must leave survivors: chaos needs --jobs >= 2.
+    run.set_defaults(jobs=2, max_retries=5, retry_backoff=0.05)
     run.add_argument(
         "--out", metavar="PATH", help="write the figure result as JSON"
     )
     run.add_argument(
         "--manifest", metavar="PATH",
         help="write the run manifest (incl. worker_retries) as JSON",
-    )
-    run.add_argument(
-        "--registry", metavar="DIR",
-        help="append this run's manifest to the run registry at DIR "
-             "(default: $REPRO_REGISTRY)",
     )
 
     plan = sub.add_parser(
@@ -171,9 +201,8 @@ def _policy(args: argparse.Namespace) -> Any:
 
 
 def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    from repro.experiments.suite import figure_kwargs, run_figure
+    from repro.experiments import run_suite
     from repro.obs.manifest import merge_sparse_stats
-    from repro.runtime import TaskScheduler, configure_cache, use_scheduler
     from repro.runtime import chaos as chaos_module
     from repro.runtime.scheduler import task_hooks
 
@@ -185,25 +214,23 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         )
         return 2
 
-    kwargs = figure_kwargs(
-        args.figure, args.paper_scale, args.repetitions, args.seed
-    )
-    if args.cache_dir:
-        configure_cache(disk_dir=args.cache_dir)
-
     policy = _policy(args)
     delays_before = chaos_module.delays_total()
-    scheduler = TaskScheduler(
-        args.jobs,
-        task_timeout_s=args.task_timeout,
-        max_retries=args.max_retries,
-        retry_backoff_s=args.retry_backoff,
-    )
     # Installed outermost, so the policy enters before every other hook.
-    with task_hooks(policy), scheduler, use_scheduler(scheduler):
-        result, manifest = run_figure(
-            args.figure, kwargs, jobs=args.jobs, worker_perf=True,
+    with task_hooks(policy):
+        run = run_suite(
+            [args.figure],
+            paper_scale=args.paper_scale,
+            repetitions=args.repetitions,
+            seed=args.seed,
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            worker_perf=True,
+            task_timeout_s=args.task_timeout,
+            max_retries=args.max_retries,
+            retry_backoff_s=args.retry_backoff,
         )
+    manifest = run.manifests[args.figure]
 
     manifest.label = f"chaos:{args.figure}"
     manifest.config.update({
@@ -228,7 +255,7 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.out:
         from repro.persist import save_result
 
-        save_result(result, args.out)
+        save_result(run.results[args.figure], args.out)
         print(f"wrote {args.out}", file=out)
     if args.manifest:
         from repro.persist import save_manifest

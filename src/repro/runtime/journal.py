@@ -39,21 +39,13 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple, Union
 
 from repro.errors import JournalError
+from repro.persist.results import _plain
 from repro.runtime.scheduler import TaskHook
 
 PathLike = Union[str, Path]
 
 #: Bump when the journal-line schema or key derivation changes shape.
 JOURNAL_FORMAT_VERSION = 1
-
-
-def _plain(value: Any) -> Any:
-    """JSON fallback for numpy scalars living in work-unit payloads."""
-    for attr in ("item", "tolist"):
-        converter = getattr(value, attr, None)
-        if callable(converter):
-            return converter()
-    raise TypeError(f"not JSON-serialisable: {type(value).__name__}")
 
 
 def _canonical(payload: Any) -> str:

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional, TextIO
 
-from repro.runtime.chaos_cli import positive_int
+from repro.runtime.chaos_cli import add_figure_run_args
 from repro.sanitize.instrument import sanitize
 from repro.sanitize.ledger import (
     Ledger,
@@ -45,20 +45,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     run.add_argument("--figure", required=True, choices=sorted(REGISTRY))
     run.add_argument("--out", required=True, metavar="PATH",
                      help="write the ledger JSON here")
-    run.add_argument("--jobs", type=positive_int, default=1, metavar="N")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--repetitions", type=positive_int)
-    run.add_argument("--paper-scale", action="store_true")
-    run.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="persist built testbeds under DIR (shared with "
-             "'repro experiment')",
-    )
-    run.add_argument(
-        "--registry", metavar="DIR",
-        help="append a summary manifest for this sanitized run to the "
-             "run registry at DIR (default: $REPRO_REGISTRY)",
-    )
+    add_figure_run_args(run, supervised=False)
 
     diff = sub.add_parser(
         "diff", help="compare two ledgers; exit 1 on any divergence"
@@ -76,15 +63,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def _run(args: argparse.Namespace, out: TextIO) -> int:
-    from repro.experiments import run_experiment
-    from repro.experiments.suite import figure_kwargs
-    from repro.runtime import TaskScheduler, configure_cache, use_scheduler
-
-    kwargs = figure_kwargs(
-        args.figure, args.paper_scale, args.repetitions, args.seed
-    )
-    if args.cache_dir:
-        configure_cache(disk_dir=args.cache_dir)
+    from repro.experiments import run_suite
 
     meta = {
         "figure": args.figure,
@@ -94,10 +73,15 @@ def _run(args: argparse.Namespace, out: TextIO) -> int:
         "paper_scale": bool(args.paper_scale),
     }
     with sanitize(meta=meta) as state:
-        scheduler = TaskScheduler(args.jobs)
-        with scheduler, use_scheduler(scheduler):
-            with state.phase(f"experiment/{args.figure}"):
-                run_experiment(args.figure, **kwargs)
+        with state.phase(f"experiment/{args.figure}"):
+            run_suite(
+                [args.figure],
+                paper_scale=args.paper_scale,
+                repetitions=args.repetitions,
+                seed=args.seed,
+                jobs=args.jobs,
+                cache_dir=args.cache_dir,
+            )
     state.ledger.save(args.out)
     sites = sum(1 for _ in state.ledger.sites())
     print(

@@ -117,3 +117,26 @@ class TestManifestRoundTrip:
         )
         with pytest.raises(ReproError):
             load_manifest(path)
+
+    def test_every_manifest_view_writes_the_same_bytes(
+        self, tmp_path, capsys
+    ):
+        """save_manifest, the registry archive and report JSON agree."""
+        import numpy as np
+
+        from repro.cli import main
+        from repro.obs.registry import RunRegistry
+        from repro.persist import save_manifest
+
+        manifest = self.make_manifest()
+        # A numpy scalar exercises the one shared JSON fallback.
+        manifest.config["jobs"] = np.int64(2)
+        path = tmp_path / "run.json"
+        save_manifest(manifest, path)
+        appended = RunRegistry(tmp_path / "runs").append(manifest)
+        saved = path.read_bytes()
+        assert json.loads(saved)["config"]["jobs"] == 2
+        assert appended.manifest_path.read_bytes() == saved
+        capsys.readouterr()
+        assert main(["report", str(path), "--format", "json"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == saved

@@ -292,6 +292,7 @@ run_suite(figures=["fig6"], repetitions=1, seed=5, jobs=2)
 for forbidden in (
     "repro.runtime.telemetry", "repro.obs.registry", "repro.bench",
     "repro.runtime.journal", "repro.runtime.chaos",
+    "scipy.optimize", "scipy.cluster.hierarchy",
 ):
     assert forbidden not in sys.modules, f"hot path imported {forbidden}"
 print("clean")

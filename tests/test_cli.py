@@ -209,6 +209,7 @@ class TestSchedulerTimeArguments:
             ["--retry-backoff", "nan"],
             ["--retry-backoff", "inf"],
             ["--retry-backoff", "-0.5"],
+            ["--max-retries", "-1"],
         ],
         ids=lambda option: " ".join(option),
     )
@@ -293,6 +294,141 @@ class TestExperimentAll:
         assert "== fig4 ==" in out
         assert (out_dir / "fig4.json").exists()
         assert (out_dir / "summary.md").exists()
+
+
+class TestSharedFigureOptions:
+    """experiment, chaos run and sanitize run declare their options once."""
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            (["experiment", "fig3"], (1, 3, 0.1)),
+            (["chaos", "run", "--figure", "fig3"], (2, 5, 0.05)),
+        ],
+        ids=["experiment", "chaos-run"],
+    )
+    def test_each_command_keeps_its_defaults(self, command, expected):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(command)
+        assert (args.jobs, args.max_retries, args.retry_backoff) == expected
+        assert args.task_timeout is None
+        assert (args.seed, args.repetitions, args.paper_scale) == (
+            None, None, False
+        )
+        assert (args.cache_dir, args.registry) == (None, None)
+
+    def test_sanitize_run_has_no_scheduler_options(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["sanitize", "run", "--figure", "fig3", "--out", "x.json"]
+        )
+        assert args.jobs == 1
+        assert not hasattr(args, "max_retries")
+
+    def test_zero_retries_allowed(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["experiment", "fig3", "--max-retries", "0"]
+        )
+        assert args.max_retries == 0
+
+
+class TestExperimentRegistry:
+    """Every figure run journals and registers through run_suite."""
+
+    @pytest.fixture
+    def fig3_calls(self, monkeypatch):
+        from repro.experiments import registry, run_fig3
+
+        calls = []
+
+        def small_fig3(**kwargs):
+            calls.append(kwargs)
+            return run_fig3(num_caches=20, group_sizes=(5, 10), **kwargs)
+
+        monkeypatch.setitem(registry.REGISTRY, "fig3", small_fig3)
+        monkeypatch.delenv("REPRO_REGISTRY", raising=False)
+        return calls
+
+    def test_env_registry_covers_experiment_all(
+        self, capsys, tmp_path, monkeypatch, fig3_calls
+    ):
+        from repro.obs.registry import RunRegistry
+
+        root = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_REGISTRY", str(root))
+        code = main(
+            ["experiment", "all", "--figures", "fig3", "--repetitions", "1"]
+        )
+        assert code == 0
+        records = RunRegistry(root).records()
+        assert [(r.kind, r.label) for r in records] == [("experiment", "fig3")]
+        assert len(list((root / "journals").glob("*.jsonl"))) == 1
+        out = capsys.readouterr().out
+        assert f"registered run {records[0].run_id}" in out
+        assert "task journal " in out
+
+    def test_experiment_all_resumes_from_its_journal(
+        self, capsys, tmp_path, fig3_calls
+    ):
+        import re
+
+        common = [
+            "experiment", "all", "--figures", "fig3",
+            "--registry", str(tmp_path / "runs"),
+        ]
+        assert main([*common, "--out-dir", str(tmp_path / "full")]) == 0
+        capsys.readouterr()
+        assert main([
+            *common, "--resume", "auto",
+            "--out-dir", str(tmp_path / "resumed"),
+        ]) == 0
+        line = re.search(
+            r"(\d+) unit\(s\) on record, (\d+) unit\(s\) resumed",
+            capsys.readouterr().out,
+        )
+        assert line is not None
+        assert int(line.group(2)) == int(line.group(1)) > 0
+        for name in ("fig3.json", "fig3.csv", "summary.md"):
+            assert (tmp_path / "full" / name).read_bytes() == (
+                tmp_path / "resumed" / name
+            ).read_bytes()
+
+    def test_mismatched_resume_fails_before_any_work(
+        self, capsys, tmp_path, fig3_calls
+    ):
+        code = main([
+            "experiment", "all", "--figures", "fig3",
+            "--registry", str(tmp_path / "runs"), "--resume", "zzzz",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "does not match this sweep" in capsys.readouterr().err
+        assert fig3_calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_resume_needs_a_registry(self, capsys, fig3_calls):
+        assert main(["experiment", "fig3", "--resume", "auto"]) == 1
+        assert "--resume requires --registry" in capsys.readouterr().err
+        assert fig3_calls == []
+
+    def test_chaos_run_registers_without_journaling(
+        self, capsys, tmp_path, monkeypatch, fig3_calls
+    ):
+        from repro.obs.registry import RunRegistry
+
+        root = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_REGISTRY", str(root))
+        assert main(["chaos", "run", "--figure", "fig3"]) == 0
+        records = RunRegistry(root).records()
+        assert [(r.kind, r.label) for r in records] == [
+            ("chaos", "chaos:fig3")
+        ]
+        assert not (root / "journals").exists()
+        assert "chaos ok: fig3 survived" in capsys.readouterr().out
 
 
 class TestCompareCommand:
