@@ -24,7 +24,7 @@ def _config(setting: str) -> SimulationConfig:
         return SimulationConfig(consistency_mode="ttl", ttl_ms=1_000.0)
     if setting == "ttl_long":
         return SimulationConfig(consistency_mode="ttl", ttl_ms=30_000.0)
-    return SimulationConfig(consistency_enabled=False)
+    return SimulationConfig(consistency_mode="none")
 
 
 def run_consistency_sweep(num_caches=80, k=8, seeds=(101, 102)):

@@ -18,15 +18,12 @@ SETTINGS = ("off", "threshold_5ms", "threshold_15ms", "threshold_40ms")
 
 
 def _config(setting: str) -> SimulationConfig:
-    if setting == "off":
-        cache = CacheConfig(cooperative_placement=False)
-    else:
+    threshold = None
+    if setting != "off":
         threshold = float(setting.split("_")[1].rstrip("ms"))
-        cache = CacheConfig(
-            cooperative_placement=True,
-            placement_rtt_threshold_ms=threshold,
-        )
-    return SimulationConfig(cache=cache)
+    return SimulationConfig(
+        cache=CacheConfig(placement_rtt_threshold_ms=threshold)
+    )
 
 
 def run_placement_sweep(num_caches=80, k=8, seeds=(121, 122)):

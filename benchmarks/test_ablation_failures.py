@@ -15,7 +15,8 @@ from repro.analysis.report import ExperimentResult, SeriesResult
 from repro.config import LandmarkConfig
 from repro.core.schemes import SLScheme
 from repro.experiments.base import build_testbed
-from repro.simulator import CacheFailEvent, simulate
+from repro.faults import FaultSchedule
+from repro.simulator import simulate
 
 MODES = ("beacon", "multicast", "directory")
 
@@ -37,7 +38,9 @@ def run_failure_sweep(num_caches=80, k=8, fail_fraction=0.15, seeds=(131, 132)):
             replace=False,
         )
         fail_at = testbed.workload.horizon_ms / 3.0
-        failures = [CacheFailEvent(fail_at, int(v)) for v in victims]
+        faults = FaultSchedule(
+            crashes=tuple((fail_at, int(v)) for v in victims)
+        )
         for mode in MODES:
             healthy[mode] += simulate(
                 testbed.network, grouping, testbed.workload,
@@ -45,7 +48,7 @@ def run_failure_sweep(num_caches=80, k=8, fail_fraction=0.15, seeds=(131, 132)):
             ).average_latency_ms() / len(seeds)
             degraded[mode] += simulate(
                 testbed.network, grouping, testbed.workload,
-                group_protocol_mode=mode, failures=failures,
+                group_protocol_mode=mode, faults=faults,
             ).average_latency_ms() / len(seeds)
     return ExperimentResult(
         experiment_id="ablation-failures",

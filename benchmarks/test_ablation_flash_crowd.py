@@ -55,8 +55,9 @@ def run_flash_crowd_sweep(num_caches=80, k=8, seeds=(181, 182)):
                 seed=seed,
             )
             config = SimulationConfig(
-                origin_queueing=setting.endswith("queueing"),
-                origin_capacity_rps=150.0,
+                origin_capacity_rps=(
+                    150.0 if setting.endswith("queueing") else None
+                ),
             )
             solo = simulate(
                 network, isolated, workload, config

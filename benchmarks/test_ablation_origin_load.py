@@ -32,8 +32,7 @@ def run_origin_load_sweep(num_caches=80, k=8, seeds=(161, 162)):
         isolated = singleton_groups(testbed.network.cache_nodes)
         for setting in SETTINGS:
             config = SimulationConfig(
-                origin_queueing=(setting == "congested"),
-                origin_capacity_rps=120.0,
+                origin_capacity_rps=120.0 if setting == "congested" else None,
             )
             solo[setting] += simulate(
                 testbed.network, isolated, testbed.workload, config

@@ -31,7 +31,6 @@ from repro.config import (
     GNPConfig,
     KMeansConfig,
     LandmarkConfig,
-    PlacementConfig,
     ProbeConfig,
     SDSLConfig,
     SimulationConfig,
@@ -83,7 +82,6 @@ __all__ = [
     "GNPConfig",
     "KMeansConfig",
     "LandmarkConfig",
-    "PlacementConfig",
     "ProbeConfig",
     "SDSLConfig",
     "SimulationConfig",

@@ -556,11 +556,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             totals=totals,
             trace_path=args.trace,
         )
-        if grouping.phase_timings:
-            manifest.phase_timings_s.update({
-                f"gf/{name}": seconds
-                for name, seconds in grouping.phase_timings.items()
-            })
         manifest.config = {
             "network": args.network,
             "scheme": grouping.scheme,
@@ -676,6 +671,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_ignored_experiment_options(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Exit 2 for options the chosen ``experiment`` form would ignore."""
+    if args.figure == "all":
+        ignored = [
+            flag for flag, value in (
+                ("--out", args.out), ("--csv", args.csv),
+                ("--plot", args.plot),
+            ) if value
+        ]
+        if ignored:
+            parser.error(
+                f"experiment all: {', '.join(ignored)} apply to a single "
+                f"figure; use --out-dir to archive every figure"
+            )
+    elif args.figures:
+        parser.error(
+            f"experiment {args.figure}: --figures selects figures for "
+            f"'experiment all' only"
+        )
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import run_suite
 
@@ -764,6 +782,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "experiment":
+        _reject_ignored_experiment_options(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except ReproError as exc:

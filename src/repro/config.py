@@ -18,6 +18,11 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.utils.validation import (
+    check_fraction,
+    check_non_negative,
+    check_positive,
+)
 
 
 @dataclass(frozen=True)
@@ -59,9 +64,7 @@ class TransitStubConfig:
             raise ConfigurationError("stub_nodes_per_domain must be >= 1")
         for name in ("intra_domain_edge_prob", "extra_transit_edge_prob",
                      "extra_stub_transit_edge_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
+            check_fraction(name, getattr(self, name), exc=ConfigurationError)
         for name in ("transit_transit_latency_ms", "transit_stub_latency_ms",
                      "intra_transit_latency_ms", "intra_stub_latency_ms"):
             low, high = getattr(self, name)
@@ -104,8 +107,8 @@ class TransitStubConfig:
         """
         if num_nodes <= 0:
             raise ConfigurationError("num_nodes must be > 0")
-        if nodes_per_stub_router <= 0:
-            raise ConfigurationError("nodes_per_stub_router must be > 0")
+        check_positive("nodes_per_stub_router", nodes_per_stub_router,
+                       exc=ConfigurationError)
         domains = self.stub_domain_count
         if domains == 0:
             raise ConfigurationError(
@@ -116,26 +119,6 @@ class TransitStubConfig:
         )
         per_domain = max(2, -(-target_routers // domains))
         return replace(self, stub_nodes_per_domain=per_domain)
-
-
-@dataclass(frozen=True)
-class PlacementConfig:
-    """How the origin server and edge caches are pinned to routers.
-
-    The paper assumes locations are pre-decided; we place the origin on a
-    transit router (it is a well-connected major site) and caches on
-    distinct stub routers, which mirrors how CDN edge caches sit in
-    access networks.
-    """
-
-    num_caches: int = 100
-    origin_on_transit: bool = True
-    #: allow multiple caches on one router when caches outnumber routers
-    allow_colocation: bool = False
-
-    def validate(self) -> None:
-        if self.num_caches < 1:
-            raise ConfigurationError("num_caches must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -156,10 +139,9 @@ class ProbeConfig:
     def validate(self) -> None:
         if self.probe_count < 1:
             raise ConfigurationError("probe_count must be >= 1")
-        if self.jitter_std < 0:
-            raise ConfigurationError("jitter_std must be >= 0")
-        if self.min_rtt_ms <= 0:
-            raise ConfigurationError("min_rtt_ms must be > 0")
+        check_non_negative("jitter_std", self.jitter_std,
+                           exc=ConfigurationError)
+        check_positive("min_rtt_ms", self.min_rtt_ms, exc=ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -231,8 +213,7 @@ class SDSLConfig:
     adaptive: bool = False
 
     def validate(self) -> None:
-        if self.theta < 0:
-            raise ConfigurationError("theta must be >= 0")
+        check_non_negative("theta", self.theta, exc=ConfigurationError)
 
     def effective_theta(self, k: int, num_caches: int) -> float:
         """The theta actually used for a K-group, N-cache run."""
@@ -279,12 +260,12 @@ class DocumentConfig:
     def validate(self) -> None:
         if self.num_documents < 1:
             raise ConfigurationError("num_documents must be >= 1")
-        if self.mean_size_bytes <= 0:
-            raise ConfigurationError("mean_size_bytes must be > 0")
-        if self.size_sigma < 0:
-            raise ConfigurationError("size_sigma must be >= 0")
-        if not 0.0 <= self.dynamic_fraction <= 1.0:
-            raise ConfigurationError("dynamic_fraction must be in [0, 1]")
+        check_positive("mean_size_bytes", self.mean_size_bytes,
+                       exc=ConfigurationError)
+        check_non_negative("size_sigma", self.size_sigma,
+                           exc=ConfigurationError)
+        check_fraction("dynamic_fraction", self.dynamic_fraction,
+                       exc=ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -311,16 +292,14 @@ class WorkloadConfig:
         self.documents.validate()
         if self.requests_per_cache < 1:
             raise ConfigurationError("requests_per_cache must be >= 1")
-        if self.zipf_alpha <= 0:
-            raise ConfigurationError("zipf_alpha must be > 0")
-        if not 0.0 <= self.shared_interest <= 1.0:
-            raise ConfigurationError("shared_interest must be in [0, 1]")
-        if self.mean_interarrival_ms <= 0:
-            raise ConfigurationError("mean_interarrival_ms must be > 0")
-        if self.mean_update_interarrival_ms <= 0:
-            raise ConfigurationError("mean_update_interarrival_ms must be > 0")
-        if self.duration_ms is not None and self.duration_ms <= 0:
-            raise ConfigurationError("duration_ms must be > 0 when set")
+        for name in ("zipf_alpha", "mean_interarrival_ms",
+                     "mean_update_interarrival_ms"):
+            check_positive(name, getattr(self, name), exc=ConfigurationError)
+        check_fraction("shared_interest", self.shared_interest,
+                       exc=ConfigurationError)
+        if self.duration_ms is not None:
+            check_positive("duration_ms", self.duration_ms,
+                           exc=ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -334,25 +313,24 @@ class CacheConfig:
     #: replacement policy: "utility", "lru", or "lfu"
     replacement_policy: str = "utility"
     #: cooperative placement (Cache Clouds resource management): after a
-    #: group hit from a peer closer than ``placement_rtt_threshold_ms``,
-    #: do not store a duplicate copy locally — rely on the nearby peer
-    #: and spend the space on other documents
-    cooperative_placement: bool = False
-    placement_rtt_threshold_ms: float = 10.0
+    #: group hit from a peer at most this many ms away, do not store a
+    #: duplicate copy locally — rely on the nearby peer and spend the
+    #: space on other documents.  None (the default) always stores.
+    placement_rtt_threshold_ms: Optional[float] = None
 
     def validate(self) -> None:
         if not 0.0 < self.capacity_fraction <= 1.0:
             raise ConfigurationError("capacity_fraction must be in (0, 1]")
-        if self.local_processing_ms < 0:
-            raise ConfigurationError("local_processing_ms must be >= 0")
+        check_non_negative("local_processing_ms", self.local_processing_ms,
+                           exc=ConfigurationError)
         if self.replacement_policy not in ("utility", "lru", "lfu"):
             raise ConfigurationError(
                 f"unknown replacement_policy: {self.replacement_policy!r}"
             )
-        if self.placement_rtt_threshold_ms < 0:
-            raise ConfigurationError(
-                "placement_rtt_threshold_ms must be >= 0"
-            )
+        if self.placement_rtt_threshold_ms is not None:
+            check_non_negative("placement_rtt_threshold_ms",
+                               self.placement_rtt_threshold_ms,
+                               exc=ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -372,42 +350,36 @@ class SimulationConfig:
     group_lookup_ms: float = 0.3
     #: warm-up fraction of requests excluded from latency metrics
     warmup_fraction: float = 0.1
-    #: whether caches maintain freshness at all (master switch)
-    consistency_enabled: bool = True
     #: freshness mechanism: "invalidate" (server-driven invalidation,
-    #: the paper's cooperative-freshness model) or "ttl" (copies expire
+    #: the paper's cooperative-freshness model), "ttl" (copies expire
     #: after ``ttl_ms``; updates do not fan out, stale serves possible)
+    #: or "none" (copies are never refreshed)
     consistency_mode: str = "invalidate"
     #: copy lifetime under the "ttl" mode (ms)
     ttl_ms: float = 5_000.0
-    #: model origin congestion: processing time inflates as the recent
-    #: origin-fetch arrival rate approaches ``origin_capacity_rps``
-    #: (M/M/1-style 1/(1-rho) factor).  Off by default — the paper's
-    #: latency model charges a flat origin processing time.
-    origin_queueing: bool = False
-    #: origin service capacity (requests/second) under queueing
-    origin_capacity_rps: float = 200.0
+    #: origin service capacity (requests/second).  When set, origin
+    #: processing time inflates as the recent origin-fetch arrival rate
+    #: approaches it (M/M/1-style 1/(1-rho) factor).  None (the default)
+    #: is the paper's latency model: a flat origin processing time.
+    origin_capacity_rps: Optional[float] = None
     #: sliding window for the arrival-rate estimate (ms)
     origin_load_window_ms: float = 2_000.0
 
     def validate(self) -> None:
         self.cache.validate()
-        if self.origin_processing_ms < 0:
-            raise ConfigurationError("origin_processing_ms must be >= 0")
-        if self.link_bandwidth_bytes_per_ms <= 0:
-            raise ConfigurationError("link_bandwidth_bytes_per_ms must be > 0")
-        if self.group_lookup_ms < 0:
-            raise ConfigurationError("group_lookup_ms must be >= 0")
+        for name in ("origin_processing_ms", "group_lookup_ms"):
+            check_non_negative(name, getattr(self, name),
+                               exc=ConfigurationError)
+        for name in ("link_bandwidth_bytes_per_ms", "ttl_ms",
+                     "origin_load_window_ms"):
+            check_positive(name, getattr(self, name), exc=ConfigurationError)
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigurationError("warmup_fraction must be in [0, 1)")
-        if self.consistency_mode not in ("invalidate", "ttl"):
+        if self.consistency_mode not in ("invalidate", "ttl", "none"):
             raise ConfigurationError(
                 f"unknown consistency_mode: {self.consistency_mode!r}"
             )
-        if self.ttl_ms <= 0:
-            raise ConfigurationError("ttl_ms must be > 0")
-        if self.origin_capacity_rps <= 0:
-            raise ConfigurationError("origin_capacity_rps must be > 0")
-        if self.origin_load_window_ms <= 0:
-            raise ConfigurationError("origin_load_window_ms must be > 0")
+        if self.origin_capacity_rps is not None:
+            check_positive("origin_capacity_rps", self.origin_capacity_rps,
+                           exc=ConfigurationError)
 

@@ -10,8 +10,7 @@ intermediate state.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,12 +23,7 @@ from repro.faults.config import FaultConfig
 from repro.faults.model import FaultModel
 from repro.landmarks.base import LandmarkSelector, LandmarkSet
 from repro.landmarks.feature_vectors import FeatureVectors, build_feature_vectors
-from repro.obs.profiling import (
-    PhaseRegistry,
-    activate,
-    current_registry,
-    perf_seconds,
-)
+from repro.obs.profiling import phase_timer
 from repro.probing.prober import Prober
 from repro.topology.network import EdgeCacheNetwork
 from repro.types import ORIGIN_NODE_ID, NodeId
@@ -73,7 +67,6 @@ class GFCoordinator:
             seed=self._rng_factory.stream("probe"),
             faults=self._faults,
         )
-        self._phases = PhaseRegistry()
         self._degraded = False
         self._fault_report: Dict[str, float] = {}
 
@@ -100,37 +93,6 @@ class GFCoordinator:
         """Degradation provenance accumulated so far (copy)."""
         return dict(self._fault_report)
 
-    @property
-    def phases(self) -> PhaseRegistry:
-        """Per-phase timings of this coordinator's pipeline steps."""
-        return self._phases
-
-    def phase_timings(self) -> Dict[str, float]:
-        """Qualified phase name -> total seconds spent so far."""
-        return self._phases.total_seconds()
-
-    @contextmanager
-    def _timed(self, step: str) -> Iterator[None]:
-        """Record ``step`` into this coordinator's registry.
-
-        If a caller already activated an ambient registry (CLI or
-        experiment-suite profiling), the fine-grained inner timers keep
-        recording into it; the coordinator's own registry then mirrors
-        the step totals so ``phase_timings()`` stays meaningful either
-        way.
-        """
-        ambient = current_registry()
-        if ambient is None:
-            with activate(self._phases), self._phases.time(step):
-                yield
-            return
-        start = perf_seconds()
-        try:
-            with ambient.time(step):
-                yield
-        finally:
-            self._phases.merge_totals({step: perf_seconds() - start})
-
     # -- step 1 ----------------------------------------------------------
 
     def choose_landmarks(
@@ -140,7 +102,7 @@ class GFCoordinator:
     ) -> LandmarkSet:
         """Step 1: run a landmark selector over the network."""
         config = config or LandmarkConfig()
-        with self._timed("landmarks"):
+        with phase_timer("landmarks"):
             landmarks = selector.select(
                 self._prober, config, self._rng_factory.stream("landmarks")
             )
@@ -165,7 +127,7 @@ class GFCoordinator:
         column), and any remaining NaN entries are imputed with the
         column median so clustering always sees complete vectors.
         """
-        with self._timed("features"):
+        with phase_timer("features"):
             features = build_feature_vectors(self._prober, landmarks)
             if self._faults is not None and np.isnan(features.matrix).any():
                 features = self._degrade_features(features)
@@ -334,7 +296,7 @@ class GFCoordinator:
             config=kmeans_config,
             initializer=initializer or UniformRandomInit(),
         )
-        with self._timed("cluster"):
+        with phase_timer("cluster"):
             clustering = kmeans.fit(
                 data, seed=self._rng_factory.stream("kmeans")
             )
@@ -355,7 +317,6 @@ class GFCoordinator:
             landmarks=features.landmarks,
             features=features,
             clustering=clustering,
-            phase_timings=self.phase_timings(),
             degraded=self._degraded,
             fault_report=fault_report,
         )

@@ -65,12 +65,13 @@ class GroupingResult:
     scheme: str
     groups: Tuple[CacheGroup, ...]
     landmarks: Optional[LandmarkSet] = None
-    features: Optional[FeatureVectors] = field(default=None, repr=False)
-    clustering: Optional[Clustering] = field(default=None, repr=False)
-    #: GF-Coordinator phase name -> seconds (set by coordinator runs;
-    #: None for trivial/loaded groupings)
-    phase_timings: Optional[Dict[str, float]] = field(
-        default=None, repr=False
+    #: equality compares the outcome (scheme, groups, landmarks,
+    #: ``degraded``), not these array-valued intermediates
+    features: Optional[FeatureVectors] = field(
+        default=None, repr=False, compare=False
+    )
+    clustering: Optional[Clustering] = field(
+        default=None, repr=False, compare=False
     )
     #: True when any degraded-mode path ran during formation (probe
     #: losses imputed, landmarks replaced, ...)

@@ -75,7 +75,7 @@ class GroupFormationScheme(abc.ABC):
         """Partition the network's caches into ``k`` cooperative groups.
 
         ``faults`` (optional) turns on measurement-side fault injection
-        for this run: probe loss/retry, blackholes, landmark crashes.
+        for this run: probe loss/retry and landmark crashes.
         """
         if k < 1:
             raise SchemeError(f"k must be >= 1, got {k}")

@@ -17,7 +17,6 @@ from repro.analysis.report import ExperimentResult
 from repro.core.groups import single_group
 from repro.core.schemes import SLScheme
 from repro.experiments.base import (
-    Testbed,
     build_testbed,
     landmark_config,
     run_simulation,
@@ -37,12 +36,9 @@ def _fig3_point(payload: dict) -> tuple:
 
     Module-level and driven by a plain payload dict so the ambient
     :class:`~repro.runtime.scheduler.TaskScheduler` can ship it to a
-    pool worker; the testbed is re-fetched from the content-keyed cache
-    (or carried along when the caller supplied its own).
+    pool worker; the testbed is re-fetched from the content-keyed cache.
     """
-    testbed = payload.get("testbed")
-    if testbed is None:
-        testbed = build_testbed(payload["num_caches"], payload["seed"])
+    testbed = build_testbed(payload["num_caches"], payload["seed"])
     n = testbed.num_caches
     k = max(1, round(n / payload["size"]))
     if k == 1:
@@ -65,12 +61,11 @@ def run_fig3(
     subset_count: Optional[int] = None,
     seed: int = 11,
     paper_scale: bool = False,
-    testbed: Optional[Testbed] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 3's three latency-vs-group-size curves.
 
     ``subset_count`` defaults to 10% of the caches (the paper's 50 of
-    500).  Pass an existing ``testbed`` to reuse its network/workload.
+    500).
     """
     if paper_scale:
         num_caches = 500
@@ -79,12 +74,9 @@ def run_fig3(
     if any(size < 1 for size in group_sizes):
         raise ValueError(f"group sizes must be >= 1: {group_sizes}")
 
-    supplied = testbed is not None
-    if not supplied:
-        # Warm the cache once in this process so pool workers forked
-        # later inherit the built testbed instead of each rebuilding it.
-        testbed = build_testbed(num_caches, seed)
-    n = testbed.num_caches
+    # Warm the cache once in this process so pool workers forked later
+    # inherit the built testbed instead of each rebuilding it.
+    n = build_testbed(num_caches, seed).num_caches
     subset = subset_count or max(5, n // 10)
 
     swept = [size for size in group_sizes if size <= n]
@@ -93,9 +85,6 @@ def run_fig3(
         "seed": seed,
         "size": size,
         "subset": subset,
-        # A caller-supplied testbed is not reconstructible from the
-        # seed, so it rides along; cache-built ones are re-fetched.
-        "testbed": testbed if supplied else None,
     }])
     points = map_tasks(_fig3_point, payloads)
     names = ("all_caches_ms", f"nearest_{subset}_ms", f"farthest_{subset}_ms")

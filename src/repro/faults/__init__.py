@@ -1,9 +1,9 @@
 """Deterministic fault injection for probing and simulation.
 
-Measurement-side faults (probe loss, blackholes, slow links, landmark
-crashes) are declared by :class:`FaultConfig` and executed by
-:class:`FaultModel`; simulation-side timelines (cache crash/recover,
-partitions) by :class:`FaultSchedule`.  All randomness flows through
+Measurement-side faults (probe loss, landmark crashes) are declared by
+:class:`FaultConfig` and executed by :class:`FaultModel`;
+simulation-side timelines (cache crash/recover, partitions) by
+:class:`FaultSchedule`.  All randomness flows through
 content-keyed :class:`repro.utils.rng.RngFactory` streams.
 """
 

@@ -1,9 +1,9 @@
 """Fault-injection configuration for the group-formation pipeline.
 
-:class:`FaultConfig` declares *measurement-side* faults: per-probe loss,
-blackholed probe pairs, slow links, and landmarks crashing right after
-selection.  Simulation-side faults (cache crash/recover timelines and
-network partitions) live in :class:`repro.faults.schedule.FaultSchedule`.
+:class:`FaultConfig` declares *measurement-side* faults: per-probe loss
+and landmarks crashing right after selection.  Simulation-side faults
+(cache crash/recover timelines and network partitions) live in
+:class:`repro.faults.schedule.FaultSchedule`.
 
 The config is pure data — all randomness is drawn later by
 :class:`repro.faults.model.FaultModel` from content-keyed
@@ -17,10 +17,9 @@ without a fault model at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.errors import ProbingError
-from repro.types import Ms, NodeId
+from repro.types import Ms
 from repro.utils.validation import (
     check_fraction,
     check_in_range,
@@ -46,10 +45,6 @@ class FaultConfig:
     backoff_base_ms: Ms = 50.0
     #: ceiling on one retry's backoff delay (ms)
     backoff_cap_ms: Ms = 1000.0
-    #: unordered node pairs whose probes are always lost
-    blackhole_pairs: Tuple[Tuple[NodeId, NodeId], ...] = ()
-    #: (node_a, node_b, factor >= 1) triples inflating observed RTTs
-    slow_links: Tuple[Tuple[NodeId, NodeId, float], ...] = ()
     #: cache landmarks crashed immediately after selection (failover test)
     crashed_landmarks: int = 0
     #: minimum fraction of valid feature entries for a landmark column
@@ -69,23 +64,6 @@ class FaultConfig:
                            exc=ProbingError)
         check_in_range("backoff_cap_ms", self.backoff_cap_ms,
                        self.backoff_base_ms, float("inf"), exc=ProbingError)
-        for pair in self.blackhole_pairs:
-            if len(pair) != 2 or pair[0] == pair[1]:
-                raise ProbingError(
-                    f"blackhole_pairs entries must be two distinct node "
-                    f"ids, got {pair!r}"
-                )
-            for node in pair:
-                check_non_negative("blackhole_pairs node", node,
-                                   exc=ProbingError)
-        for link in self.slow_links:
-            if len(link) != 3 or link[0] == link[1]:
-                raise ProbingError(
-                    f"slow_links entries must be (node_a, node_b, factor) "
-                    f"with distinct nodes, got {link!r}"
-                )
-            check_in_range("slow_links factor", link[2], 1.0, float("inf"),
-                           exc=ProbingError)
         check_non_negative("crashed_landmarks", self.crashed_landmarks,
                            exc=ProbingError)
         check_fraction("quorum", self.quorum, exc=ProbingError)
@@ -94,9 +72,4 @@ class FaultConfig:
 
     def is_noop(self) -> bool:
         """True when this config can never alter a measurement."""
-        return (
-            self.probe_loss_rate == 0.0
-            and not self.blackhole_pairs
-            and not self.slow_links
-            and self.crashed_landmarks == 0
-        )
+        return self.probe_loss_rate == 0.0 and self.crashed_landmarks == 0

@@ -1,7 +1,7 @@
 """The runtime :class:`FaultModel`: seeded draws plus liveness state.
 
 One model instance accompanies one GF-Coordinator run.  It answers the
-prober's per-probe questions (is this pair blackholed?  was this probe
+prober's per-probe questions (is either end crashed?  was this probe
 lost?) and tracks which nodes are currently crashed.
 
 Determinism contract: every random draw comes from a content-keyed
@@ -17,7 +17,7 @@ without any model attached.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import FrozenSet, Set, Tuple
 
 import numpy as np
 
@@ -38,13 +38,6 @@ class FaultModel:
         # by) the coordinator's probe/landmark/kmeans streams.
         self._factory = rng_factory.fork("faults")
         self._down: Set[NodeId] = set()
-        self._blackholes: FrozenSet[Tuple[NodeId, NodeId]] = frozenset(
-            (min(a, b), max(a, b)) for a, b in config.blackhole_pairs
-        )
-        self._slow: Dict[Tuple[NodeId, NodeId], float] = {
-            (min(a, b), max(a, b)): float(factor)
-            for a, b, factor in config.slow_links
-        }
 
     @property
     def config(self) -> FaultConfig:
@@ -94,15 +87,7 @@ class FaultModel:
 
     def pair_blocked(self, source: NodeId, target: NodeId) -> bool:
         """True when no probe between the pair can ever succeed."""
-        if source in self._down or target in self._down:
-            return True
-        key = (min(source, target), max(source, target))
-        return key in self._blackholes
-
-    def link_factor(self, source: NodeId, target: NodeId) -> float:
-        """Multiplier applied to observed RTTs on this link."""
-        key = (min(source, target), max(source, target))
-        return self._slow.get(key, 1.0)
+        return source in self._down or target in self._down
 
     def loss_stream(self, source: NodeId, target: NodeId) -> np.random.Generator:
         """The content-keyed loss/retry stream for one ordered pair."""

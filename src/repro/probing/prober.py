@@ -111,10 +111,6 @@ class Prober:
         """The attached fault model, if any."""
         return self._faults
 
-    @faults.setter
-    def faults(self, model: Optional["FaultModel"]) -> None:
-        self._faults = model
-
     @property
     def network(self) -> EdgeCacheNetwork:
         return self._network
@@ -255,8 +251,8 @@ class Prober:
 
         The base noise block was already drawn from the prober's main
         stream, so this method consumes *only* the pair's content-keyed
-        loss stream: a pair with zero loss and no blackhole/slow link
-        returns the plain mean bit-identically, keeping fault-free runs
+        loss stream: a pair with zero loss and no crashed end returns
+        the plain mean bit-identically, keeping fault-free runs
         indistinguishable from runs without a fault model.
 
         Each of the ``probe_count`` slots is one probe: a lost probe
@@ -277,7 +273,6 @@ class Prober:
         model = self._faults
         assert model is not None
         cfg = model.config
-        factor = model.link_factor(source, target)
         stats = self.stats
         probe_count = len(base_observations)
         if model.pair_blocked(source, target):
@@ -296,7 +291,7 @@ class Prober:
             return float("nan")
         loss = cfg.probe_loss_rate
         if loss <= 0.0:
-            return float(base_observations.mean()) * factor
+            return float(base_observations.mean())
         pair_rng = model.loss_stream(source, target)
         values = []
         for slot in range(probe_count):
@@ -328,7 +323,7 @@ class Prober:
                 values.append(observation)
         if not values:
             return float("nan")
-        return float(np.mean(values)) * factor
+        return float(np.mean(values))
 
     def _check_nodes(self, nodes: Sequence[NodeId]) -> None:
         """Raise for the first of ``nodes`` outside the network."""

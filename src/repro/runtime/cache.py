@@ -48,6 +48,9 @@ PathLike = Union[str, Path]
 #: tuple of ``UpdateRecord``.
 CACHE_FORMAT_VERSION = 3
 
+#: Size of the in-memory LRU tier (testbeds are a few MB each).
+MAX_ENTRIES = 8
+
 #: Counter names exposed by :meth:`TestbedCache.stats`.
 STAT_FIELDS = ("hits", "misses", "disk_hits", "disk_stores", "evictions")
 
@@ -55,14 +58,7 @@ STAT_FIELDS = ("hits", "misses", "disk_hits", "disk_stores", "evictions")
 class TestbedCache:
     """In-memory LRU plus optional pickle-on-disk store for built objects."""
 
-    def __init__(
-        self,
-        max_entries: int = 8,
-        disk_dir: Optional[PathLike] = None,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._max_entries = max_entries
+    def __init__(self, disk_dir: Optional[PathLike] = None) -> None:
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._disk_dir: Optional[Path] = None
         if disk_dir is not None:
@@ -70,10 +66,6 @@ class TestbedCache:
         self._stats: Dict[str, int] = {name: 0 for name in STAT_FIELDS}
 
     # -- configuration -------------------------------------------------
-
-    @property
-    def max_entries(self) -> int:
-        return self._max_entries
 
     @property
     def disk_dir(self) -> Optional[Path]:
@@ -87,15 +79,6 @@ class TestbedCache:
         path = Path(disk_dir)
         path.mkdir(parents=True, exist_ok=True)
         self._disk_dir = path
-
-    def set_max_entries(self, max_entries: int) -> None:
-        """Resize the memory tier, evicting oldest entries if shrinking."""
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._max_entries = max_entries
-        while len(self._entries) > max_entries:
-            self._entries.popitem(last=False)
-            self._stats["evictions"] += 1
 
     # -- the cache protocol --------------------------------------------
 
@@ -124,7 +107,7 @@ class TestbedCache:
     def _remember(self, key: str, value: Any) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
-        while len(self._entries) > self._max_entries:
+        while len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)
             self._stats["evictions"] += 1
 
@@ -209,14 +192,9 @@ register_counter(
 )
 
 
-def configure_cache(
-    max_entries: Optional[int] = None,
-    disk_dir: Optional[PathLike] = None,
-) -> TestbedCache:
+def configure_cache(disk_dir: Optional[PathLike] = None) -> TestbedCache:
     """Reconfigure the process-wide cache (counters are preserved)."""
     cache = _DEFAULT
-    if max_entries is not None:
-        cache.set_max_entries(max_entries)
     if disk_dir is not None:
         cache.set_disk_dir(disk_dir)
     return cache
@@ -232,11 +210,11 @@ def reset_cache() -> TestbedCache:
 # -- content keys and cached builders -----------------------------------
 
 
-def network_key(num_caches: int, factory_seed: int, stream: str) -> str:
-    """Key for ``build_network(num_caches, RngFactory(seed).stream(s))``."""
+def network_key(num_caches: int, factory_seed: int) -> str:
+    """Key for :func:`cached_network` (its stream label is in the text)."""
     return (
         f"network/v{CACHE_FORMAT_VERSION}/n={num_caches}"
-        f"/seed={factory_seed}/stream={stream}"
+        f"/seed={factory_seed}/stream=topology"
     )
 
 
@@ -253,29 +231,24 @@ def testbed_key(
     )
 
 
-def cached_network(
-    num_caches: int, factory_seed: int, stream: str = "topology"
-) -> "EdgeCacheNetwork":
+def cached_network(num_caches: int, factory_seed: int) -> "EdgeCacheNetwork":
     """Build (or fetch) the network for one ``RngFactory`` derivation.
 
     Equivalent to ``build_network(num_caches,
-    seed=RngFactory(factory_seed).stream(stream))`` — factory streams
-    are independent generators derived only from the root seed and the
-    label, so reconstructing the stream here yields the identical
-    topology without touching the caller's factory.
+    seed=RngFactory(factory_seed).stream("topology"))`` — factory
+    streams are independent generators derived only from the root seed
+    and the label, so reconstructing the stream here yields the
+    identical topology without touching the caller's factory.
     """
     from repro.topology.network import build_network
     from repro.utils.rng import RngFactory
 
-    key = network_key(num_caches, factory_seed, stream)
+    key = network_key(num_caches, factory_seed)
     value = get_cache().get_or_build(
         key,
         lambda: build_network(
             num_caches=num_caches,
-            # ``stream`` is part of the cache key above: distinct labels
-            # always hit distinct factories, so no collision is possible.
-            # repro-lint: allow[stream-label-collision]
-            seed=RngFactory(factory_seed).stream(stream),
+            seed=RngFactory(factory_seed).stream("topology"),
         ),
     )
     return cast("EdgeCacheNetwork", value)

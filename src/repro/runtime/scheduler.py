@@ -304,6 +304,10 @@ def _crash_cause(error: BaseException) -> str:
     return ": " + "".join(text).strip()
 
 
+#: Ceiling on one retry pause: the doubling backoff stops growing here.
+RETRY_BACKOFF_CAP_S: Seconds = 5.0
+
+
 class TaskScheduler:
     """Order-preserving, supervised map over independent work units.
 
@@ -317,7 +321,7 @@ class TaskScheduler:
     rebuilt, and the unit is re-dispatched.  ``max_retries`` bounds the
     *extra* attempts any single unit may consume across crashes and
     timeouts; ``retry_backoff_s`` doubles per consecutive failure up to
-    ``retry_backoff_cap_s`` before the re-dispatch.  All three times
+    :data:`RETRY_BACKOFF_CAP_S` before the re-dispatch.  Both times
     must be finite.  Exhaustion raises
     :class:`~repro.errors.SchedulerError`; exceptions raised by the task
     function itself propagate unwrapped.
@@ -329,7 +333,6 @@ class TaskScheduler:
         task_timeout_s: Optional[Seconds] = None,
         max_retries: int = 3,
         retry_backoff_s: Seconds = 0.1,
-        retry_backoff_cap_s: Seconds = 5.0,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -342,17 +345,15 @@ class TaskScheduler:
             )
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        for backoff in (retry_backoff_s, retry_backoff_cap_s):
-            if not (backoff >= 0 and math.isfinite(backoff)):
-                raise ValueError(
-                    f"retry backoff values must be finite and >= 0, "
-                    f"got {backoff}"
-                )
+        if not (retry_backoff_s >= 0 and math.isfinite(retry_backoff_s)):
+            raise ValueError(
+                f"retry backoff values must be finite and >= 0, "
+                f"got {retry_backoff_s}"
+            )
         self._jobs = jobs
         self._task_timeout_s = task_timeout_s
         self._max_retries = max_retries
         self._retry_backoff_s = retry_backoff_s
-        self._retry_backoff_cap_s = retry_backoff_cap_s
         self._retry_totals = {"retries": 0, "timeouts": 0}
         self._executor: Optional[ProcessPoolExecutor] = None
 
@@ -558,7 +559,7 @@ class TaskScheduler:
         if self._retry_backoff_s <= 0:
             return
         delay = min(
-            self._retry_backoff_cap_s,
+            RETRY_BACKOFF_CAP_S,
             self._retry_backoff_s * (2.0 ** (failures - 1)),
         )
         if delay > 0:

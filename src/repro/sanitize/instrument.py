@@ -324,7 +324,6 @@ class _Patch:
 
 def _install(state: SanitizerState) -> List[_Patch]:
     from repro.runtime.cache import TestbedCache
-    from repro.simulator import events as events_module
     from repro.utils.rng import RngFactory
 
     patches: List[_Patch] = []
@@ -369,12 +368,6 @@ def _install(state: SanitizerState) -> List[_Patch]:
         return original_get_or_build(self, key, suspended_build)
 
     patches.append(_Patch(TestbedCache, "get_or_build", get_or_build))
-
-    # The engine's event-stream feed (set_column_ledger is the
-    # equivalent public setter).
-    patches.append(
-        _Patch(events_module, "_COLUMN_LEDGER", _ColumnLedgerHook(state))
-    )
     return patches
 
 
@@ -396,13 +389,18 @@ def sanitize(
         raise SanitizeError(
             "sanitize() is already active; ledgers do not nest"
         )
+    from repro.simulator.events import set_column_ledger
+
     state = SanitizerState(meta=meta)
     patches = _install(state)
+    # The engine's event-stream feed.
+    previous_ledger = set_column_ledger(_ColumnLedgerHook(state))
     _ACTIVE = state
     try:
         with task_hooks(_TaskLedgerHook(state)):
             yield state
     finally:
         _ACTIVE = None
+        set_column_ledger(previous_ledger)
         for patch in reversed(patches):
             patch.undo()

@@ -256,17 +256,11 @@ def run_batched(engine: "SimulationEngine") -> int:
     for doc in catalog.dynamic_ids():
         dynamic[doc] = True
     updates_applied = 0
-    invalidate_mode = (
-        config.consistency_enabled
-        and config.consistency_mode == "invalidate"
-    )
-
-    ttl_mode = (
-        config.consistency_enabled and config.consistency_mode == "ttl"
-    )
+    invalidate_mode = engine._invalidate_mode
+    ttl_mode = engine._ttl_mode
     ttl_ms = config.ttl_ms
-    cooperative = config.cache.cooperative_placement
-    placement_threshold = config.cache.placement_rtt_threshold_ms
+    placement_threshold = engine._placement_threshold_ms
+    cooperative = placement_threshold is not None
 
     down = engine._down
     partition_of = engine._partition_of

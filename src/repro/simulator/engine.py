@@ -10,7 +10,7 @@ per-event control flow.
 from __future__ import annotations
 
 import gc
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class SimulationEngine:
         workload: Workload,
         config: Optional[SimulationConfig] = None,
         group_protocol_mode: str = "beacon",
-        failures: Sequence[Union[CacheFailEvent, CacheRecoverEvent]] = (),
         observer: Optional[Observer] = None,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
@@ -114,12 +113,9 @@ class SimulationEngine:
         # Active partitions (node -> partition id), shared with the
         # protocol so cooperative lookups never cross a cut.
         self._partition_of: Dict[NodeId, int] = {}
-        self._fault_schedule = faults
-        if faults is not None:
-            faults.validate()
-            self._partition_timeout_ms = faults.partition_timeout_ms
-        else:
-            self._partition_timeout_ms = 500.0
+        if faults is None:
+            faults = FaultSchedule()
+        self._partition_timeout_ms = faults.partition_timeout_ms
         self._protocol = GroupProtocol(
             network,
             grouping,
@@ -130,9 +126,16 @@ class SimulationEngine:
             partition_timeout_ms=self._partition_timeout_ms,
         )
         self._latency = LatencyModel(network, self._config)
+        # Per-run flags derived once from the config's single values;
+        # the oracle's handlers and the kernel both read these.
+        self._invalidate_mode = self._config.consistency_mode == "invalidate"
+        self._ttl_mode = self._config.consistency_mode == "ttl"
+        self._placement_threshold_ms = (
+            self._config.cache.placement_rtt_threshold_ms
+        )
         self._metrics = SimulationMetrics(network.cache_nodes)
         self._origin_load: Optional[OriginLoadTracker] = None
-        if self._config.origin_queueing:
+        if self._config.origin_capacity_rps is not None:
             self._origin_load = OriginLoadTracker(
                 capacity_rps=self._config.origin_capacity_rps,
                 window_ms=self._config.origin_load_window_ms,
@@ -177,37 +180,27 @@ class SimulationEngine:
                     f"request targets cache {bad} which is "
                     f"not in the network"
                 )
-        # Barriers in push order (updates, then failures, then faults):
-        # the columns' stable timestamp sort and the oracle's push-index
-        # tie-break both read this order.  Updates stay columns.
+        # Barriers in push order (updates, then the fault schedule's
+        # events): the columns' stable timestamp sort and the oracle's
+        # push-index tie-break both read this order.  Updates stay
+        # columns.
         barrier_events: List[Event] = []
-        for failure in failures:
-            if failure.cache_node not in self._caches:
+        for fault_event in faults.events():
+            if isinstance(
+                fault_event, (PartitionStartEvent, PartitionEndEvent)
+            ):
+                for node in fault_event.nodes:
+                    if node not in self._caches and node != network.origin:
+                        raise SimulationError(
+                            f"partition names unknown node {node} "
+                            f"(not a cache or the origin)"
+                        )
+            elif fault_event.cache_node not in self._caches:
                 raise SimulationError(
-                    f"failure event targets unknown cache "
-                    f"{failure.cache_node}"
+                    f"fault schedule targets unknown cache "
+                    f"{fault_event.cache_node}"
                 )
-            barrier_events.append(failure)
-        if faults is not None:
-            for fault_event in faults.events():
-                if isinstance(
-                    fault_event, (PartitionStartEvent, PartitionEndEvent)
-                ):
-                    for node in fault_event.nodes:
-                        if (
-                            node not in self._caches
-                            and node != network.origin
-                        ):
-                            raise SimulationError(
-                                f"partition names unknown node {node} "
-                                f"(not a cache or the origin)"
-                            )
-                elif fault_event.cache_node not in self._caches:
-                    raise SimulationError(
-                        f"fault schedule targets unknown cache "
-                        f"{fault_event.cache_node}"
-                    )
-                barrier_events.append(fault_event)
+            barrier_events.append(fault_event)
         self._barrier_events = tuple(barrier_events)
         self._columns = columns_from_arrays(
             req_ts, req_cache, req_doc, workload.updates, barrier_events
@@ -415,29 +408,22 @@ class SimulationEngine:
 
     @property
     def origin_load(self) -> Optional[OriginLoadTracker]:
-        """The congestion tracker (None unless origin_queueing is on)."""
+        """The congestion tracker (None without ``origin_capacity_rps``)."""
         return self._origin_load
 
     def _skip_placement(self, cache_node: NodeId, lookup) -> bool:
         """Cooperative placement: skip storing after a near-peer hit."""
-        cache_config = self._config.cache
-        if not cache_config.cooperative_placement:
+        threshold = self._placement_threshold_ms
+        if threshold is None:
             return False
         if lookup.outcome is not LookupOutcome.GROUP_HIT:
             return False
         assert lookup.holder is not None
-        return (
-            self._network.rtt(cache_node, lookup.holder)
-            <= cache_config.placement_rtt_threshold_ms
-        )
+        return self._network.rtt(cache_node, lookup.holder) <= threshold
 
     def _expire_if_due(self, cache: EdgeCache, doc_id, now_ms: float) -> None:
         """Drop a TTL-expired copy before it can serve anything."""
-        if (
-            not self._config.consistency_enabled
-            or self._config.consistency_mode != "ttl"
-            or not cache.holds(doc_id)
-        ):
+        if not self._ttl_mode or not cache.holds(doc_id):
             return
         entry = cache.entry(doc_id)
         if now_ms - entry.stored_at_ms > self._config.ttl_ms:
@@ -511,10 +497,7 @@ class SimulationEngine:
         self._origin.apply_update(event.doc_id)
         if self._instrumented:
             self._observer.on_origin_update(event.timestamp_ms, event.doc_id)
-        if (
-            not self._config.consistency_enabled
-            or self._config.consistency_mode != "invalidate"
-        ):
+        if not self._invalidate_mode:
             return
         # Server-driven invalidation: every cache holding the document
         # drops its stale copy (see repro.simulator.origin for the

@@ -68,11 +68,11 @@ class GroupProtocol:
         self,
         network: EdgeCacheNetwork,
         grouping: GroupingResult,
+        partition_timeout_ms: float,
         group_lookup_ms: float = 0.3,
         mode: str = "beacon",
         unavailable: Optional[Set[NodeId]] = None,
         partition_of: Optional[Dict[NodeId, int]] = None,
-        partition_timeout_ms: float = 500.0,
     ) -> None:
         if mode not in ("beacon", "multicast", "directory"):
             raise SimulationError(f"unknown group protocol mode {mode!r}")
@@ -98,8 +98,7 @@ class GroupProtocol:
         self._partition_of: Dict[NodeId, int] = (
             partition_of if partition_of is not None else {}
         )
-        if partition_timeout_ms < 0:
-            raise SimulationError("partition_timeout_ms must be >= 0")
+        # Validated by the FaultSchedule it comes from.
         self._partition_timeout_ms = partition_timeout_ms
 
         self._peers: Dict[NodeId, List[NodeId]] = {}

@@ -1,6 +1,6 @@
 """Origin load tracking and congestion-dependent processing time.
 
-When ``SimulationConfig.origin_queueing`` is on, the origin's per-request
+When ``SimulationConfig.origin_capacity_rps`` is set, the origin's per-request
 processing time inflates with its recent load: with arrival rate λ
 (estimated over a sliding window) and capacity μ, the M/M/1 mean
 response factor is ``1 / (1 - ρ)`` for utilisation ``ρ = λ/μ``, clamped

@@ -92,7 +92,6 @@ def simulate(
     workload: Workload,
     config: Optional[SimulationConfig] = None,
     group_protocol_mode: str = "beacon",
-    failures: Sequence = (),
     observer: Optional[Observer] = None,
     faults: Optional["FaultSchedule"] = None,
 ) -> SimulationResult:
@@ -121,7 +120,6 @@ def simulate(
         workload,
         config=config,
         group_protocol_mode=group_protocol_mode,
-        failures=failures,
         observer=observer,
         faults=faults,
     )

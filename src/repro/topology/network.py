@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import PlacementConfig, TransitStubConfig
+from repro.config import TransitStubConfig
 from repro.errors import TopologyError
 from repro.topology.distance import DistanceMatrix, compute_rtt_matrix
 from repro.topology.graph import NetworkGraph
@@ -112,7 +112,6 @@ def build_network(
     num_caches: int,
     topology_config: Optional[TransitStubConfig] = None,
     seed: SeedLike = None,
-    origin_on_transit: bool = True,
 ) -> EdgeCacheNetwork:
     """One-call construction of a simulated edge cache network.
 
@@ -132,11 +131,7 @@ def build_network(
     # so caches share stub domains with nearby peers at every scale.
     config = config.sized_for_density(num_caches + 1)
     graph = generate_transit_stub(config, rng)
-    placement = place_network(
-        graph,
-        PlacementConfig(num_caches=num_caches, origin_on_transit=origin_on_transit),
-        rng,
-    )
+    placement = place_network(graph, num_caches, rng)
     distances = compute_rtt_matrix(graph, placement.node_routers)
     return EdgeCacheNetwork(distances=distances, placement=placement, graph=graph)
 

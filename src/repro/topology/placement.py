@@ -15,8 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.config import PlacementConfig
-from repro.errors import PlacementError
+from repro.errors import ConfigurationError, PlacementError
 from repro.topology.graph import NetworkGraph, RouterTier
 from repro.types import RouterId
 
@@ -45,27 +44,25 @@ class Placement:
 
 def place_network(
     graph: NetworkGraph,
-    config: PlacementConfig,
+    num_caches: int,
     rng: np.random.Generator,
 ) -> Placement:
-    """Place one origin server and ``config.num_caches`` edge caches.
+    """Place one origin server and ``num_caches`` edge caches.
 
     The origin goes on a uniformly random transit router (stub router if
-    ``origin_on_transit`` is false or no transit tier exists).  Caches go
-    on distinct stub routers; if caches outnumber stub routers and
-    ``allow_colocation`` is set, routers are reused round-robin,
-    otherwise :class:`repro.errors.PlacementError` is raised.
+    no transit tier exists).  Caches go on distinct stub routers; if
+    caches outnumber stub routers, :class:`repro.errors.PlacementError`
+    is raised.
     """
-    config.validate()
+    if num_caches < 1:
+        raise ConfigurationError("num_caches must be >= 1")
     transit = graph.routers_in_tier(RouterTier.TRANSIT)
     stubs = graph.routers_in_tier(RouterTier.STUB)
 
-    if config.origin_on_transit and transit:
+    if transit:
         origin = int(transit[int(rng.integers(len(transit)))])
     elif stubs:
         origin = int(stubs[int(rng.integers(len(stubs)))])
-    elif transit:
-        origin = int(transit[int(rng.integers(len(transit)))])
     else:
         raise PlacementError("topology has no routers to place the origin on")
 
@@ -75,16 +72,11 @@ def place_network(
     if not candidates:
         raise PlacementError("topology has no routers left for caches")
 
-    n = config.num_caches
-    if n <= len(candidates):
-        chosen = rng.choice(len(candidates), size=n, replace=False)
-        cache_routers = tuple(int(candidates[int(i)]) for i in chosen)
-    elif config.allow_colocation:
-        chosen = rng.integers(len(candidates), size=n)
-        cache_routers = tuple(int(candidates[int(i)]) for i in chosen)
-    else:
+    if num_caches > len(candidates):
         raise PlacementError(
-            f"cannot place {n} caches on {len(candidates)} distinct stub "
-            f"routers (set allow_colocation or grow the topology)"
+            f"cannot place {num_caches} caches on {len(candidates)} "
+            f"distinct stub routers (grow the topology)"
         )
+    chosen = rng.choice(len(candidates), size=num_caches, replace=False)
+    cache_routers = tuple(int(candidates[int(i)]) for i in chosen)
     return Placement(origin_router=origin, cache_routers=cache_routers)

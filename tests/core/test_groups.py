@@ -71,6 +71,17 @@ class TestGroupingResult:
         with pytest.raises(SchemeError):
             result.group_of(9)
 
+    def test_formed_groupings_compare_by_outcome(self, small_network):
+        from repro.config import LandmarkConfig
+        from repro.core.schemes import SLScheme
+
+        scheme = SLScheme(landmark_config=LandmarkConfig(num_landmarks=6))
+        first = scheme.form_groups(small_network, 4, seed=1)
+        second = scheme.form_groups(small_network, 4, seed=1)
+        assert first.features is not None
+        assert first == second
+        assert first != scheme.form_groups(small_network, 4, seed=2)
+
 
 class TestGroupsFromLabels:
     def test_dense_renumbering(self):

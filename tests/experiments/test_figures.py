@@ -51,13 +51,19 @@ class TestFig3:
             run_fig3(num_caches=10, group_sizes=(0,))
 
     def test_testbed_reuse(self):
-        from repro.experiments.base import build_testbed
+        """One testbed build serves every sweep point (cache hits)."""
+        from repro.runtime.cache import get_cache, reset_cache
 
-        tb = build_testbed(12, seed=4, requests_per_cache=30)
-        result = run_fig3(
-            group_sizes=(2, 6), subset_count=3, testbed=tb
-        )
+        reset_cache()
+        try:
+            result = run_fig3(
+                num_caches=12, group_sizes=(2, 6), subset_count=3, seed=4
+            )
+            stats = get_cache().stats()
+        finally:
+            reset_cache()
         assert result.notes["num_caches"] == 12.0
+        assert stats["hits"] == len(result.x_values)
 
 
 class TestFig4:

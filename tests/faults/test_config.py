@@ -34,22 +34,6 @@ class TestValidation:
         with pytest.raises(ProbingError, match="backoff_base_ms"):
             FaultConfig(backoff_base_ms=-1.0).validate()
 
-    def test_blackhole_self_pair_rejected(self):
-        with pytest.raises(ProbingError, match="blackhole_pairs"):
-            FaultConfig(blackhole_pairs=((3, 3),)).validate()
-
-    def test_blackhole_negative_node_rejected(self):
-        with pytest.raises(ProbingError, match="blackhole_pairs"):
-            FaultConfig(blackhole_pairs=((-1, 2),)).validate()
-
-    def test_slow_link_factor_below_one_rejected(self):
-        with pytest.raises(ProbingError, match="slow_links factor"):
-            FaultConfig(slow_links=((1, 2, 0.5),)).validate()
-
-    def test_slow_link_self_pair_rejected(self):
-        with pytest.raises(ProbingError, match="slow_links"):
-            FaultConfig(slow_links=((2, 2, 2.0),)).validate()
-
     def test_negative_crashed_landmarks_rejected(self):
         with pytest.raises(ProbingError, match="crashed_landmarks"):
             FaultConfig(crashed_landmarks=-1).validate()
@@ -66,12 +50,6 @@ class TestValidation:
 class TestNoop:
     def test_loss_defeats_noop(self):
         assert not FaultConfig(probe_loss_rate=0.1).is_noop()
-
-    def test_blackhole_defeats_noop(self):
-        assert not FaultConfig(blackhole_pairs=((1, 2),)).is_noop()
-
-    def test_slow_link_defeats_noop(self):
-        assert not FaultConfig(slow_links=((1, 2, 2.0),)).is_noop()
 
     def test_crashed_landmarks_defeats_noop(self):
         assert not FaultConfig(crashed_landmarks=1).is_noop()

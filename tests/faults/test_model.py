@@ -31,20 +31,6 @@ class TestLiveness:
         assert m.pair_blocked(1, 5)
         assert not m.pair_blocked(1, 2)
 
-
-class TestBlackholesAndSlowLinks:
-    def test_blackhole_is_unordered(self):
-        m = model(FaultConfig(blackhole_pairs=((4, 2),)))
-        assert m.pair_blocked(2, 4)
-        assert m.pair_blocked(4, 2)
-        assert not m.pair_blocked(2, 3)
-
-    def test_link_factor_is_unordered(self):
-        m = model(FaultConfig(slow_links=((7, 3, 2.5),)))
-        assert m.link_factor(3, 7) == 2.5
-        assert m.link_factor(7, 3) == 2.5
-        assert m.link_factor(3, 4) == 1.0
-
     def test_invalid_config_rejected_at_construction(self):
         with pytest.raises(ProbingError):
             model(FaultConfig(probe_loss_rate=2.0))

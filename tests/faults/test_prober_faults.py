@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from repro.faults import FaultConfig, FaultModel
 from repro.probing import NoNoise, Prober
@@ -20,11 +19,10 @@ class TestZeroFaultByteIdentity:
 
     def test_measure_many_identical(self, paper_network):
         plain = Prober(paper_network, seed=7)
-        # Non-noop config (a blackhole exists) but it blocks no probed
-        # pair, and the loss rate is zero.
-        overlay = fault_prober(
-            paper_network, FaultConfig(blackhole_pairs=((5, 6),)), seed=7
-        )
+        # A crashed node blocks no probed pair, and the loss rate is
+        # zero.
+        overlay = fault_prober(paper_network, FaultConfig(), seed=7)
+        overlay.faults.crash(6)
         targets = [0, 1, 2, 3]
         np.testing.assert_array_equal(
             plain.measure_rows([4], targets)[0],
@@ -46,10 +44,9 @@ class TestZeroFaultByteIdentity:
 
 
 class TestBlockedPairs:
-    def test_blackholed_pair_is_nan_with_full_accounting(self, paper_network):
-        prober = fault_prober(
-            paper_network, FaultConfig(blackhole_pairs=((1, 2),))
-        )
+    def test_crashed_pair_is_nan_with_full_accounting(self, paper_network):
+        prober = fault_prober(paper_network, FaultConfig())
+        prober.faults.crash(2)
         value = prober.measure(1, 2)
         assert math.isnan(value)
         count = prober.config.probe_count
@@ -86,10 +83,8 @@ class TestLossAndRetries:
         assert value > true_rtt  # some slot waited out >= one timeout
 
     def test_zero_loss_mean_is_exact(self, paper_network):
-        prober = fault_prober(
-            paper_network, FaultConfig(blackhole_pairs=((5, 6),)),
-            noise=NoNoise(),
-        )
+        prober = fault_prober(paper_network, FaultConfig(), noise=NoNoise())
+        prober.faults.crash(6)
         assert prober.measure(1, 2) == paper_network.rtt(1, 2)
 
     def test_retries_charged_to_probe_budget(self, paper_network):
@@ -99,15 +94,6 @@ class TestLossAndRetries:
         prober.measure_rows([1], [0, 2, 3, 4, 5, 6])
         base = 6 * prober.config.probe_count
         assert prober.stats.probes_sent == base + prober.stats.retries
-
-    def test_slow_link_scales_the_mean(self, paper_network):
-        prober = fault_prober(
-            paper_network, FaultConfig(slow_links=((1, 2, 3.0),)),
-            noise=NoNoise(),
-        )
-        assert prober.measure(1, 2) == pytest.approx(
-            3.0 * paper_network.rtt(1, 2)
-        )
 
     def test_reset_clears_fault_counters(self, paper_network):
         prober = fault_prober(

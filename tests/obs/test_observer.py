@@ -26,7 +26,8 @@ from repro.obs import (
     TraceCollector,
     replay_hit_rates,
 )
-from repro.simulator import CacheFailEvent, CacheRecoverEvent, simulate
+from repro.faults import FaultSchedule
+from repro.simulator import simulate
 from repro.topology import build_network, network_from_matrix
 from repro.workload import Workload, build_catalog, generate_workload
 from repro.workload.trace import RequestRecord
@@ -125,7 +126,9 @@ class TestEngineIntegration:
         observer = Observer(trace=TraceCollector())
         simulate(
             network, one_group(), workload, config(),
-            failures=[CacheFailEvent(100.0, 2), CacheRecoverEvent(200.0, 2)],
+            faults=FaultSchedule(
+                crashes=((100.0, 2),), recoveries=((200.0, 2),)
+            ),
             observer=observer,
         )
         kinds = [r.kind for r in observer.trace.records()]

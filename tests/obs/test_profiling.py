@@ -91,8 +91,10 @@ class TestCoordinatorPhases:
         return scheme.form_groups(network, 3, seed=3)
 
     def test_pipeline_records_three_steps(self):
-        grouping = self.form()
-        timings = grouping.phase_timings
+        registry = PhaseRegistry()
+        with activate(registry):
+            self.form()
+        timings = registry.total_seconds()
         assert set(timings) >= {"landmarks", "features", "cluster"}
         assert all(seconds >= 0.0 for seconds in timings.values())
 
@@ -104,7 +106,4 @@ class TestCoordinatorPhases:
         assert {"landmarks", "features", "cluster"} <= names
         # fine-grained stage timers land in the ambient registry too
         assert any(name.startswith("landmarks/") for name in names)
-        # and the grouping still carries its own step totals
-        assert set(grouping.phase_timings) >= {
-            "landmarks", "features", "cluster"
-        }
+        assert grouping.num_groups >= 1

@@ -219,11 +219,7 @@ def _stats_fields(stats):
 ROW_CASES = {
     "no-faults": dict(),
     "loss": dict(faults=FaultConfig(probe_loss_rate=0.3)),
-    "blackhole-and-slow-link": dict(
-        faults=FaultConfig(
-            blackhole_pairs=((3, 5),), slow_links=((4, 7, 2.5),),
-        )
-    ),
+    "crashed-node": dict(faults=FaultConfig(), crashed=(5,)),
     "no-noise": dict(noise=NoNoise()),
     "perturb-only-model": dict(
         noise=_UniformJitter(), faults=FaultConfig(probe_loss_rate=0.2)
@@ -235,8 +231,10 @@ class TestMeasureRows:
     """``measure_rows`` against the per-node ``measure_many`` loop."""
 
     @staticmethod
-    def _prober(network, noise=None, faults=None):
+    def _prober(network, noise=None, faults=None, crashed=()):
         model = None if faults is None else FaultModel(faults, RngFactory(5))
+        for node in crashed:
+            model.crash(node)
         return Prober(network, noise=noise, seed=29, faults=model)
 
     @pytest.mark.parametrize("case", sorted(ROW_CASES))
@@ -274,12 +272,12 @@ class TestMeasureRows:
         assert direct.rng.random() == reference.rng.random()
 
     def test_faults_reach_the_matrix(self, small_network):
-        """The blackholed pair reads NaN; the loss case charges waits."""
-        blackholed = self._prober(
-            small_network, **ROW_CASES["blackhole-and-slow-link"]
+        """Pairs with a crashed end read NaN; the loss case charges waits."""
+        crashed = self._prober(
+            small_network, **ROW_CASES["crashed-node"]
         ).measure_rows([3, 4], [5, 7])
-        assert np.isnan(blackholed[0, 0])
-        assert not np.isnan(blackholed[1]).any()
+        assert np.isnan(crashed[:, 0]).all()
+        assert not np.isnan(crashed[:, 1]).any()
         lossy = self._prober(small_network, **ROW_CASES["loss"])
         lossy.measure_rows([3, 4, 6], [0, 5, 7, 2])
         assert lossy.stats.probes_lost > 0

@@ -44,7 +44,7 @@ class DirectoryMachine(RuleBasedStateMachine):
         )
         self.down = set()
         self.protocol = GroupProtocol(
-            network, grouping, unavailable=self.down
+            network, grouping, 500.0, unavailable=self.down
         )
         self.group_of = {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 1}
         self.model = {}  # (doc, group) -> set of holders

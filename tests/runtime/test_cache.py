@@ -5,6 +5,7 @@ import pytest
 from repro.runtime import cache as runtime_cache
 from repro.runtime.cache import (
     CACHE_FORMAT_VERSION,
+    MAX_ENTRIES,
     cached_network,
     configure_cache,
     get_cache,
@@ -39,29 +40,19 @@ class TestTestbedCache:
         assert cache.stats()["misses"] == 1
 
     def test_lru_eviction(self):
-        cache = Cache(max_entries=2)
-        cache.get_or_build("a", lambda: 1)
-        cache.get_or_build("b", lambda: 2)
-        cache.get_or_build("a", lambda: 0)  # refresh a
-        cache.get_or_build("c", lambda: 3)  # evicts b
-        assert cache.stats()["evictions"] == 1
-        builds = []
-        cache.get_or_build("b", lambda: builds.append(1) or 2)
-        assert builds == [1]
-
-    def test_shrink_evicts(self):
-        cache = Cache(max_entries=3)
-        for key in "abc":
+        cache = Cache()
+        keys = [f"k{i}" for i in range(MAX_ENTRIES)]
+        for key in keys:
             cache.get_or_build(key, lambda: key)
-        cache.set_max_entries(1)
-        assert len(cache) == 1
-        assert cache.stats()["evictions"] == 2
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Cache(max_entries=0)
-        with pytest.raises(ValueError):
-            Cache().set_max_entries(0)
+        cache.get_or_build(keys[0], lambda: 0)  # refresh the oldest
+        cache.get_or_build("new", lambda: 3)  # evicts keys[1]
+        assert cache.stats()["evictions"] == 1
+        assert len(cache) == MAX_ENTRIES
+        builds = []
+        cache.get_or_build(keys[0], lambda: builds.append(1) or 0)
+        assert builds == []
+        cache.get_or_build(keys[1], lambda: builds.append(1) or 2)
+        assert builds == [1]
 
     def test_disk_round_trip(self, tmp_path):
         writer = Cache(disk_dir=tmp_path)
@@ -90,12 +81,12 @@ class TestTestbedCache:
 
 class TestKeys:
     def test_keys_embed_version_and_inputs(self):
-        key = network_key(100, 7, "topology")
-        assert f"v{CACHE_FORMAT_VERSION}" in key
-        assert "n=100" in key and "seed=7" in key
-        assert network_key(100, 7, "topology") == key
-        assert network_key(101, 7, "topology") != key
-        assert network_key(100, 8, "topology") != key
+        key = network_key(100, 7)
+        assert key == (
+            f"network/v{CACHE_FORMAT_VERSION}/n=100/seed=7/stream=topology"
+        )
+        assert network_key(101, 7) != key
+        assert network_key(100, 8) != key
 
     def test_testbed_key_distinguishes_workload(self):
         base = make_testbed_key(50, 3, 150, 400)
@@ -123,10 +114,9 @@ class TestKeys:
 class TestModuleCache:
     def test_configure_preserves_counters(self, tmp_path):
         get_cache().get_or_build("k", lambda: 1)
-        cache = configure_cache(max_entries=4, disk_dir=tmp_path)
+        cache = configure_cache(disk_dir=tmp_path)
         assert cache is get_cache()
         assert cache.stats()["misses"] == 1
-        assert cache.max_entries == 4
         assert cache.disk_dir == tmp_path
 
     def test_reset_gives_fresh_cache(self):

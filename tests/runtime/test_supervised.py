@@ -171,7 +171,7 @@ class TestErrorTaxonomy:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize(
-        "name", ["task_timeout_s", "retry_backoff_s", "retry_backoff_cap_s"]
+        "name", ["task_timeout_s", "retry_backoff_s"]
     )
     def test_non_finite_times_rejected(self, name, value):
         # A NaN deadline never expires and makes the parent busy-poll;

@@ -15,7 +15,7 @@ from repro.sanitize import (
     diff_ledgers,
     sanitize,
 )
-from repro.simulator.events import column_ledger
+from repro.simulator.events import column_ledger, set_column_ledger
 from repro.utils.rng import RngFactory
 
 
@@ -131,6 +131,18 @@ class TestLifecycle:
                 raise RuntimeError("boom")
         assert RngFactory.stream is before
         assert installed_hooks() == ()
+        assert column_ledger() is None
+
+    def test_column_ledger_hook_goes_through_its_setter(self):
+        outer = object()
+        previous = set_column_ledger(outer)
+        try:
+            with sanitize():
+                assert column_ledger() not in (None, outer)
+            assert column_ledger() is outer
+        finally:
+            set_column_ledger(previous)
+        assert column_ledger() is None
 
     def test_nesting_raises(self):
         with sanitize():
@@ -189,3 +201,32 @@ class TestSchedulerParity:
         module, rest = result.first.site.split(":", 1)
         assert module == __name__
         assert rest.endswith("#stray")
+
+
+def test_sanitize_not_imported_by_hot_paths():
+    """Flag off => zero overhead: a plain run never loads the sanitizer."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    probe = (
+        "import sys\n"
+        "from repro.topology import build_network\n"
+        "from repro.core.groups import single_group\n"
+        "from repro.config import WorkloadConfig, DocumentConfig\n"
+        "from repro.workload import generate_workload\n"
+        "from repro.simulator import simulate\n"
+        "network = build_network(num_caches=20, seed=5)\n"
+        "workload = generate_workload(network.cache_nodes,\n"
+        "    WorkloadConfig(documents=DocumentConfig(num_documents=50),\n"
+        "                   requests_per_cache=10), seed=9)\n"
+        "simulate(network, single_group(network.cache_nodes), workload)\n"
+        "bad = [m for m in sys.modules if m.startswith('repro.sanitize')]\n"
+        "assert not bad, f'hot path imported {bad}'\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", probe], check=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=str(Path(__file__).resolve().parents[2]),
+    )

@@ -37,12 +37,7 @@ from repro.core.groups import GroupingResult, groups_from_labels
 from repro.faults.schedule import FaultSchedule, PartitionSpec
 from repro.obs import MetricsSampler, Observer, TraceCollector
 from repro.sanitize import diff_ledgers, sanitize
-from repro.simulator import (
-    CacheFailEvent,
-    CacheRecoverEvent,
-    SimulationEngine,
-    simulate,
-)
+from repro.simulator import SimulationEngine, simulate
 from repro.simulator.engine import run_reference
 from repro.topology import build_network
 from repro.workload import generate_workload
@@ -152,20 +147,15 @@ def kernel_and_oracle(run):
 def faults_for(network, workload):
     horizon = workload.horizon_ms
     nodes = network.cache_nodes
-    failures = (
-        CacheFailEvent(horizon * 0.2, nodes[4]),
-        CacheRecoverEvent(horizon * 0.7, nodes[4]),
-    )
-    faults = FaultSchedule(
-        crashes=((horizon * 0.3, nodes[7]),),
-        recoveries=((horizon * 0.8, nodes[7]),),
+    return FaultSchedule(
+        crashes=((horizon * 0.2, nodes[4]), (horizon * 0.3, nodes[7])),
+        recoveries=((horizon * 0.7, nodes[4]), (horizon * 0.8, nodes[7])),
         partitions=(
             PartitionSpec(
                 horizon * 0.4, horizon * 0.6, nodes=tuple(nodes[:6])
             ),
         ),
     )
-    return failures, faults
 
 
 ALL_CONFIGS = [
@@ -176,17 +166,12 @@ ALL_CONFIGS = [
     ),
     pytest.param(
         SimulationConfig(
-            cache=CacheConfig(
-                cooperative_placement=True,
-                placement_rtt_threshold_ms=15.0,
-            )
+            cache=CacheConfig(placement_rtt_threshold_ms=15.0)
         ),
         id="coop-placement",
     ),
     pytest.param(
-        SimulationConfig(
-            origin_queueing=True, origin_capacity_rps=150.0
-        ),
+        SimulationConfig(origin_capacity_rps=150.0),
         id="origin-queueing",
     ),
     pytest.param(
@@ -216,12 +201,11 @@ class TestMetricsEquivalence:
     @pytest.mark.parametrize("config", ALL_CONFIGS)
     def test_with_failures_and_partitions(self, testbed, config):
         network, workload, grouping = testbed
-        failures, faults = faults_for(network, workload)
+        faults = faults_for(network, workload)
         kernel, oracle = kernel_and_oracle(
             lambda: fingerprint(
                 simulate(
-                    network, grouping, workload, config,
-                    failures=failures, faults=faults,
+                    network, grouping, workload, config, faults=faults,
                 ).metrics
             )
         )
@@ -308,7 +292,7 @@ def draw_scenario(data, write_heavy=False):
 
     consistency = data.draw(
         st.just("invalidate") if write_heavy
-        else st.sampled_from(["invalidate", "ttl", "disabled"]),
+        else st.sampled_from(["invalidate", "ttl", "none"]),
         label="consistency",
     )
     config = SimulationConfig(
@@ -324,24 +308,20 @@ def draw_scenario(data, write_heavy=False):
                 else st.sampled_from(["utility", "lru", "lfu"]),
                 label="policy",
             ),
-            cooperative_placement=data.draw(
-                st.booleans(), label="cooperative"
-            ),
             placement_rtt_threshold_ms=data.draw(
-                st.sampled_from([5.0, 15.0, 60.0]), label="placement rtt"
+                st.sampled_from([None, 5.0, 15.0, 60.0]),
+                label="placement rtt",
             ),
         ),
         warmup_fraction=data.draw(
             st.sampled_from([0.0, 0.1, 0.5]), label="warmup"
         ),
-        consistency_enabled=consistency != "disabled",
-        consistency_mode="ttl" if consistency == "ttl" else "invalidate",
+        consistency_mode=consistency,
         ttl_ms=data.draw(
             st.sampled_from([50.0, 800.0, 5_000.0]), label="ttl ms"
         ),
-        origin_queueing=data.draw(st.booleans(), label="queueing"),
         origin_capacity_rps=data.draw(
-            st.sampled_from([20.0, 200.0]), label="origin rps"
+            st.sampled_from([None, 20.0, 200.0]), label="origin rps"
         ),
     )
     protocol = data.draw(
@@ -351,7 +331,6 @@ def draw_scenario(data, write_heavy=False):
 
     request_times = [r.timestamp_ms for r in workload.requests]
     horizon = workload.horizon_ms
-    failures = []
     crashes, recoveries = [], []
     crashed = data.draw(
         st.lists(st.sampled_from(nodes), unique=True, max_size=3),
@@ -364,14 +343,9 @@ def draw_scenario(data, write_heavy=False):
             recover_at = fail_at + data.draw(
                 st.floats(1.0, horizon + 1.0), label="downtime"
             )
-        if data.draw(st.booleans(), label="via schedule"):
-            crashes.append((fail_at, node))
-            if recover_at is not None:
-                recoveries.append((recover_at, node))
-        else:
-            failures.append(CacheFailEvent(fail_at, node))
-            if recover_at is not None:
-                failures.append(CacheRecoverEvent(recover_at, node))
+        crashes.append((fail_at, node))
+        if recover_at is not None:
+            recoveries.append((recover_at, node))
     partitions = []
     free = list(nodes) + [network.origin]
     for _ in range(data.draw(st.integers(0, 2), label="partitions")):
@@ -403,8 +377,8 @@ def draw_scenario(data, write_heavy=False):
     )
     return dict(
         network=network, workload=workload, grouping=grouping,
-        config=config, protocol=protocol, failures=tuple(failures),
-        faults=faults, trace_capacity=trace_capacity, sample_ms=sample_ms,
+        config=config, protocol=protocol, faults=faults,
+        trace_capacity=trace_capacity, sample_ms=sample_ms,
     )
 
 
@@ -431,8 +405,7 @@ def observed_run(scenario, trace_path):
             scenario["network"], scenario["grouping"],
             scenario["workload"], scenario["config"],
             group_protocol_mode=scenario["protocol"],
-            failures=scenario["failures"], observer=observer,
-            faults=scenario["faults"],
+            observer=observer, faults=scenario["faults"],
         )
         metrics = engine.run()
     outputs = {
@@ -526,12 +499,9 @@ class TestInstrumentedEquivalence:
         observer = Observer(
             trace=trace, sampler=MetricsSampler(interval_ms=500.0)
         )
-        failures, faults = (
-            faults_for(network, workload) if faulted else ((), None)
-        )
+        faults = faults_for(network, workload) if faulted else None
         result = simulate(
-            network, grouping, workload, observer=observer,
-            failures=failures, faults=faults,
+            network, grouping, workload, observer=observer, faults=faults,
         )
         return result, trace
 
@@ -601,13 +571,13 @@ class TestSanitizeLedger:
 
     def test_ledger_matches_across_loops(self, testbed):
         network, workload, grouping = testbed
-        failures = (
-            CacheFailEvent(workload.horizon_ms * 0.2, network.cache_nodes[4]),
+        faults = FaultSchedule(
+            crashes=((workload.horizon_ms * 0.2, network.cache_nodes[4]),)
         )
 
         def ledger():
             with sanitize() as state:
-                simulate(network, grouping, workload, failures=failures)
+                simulate(network, grouping, workload, faults=faults)
             return state.ledger
 
         kernel, oracle = kernel_and_oracle(ledger)

@@ -162,7 +162,7 @@ class TestDisabled:
         updates = [UpdateRecord(5.0, 0)]
         _engine, metrics = run(
             tiny_network, catalog, requests, updates,
-            sim_config(consistency_enabled=False),
+            sim_config(consistency_mode="none"),
         )
         assert metrics.cache_stats(1).local_hits == 1
         assert metrics.cache_stats(1).stale_serves == 1

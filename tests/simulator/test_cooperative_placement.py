@@ -43,8 +43,7 @@ def config(cooperative, threshold=10.0):
     return SimulationConfig(
         cache=CacheConfig(
             capacity_fraction=0.5,
-            cooperative_placement=cooperative,
-            placement_rtt_threshold_ms=threshold,
+            placement_rtt_threshold_ms=threshold if cooperative else None,
         ),
         warmup_fraction=0.0,
     )

@@ -181,7 +181,7 @@ class TestUpdateHandling:
             tiny_network,
             pair_grouping(),
             w,
-            config=sim_config(consistency_enabled=False),
+            config=sim_config(consistency_mode="none"),
         )
         metrics = engine.run()
         assert metrics.cache_stats(1).local_hits == 1

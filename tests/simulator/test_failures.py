@@ -5,12 +5,8 @@ import pytest
 from repro.config import CacheConfig, DocumentConfig, SimulationConfig
 from repro.core.groups import CacheGroup, GroupingResult
 from repro.errors import SimulationError
-from repro.simulator import (
-    CacheFailEvent,
-    CacheRecoverEvent,
-    SimulationEngine,
-    simulate,
-)
+from repro.faults import FaultSchedule
+from repro.simulator import SimulationEngine, simulate
 from repro.topology import network_from_matrix
 from repro.workload import Workload, build_catalog
 from repro.workload.trace import RequestRecord
@@ -56,7 +52,7 @@ def engine_for(network, catalog, requests, failures):
         catalog=catalog, requests=tuple(requests), updates=()
     )
     return SimulationEngine(
-        network, one_group(), workload, config(), failures=failures
+        network, one_group(), workload, config(), faults=failures
     )
 
 
@@ -66,7 +62,7 @@ class TestFailure:
             RequestRecord(0.0, 1, 0),
             RequestRecord(20.0, 1, 0),  # while down
         ]
-        failures = [CacheFailEvent(10.0, 1)]
+        failures = FaultSchedule(crashes=((10.0, 1),))
         engine = engine_for(network, catalog, requests, failures)
         metrics = engine.run()
         stats = metrics.cache_stats(1)
@@ -76,7 +72,7 @@ class TestFailure:
 
     def test_crash_loses_contents(self, network, catalog):
         requests = [RequestRecord(0.0, 1, 0)]
-        failures = [CacheFailEvent(10.0, 1)]
+        failures = FaultSchedule(crashes=((10.0, 1),))
         engine = engine_for(network, catalog, requests, failures)
         engine.run()
         assert engine.cache(1).document_count == 0
@@ -87,7 +83,7 @@ class TestFailure:
             RequestRecord(0.0, 1, 0),    # cache 1 stores doc 0
             RequestRecord(20.0, 3, 0),   # cache 3 must go to origin
         ]
-        failures = [CacheFailEvent(10.0, 1)]
+        failures = FaultSchedule(crashes=((10.0, 1),))
         engine = engine_for(network, catalog, requests, failures)
         metrics = engine.run()
         assert metrics.cache_stats(3).group_hits == 0
@@ -101,7 +97,9 @@ class TestFailure:
             RequestRecord(30.0, 1, 0),   # after recovery: normal fetch
             RequestRecord(40.0, 1, 0),   # local hit again
         ]
-        failures = [CacheFailEvent(10.0, 1), CacheRecoverEvent(20.0, 1)]
+        failures = FaultSchedule(
+            crashes=((10.0, 1),), recoveries=((20.0, 1),)
+        )
         engine = engine_for(network, catalog, requests, failures)
         metrics = engine.run()
         stats = metrics.cache_stats(1)
@@ -113,21 +111,21 @@ class TestFailure:
             RequestRecord(0.0, 2, 0),    # cache 2 stores doc 0
             RequestRecord(20.0, 1, 0),   # cache 2 down: no group hit
         ]
-        failures = [CacheFailEvent(10.0, 2)]
+        failures = FaultSchedule(crashes=((10.0, 2),))
         engine = engine_for(network, catalog, requests, failures)
         metrics = engine.run()
         assert metrics.cache_stats(1).group_hits == 0
 
     def test_double_fail_rejected(self, network, catalog):
         requests = [RequestRecord(0.0, 1, 0)]
-        failures = [CacheFailEvent(10.0, 1), CacheFailEvent(20.0, 1)]
+        failures = FaultSchedule(crashes=((10.0, 1), (20.0, 1)))
         engine = engine_for(network, catalog, requests, failures)
         with pytest.raises(SimulationError):
             engine.run()
 
     def test_recover_without_fail_rejected(self, network, catalog):
         requests = [RequestRecord(0.0, 1, 0)]
-        failures = [CacheRecoverEvent(10.0, 1)]
+        failures = FaultSchedule(recoveries=((10.0, 1),))
         engine = engine_for(network, catalog, requests, failures)
         with pytest.raises(SimulationError):
             engine.run()
@@ -137,13 +135,16 @@ class TestFailure:
         with pytest.raises(SimulationError, match="got nan"):
             engine_for(
                 network, catalog, requests,
-                [CacheFailEvent(float("nan"), 1)],
+                FaultSchedule(crashes=((float("nan"), 1),)),
             )
 
     def test_unknown_cache_rejected(self, network, catalog):
         requests = [RequestRecord(0.0, 1, 0)]
         with pytest.raises(SimulationError):
-            engine_for(network, catalog, requests, [CacheFailEvent(5.0, 99)])
+            engine_for(
+                network, catalog, requests,
+                FaultSchedule(crashes=((5.0, 99),)),
+            )
 
     def test_simulate_accepts_failures(self, network, catalog):
         workload = Workload(
@@ -153,7 +154,7 @@ class TestFailure:
         )
         result = simulate(
             network, one_group(), workload, config(),
-            failures=[CacheFailEvent(10.0, 1)],
+            faults=FaultSchedule(crashes=((10.0, 1),)),
         )
         assert result.metrics.cache_stats(1).requests_while_down == 1
 
@@ -162,11 +163,9 @@ class TestFailure:
             RequestRecord(float(i * 5), 1 + (i % 3), i % 4)
             for i in range(30)
         ]
-        failures = [
-            CacheFailEvent(40.0, 2),
-            CacheRecoverEvent(90.0, 2),
-            CacheFailEvent(100.0, 3),
-        ]
+        failures = FaultSchedule(
+            crashes=((40.0, 2), (100.0, 3)), recoveries=((90.0, 2),)
+        )
         engine = engine_for(network, catalog, requests, failures)
         metrics = engine.run()
         assert metrics.conservation_holds()
@@ -179,12 +178,11 @@ class TestFailure:
             RequestRecord(float(i * 5), 1 + (i % 3), i % 4)
             for i in range(60)
         ]
-        failures = [
-            CacheFailEvent(30.0, 2),    # crash during warm-up
-            CacheRecoverEvent(80.0, 2),
-            CacheFailEvent(150.0, 1),   # crash after warm-up
-            CacheRecoverEvent(220.0, 1),
-        ]
+        failures = FaultSchedule(
+            # one crash during warm-up, one after it
+            crashes=((30.0, 2), (150.0, 1)),
+            recoveries=((80.0, 2), (220.0, 1)),
+        )
         workload = Workload(
             catalog=catalog, requests=tuple(requests), updates=()
         )
@@ -192,7 +190,7 @@ class TestFailure:
             cache=CacheConfig(capacity_fraction=0.5), warmup_fraction=0.2
         )
         engine = SimulationEngine(
-            network, one_group(), workload, config_obj, failures=failures
+            network, one_group(), workload, config_obj, faults=failures
         )
         metrics = engine.run()  # run() itself asserts conservation
         assert metrics.conservation_holds()

@@ -32,7 +32,7 @@ def singleton_grouping(paper_network):
 
 def proto(network, grouping, mode="beacon", lookup_ms=0.3):
     return GroupProtocol(
-        network, grouping, group_lookup_ms=lookup_ms, mode=mode
+        network, grouping, 500.0, group_lookup_ms=lookup_ms, mode=mode
     )
 
 
@@ -164,7 +164,7 @@ class TestAvailabilityFiltering:
         grouping = GroupingResult(
             scheme="manual", groups=(CacheGroup(0, (1, 2, 3)),)
         )
-        p = GroupProtocol(paper_network, grouping, unavailable=down)
+        p = GroupProtocol(paper_network, grouping, 500.0, unavailable=down)
         p.record_copy(2, 7)
         assert p.holders_in_group(1, 7) == [2]
         down.add(2)
@@ -180,7 +180,7 @@ class TestAvailabilityFiltering:
             scheme="manual", groups=(CacheGroup(0, (1, 2, 3)),)
         )
         p = GroupProtocol(
-            paper_network, grouping, mode="beacon", unavailable=down
+            paper_network, grouping, 500.0, mode="beacon", unavailable=down
         )
         p.record_copy(3, 7)
         # Find a doc whose beacon (from cache 1's view) is cache 2.
@@ -200,7 +200,7 @@ class TestAvailabilityFiltering:
             scheme="manual", groups=(CacheGroup(0, (1, 2, 3)),)
         )
         p = GroupProtocol(
-            paper_network, grouping, mode="multicast",
+            paper_network, grouping, 500.0, mode="multicast",
             group_lookup_ms=0.0, unavailable=down,
         )
         result = p.lookup(1, 7)
@@ -216,7 +216,7 @@ class TestAvailabilityFiltering:
             scheme="manual", groups=(CacheGroup(0, (1, 2, 3)),)
         )
         p = GroupProtocol(
-            paper_network, grouping, mode="multicast",
+            paper_network, grouping, 500.0, mode="multicast",
             group_lookup_ms=0.5, unavailable=down,
         )
         result = p.lookup(1, 7)
@@ -235,8 +235,8 @@ class TestLookupDirectory:
 class TestConstruction:
     def test_unknown_mode_rejected(self, paper_network, grouping):
         with pytest.raises(SimulationError):
-            GroupProtocol(paper_network, grouping, mode="gossip")
+            GroupProtocol(paper_network, grouping, 500.0, mode="gossip")
 
     def test_negative_lookup_rejected(self, paper_network, grouping):
         with pytest.raises(SimulationError):
-            GroupProtocol(paper_network, grouping, group_lookup_ms=-1.0)
+            GroupProtocol(paper_network, grouping, 500.0, group_lookup_ms=-1.0)

@@ -15,7 +15,8 @@ from repro.config import (
 from repro.core.groups import GroupingResult, groups_from_labels
 from repro.core.schemes import SLScheme
 from repro.config import LandmarkConfig
-from repro.simulator import CacheFailEvent, CacheRecoverEvent, simulate
+from repro.faults import FaultSchedule
+from repro.simulator import simulate
 from repro.topology import build_network
 from repro.workload import generate_workload
 
@@ -41,11 +42,13 @@ def testbed():
 
 def failures_for(network, workload):
     horizon = workload.horizon_ms
-    return [
-        CacheFailEvent(horizon * 0.3, network.cache_nodes[0]),
-        CacheRecoverEvent(horizon * 0.6, network.cache_nodes[0]),
-        CacheFailEvent(horizon * 0.5, network.cache_nodes[5]),
-    ]
+    return FaultSchedule(
+        crashes=(
+            (horizon * 0.3, network.cache_nodes[0]),
+            (horizon * 0.5, network.cache_nodes[5]),
+        ),
+        recoveries=((horizon * 0.6, network.cache_nodes[0]),),
+    )
 
 
 ALL_CONFIGS = [
@@ -55,10 +58,7 @@ ALL_CONFIGS = [
     ),
     pytest.param(
         SimulationConfig(
-            cache=CacheConfig(
-                cooperative_placement=True,
-                placement_rtt_threshold_ms=15.0,
-            )
+            cache=CacheConfig(placement_rtt_threshold_ms=15.0)
         ),
         id="coop-placement",
     ),
@@ -66,11 +66,7 @@ ALL_CONFIGS = [
         SimulationConfig(
             consistency_mode="ttl",
             ttl_ms=2_000.0,
-            cache=CacheConfig(
-                cooperative_placement=True,
-                placement_rtt_threshold_ms=15.0,
-            ),
-            origin_queueing=True,
+            cache=CacheConfig(placement_rtt_threshold_ms=15.0),
             origin_capacity_rps=500.0,
         ),
         id="everything-on",
@@ -84,7 +80,7 @@ class TestModeCombinations:
         network, workload, grouping = testbed
         result = simulate(
             network, grouping, workload, config,
-            failures=failures_for(network, workload),
+            faults=failures_for(network, workload),
         )
         metrics = result.metrics
         assert metrics.conservation_holds()
@@ -119,7 +115,7 @@ class TestModeCombinations:
             )
             result = simulate(
                 network, grouping, workload, config,
-                failures=failures_for(network, workload),
+                faults=failures_for(network, workload),
             )
             assert result.metrics.conservation_holds()
 
@@ -127,7 +123,7 @@ class TestModeCombinations:
         network, workload, grouping = testbed
         config = ALL_CONFIGS[2].values[0]
         failures = failures_for(network, workload)
-        a = simulate(network, grouping, workload, config, failures=failures)
-        b = simulate(network, grouping, workload, config, failures=failures)
+        a = simulate(network, grouping, workload, config, faults=failures)
+        b = simulate(network, grouping, workload, config, faults=failures)
         assert a.average_latency_ms() == b.average_latency_ms()
         assert a.hit_rates() == b.hit_rates()

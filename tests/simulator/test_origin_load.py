@@ -88,8 +88,7 @@ class TestEngineWithQueueing:
         return SimulationConfig(
             cache=CacheConfig(capacity_fraction=0.02),  # tiny: mostly misses
             origin_processing_ms=40.0,
-            origin_queueing=queueing,
-            origin_capacity_rps=capacity_rps,
+            origin_capacity_rps=capacity_rps if queueing else None,
             warmup_fraction=0.0,
         )
 

@@ -295,6 +295,33 @@ class TestExperimentAll:
         assert (out_dir / "fig4.json").exists()
         assert (out_dir / "summary.md").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["all", "--out", "x.json"], "experiment all: --out apply"),
+            (["all", "--csv", "x.csv"], "experiment all: --csv apply"),
+            (["all", "--figures", "fig3", "--plot"],
+             "experiment all: --plot apply"),
+            (["all", "--out", "x.json", "--csv", "x.csv", "--plot"],
+             "experiment all: --out, --csv, --plot apply"),
+            (["fig3", "--figures", "fig4"],
+             "experiment fig3: --figures selects figures"),
+        ],
+        ids=["out", "csv", "plot", "all-three", "figures-on-one-figure"],
+    )
+    def test_ignored_options_are_usage_errors(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", *argv])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err
+        assert message in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSharedFigureOptions:
     """experiment, chaos run and sanitize run declare their options once."""
@@ -538,9 +565,12 @@ class TestInstrumentedSimulate:
         )
         assert code == 0
         manifest = load_manifest(manifest_path)
-        # the GF-Coordinator steps are timed end to end
-        for phase in ("gf/landmarks", "gf/features", "gf/cluster"):
-            assert phase in manifest.phase_timings_s
+        # the GF-Coordinator steps are timed once, under form_groups
+        for step in ("landmarks", "features", "cluster"):
+            assert f"form_groups/{step}" in manifest.phase_timings_s
+        assert not any(
+            name.startswith("gf/") for name in manifest.phase_timings_s
+        )
         assert manifest.totals["requests"] > 0
         assert manifest.run_stats["events_per_sec"] > 0
         assert len(manifest.timeseries) >= 10
@@ -590,7 +620,7 @@ class TestReportCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "simulate:SL" in out
-        assert "gf/landmarks" in out
+        assert "form_groups/landmarks" in out
         assert "time series:" in out
         assert "hit_rate" in out
         assert "trace.records" in out

@@ -8,7 +8,6 @@ from repro.config import (
     GNPConfig,
     KMeansConfig,
     LandmarkConfig,
-    PlacementConfig,
     ProbeConfig,
     SDSLConfig,
     SimulationConfig,
@@ -76,15 +75,6 @@ class TestTransitStubConfig:
             TransitStubConfig().sized_for_density(0)
         with pytest.raises(ConfigurationError):
             TransitStubConfig().sized_for_density(10, nodes_per_stub_router=0)
-
-
-class TestPlacementConfig:
-    def test_default_validates(self):
-        PlacementConfig().validate()
-
-    def test_zero_caches_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PlacementConfig(num_caches=0).validate()
 
 
 class TestProbeConfig:
@@ -227,3 +217,29 @@ class TestSimulationConfig:
     def test_full_warmup_rejected(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(warmup_fraction=1.0).validate()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ProbeConfig(jitter_std=NAN),
+        ProbeConfig(min_rtt_ms=NAN),
+        SimulationConfig(origin_processing_ms=NAN),
+        SimulationConfig(ttl_ms=NAN),
+        WorkloadConfig(zipf_alpha=NAN),
+        WorkloadConfig(mean_interarrival_ms=NAN),
+        DocumentConfig(mean_size_bytes=NAN),
+        SDSLConfig(theta=NAN),
+    ],
+    ids=lambda config: next(
+        f"{type(config).__name__}.{name}"
+        for name, value in vars(config).items()
+        if isinstance(value, float) and value != value
+    ),
+)
+def test_nan_rejected(config):
+    with pytest.raises(ConfigurationError, match="got nan"):
+        config.validate()
