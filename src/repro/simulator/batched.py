@@ -8,7 +8,8 @@ folds for every request.  This module replaces that hot path with a
 
 * Requests live as pre-extracted timestamp/cache/doc columns; no
   ``RequestEvent`` objects exist at all, and the kernel iterates
-  memoryviews of the columns, so no per-request list is built.
+  memoryviews of the columns, so no per-request list is built.  The
+  barrier columns are indexed through memoryviews the same way.
 * The *barriers* (origin updates, failures, recoveries, partition
   edges) split the request stream into causality-safe slices: between
   two barriers no cache fails, no partition moves and no origin
@@ -21,7 +22,13 @@ folds for every request.  This module replaces that hot path with a
   replacement policies' :meth:`~repro.simulator.replacement.
   ReplacementPolicy.hot_state` structures directly, replaying *exactly*
   the operations the method path would have performed (same dict and
-  heap mutations, same float expressions, same order).
+  heap mutations, same float expressions, same order).  The utility
+  policy's heap pushes are deferred by the policy's own rule on the
+  policy's own buffers: an entry tuple joins ``pending``, a full
+  ``pending`` spills into the packed ``spilled`` column, and both
+  flush into the heap only when an eviction is about to read it, so
+  a run leaves the same heap, list and column behind as the method
+  path.
 * Metrics accumulate into flat per-cache slots (Welford recurrence and
   histogram binning inlined with identical arithmetic) and fold into
   :class:`~repro.simulator.metrics.SimulationMetrics` once at end of
@@ -58,6 +65,7 @@ instead, trading a little speed for zero duplication of rarely-hot logic.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import chain
 from math import inf
 from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
 
@@ -65,6 +73,7 @@ from repro.errors import SimulationError
 from repro.obs.trace import KIND_REQUEST, TraceRecord
 from repro.simulator import events as events_module
 from repro.simulator.events import EventColumns, OriginUpdateEvent
+from repro.simulator.replacement import SPILL_AT, push_spilled
 
 if TYPE_CHECKING:
     from repro.simulator.engine import SimulationEngine
@@ -154,9 +163,9 @@ def run_batched(engine: "SimulationEngine") -> int:
     req_cache_column = columns.req_caches
     req_doc_column = columns.req_docs
     total_requests = req_ts_column.size
-    positions = columns.barrier_positions.tolist()
-    barrier_times = columns.barrier_timestamps.tolist()
-    barrier_docs = columns.barrier_docs.tolist()
+    positions = memoryview(columns.barrier_positions)
+    barrier_times = memoryview(columns.barrier_timestamps)
+    barrier_docs = memoryview(columns.barrier_docs)
     barrier_events = columns.barrier_events
     num_barriers = len(positions)
 
@@ -191,13 +200,12 @@ def run_batched(engine: "SimulationEngine") -> int:
     pinv_by = [None] * size_index
     pver_by = [None] * size_index
     heap_by = [None] * size_index
-    # Deferred heap entries: the utility policy's (score, version, doc)
-    # pushes buffer here and flush into the real heap only when an
-    # eviction is about to read it.  Tuple comparison is a total order
-    # (per-doc versions make entries distinct), so heap *pop order*
-    # depends only on the entry multiset, never on push order — which
-    # is what makes the deferral invisible to victim selection.
+    # The utility policy's deferred (score, version, doc) pushes: its
+    # own pending tuples and spilled column (see _HeapScorePolicy).
     pend_by = [None] * size_index
+    spill_by = [None] * size_index
+    spill_at = SPILL_AT
+    chain_from = chain.from_iterable
     for node in nodes:
         policy = caches[node].policy
         policy_by[node] = policy
@@ -209,7 +217,8 @@ def run_batched(engine: "SimulationEngine") -> int:
             pinv_by[node] = hot["invalidations"]
             pver_by[node] = hot["version"]
             heap_by[node] = hot["heap"]
-            pend_by[node] = []
+            pend_by[node] = hot["pending"]
+            spill_by[node] = hot["spilled"]
 
     protocol = engine._protocol
     proto = protocol.hot_state()
@@ -387,7 +396,11 @@ def run_batched(engine: "SimulationEngine") -> int:
                         pver_c = pver_by[c]
                         version = pver_c[d] + 1
                         pver_c[d] = version
-                        pend_by[c].append((
+                        pend_c = pend_by[c]
+                        if len(pend_c) >= spill_at:
+                            spill_by[c].extend(chain_from(pend_c))
+                            del pend_c[:]
+                        pend_c.append((
                             accesses * pfc_by[c][d]
                             / (psz_by[c][d] * (1.0 + pinv_by[c][d])),
                             version,
@@ -564,10 +577,14 @@ def run_batched(engine: "SimulationEngine") -> int:
                             pver_c = pver_by[c]
                             heap_c = heap_by[c]
                             group_c = group_by[c]
+                            pend_c = pend_by[c]
                             if used[c] + size > cap_c:
                                 # Eviction will read the heap: flush
-                                # the deferred entries first.
-                                pend_c = pend_by[c]
+                                # the deferred entries first, oldest
+                                # first (the policy's select_victim).
+                                spill_c = spill_by[c]
+                                if spill_c:
+                                    push_spilled(heap_c, spill_c, doc_int)
                                 if pend_c:
                                     for entry in pend_c:
                                         heappush(heap_c, entry)
@@ -609,7 +626,10 @@ def run_batched(engine: "SimulationEngine") -> int:
                             invalidations = pinv_by[c].setdefault(d, 0)
                             version = pver_c.get(d, 0) + 1
                             pver_c[d] = version
-                            pend_by[c].append((
+                            if len(pend_c) >= spill_at:
+                                spill_by[c].extend(chain_from(pend_c))
+                                del pend_c[:]
+                            pend_c.append((
                                 1 * cost / (size * (1.0 + invalidations)),
                                 version,
                                 d,
@@ -768,17 +788,6 @@ def run_batched(engine: "SimulationEngine") -> int:
             window_origin, window_totals,
         )
         sampler.finalize(last_ts, **sample_gauges(last_ts))
-
-    if util_mode:
-        # Leave the policies' heaps holding every entry (the deferred
-        # buffers are a loop-internal detail, not post-run state).
-        for node in nodes:
-            pend_node = pend_by[node]
-            if pend_node:
-                heap_node = heap_by[node]
-                for entry in pend_node:
-                    heappush(heap_node, entry)
-                del pend_node[:]
 
     engine._processed_requests = total_requests
     origin.absorb_updates(updates_applied)

@@ -26,7 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simulator.batched as batched_module
 import repro.simulator.engine as engine_module
+import repro.simulator.replacement as replacement_module
 from repro.config import (
     CacheConfig,
     DocumentConfig,
@@ -39,6 +41,7 @@ from repro.obs import MetricsSampler, Observer, TraceCollector
 from repro.sanitize import diff_ledgers, sanitize
 from repro.simulator import SimulationEngine, simulate
 from repro.simulator.engine import run_reference
+from repro.simulator.replacement import SPILL_AT
 from repro.topology import build_network
 from repro.workload import generate_workload
 
@@ -104,8 +107,9 @@ def state_fingerprint(engine):
     Covers what the kernel mutates inline: origin versions and update
     count, each cache's used bytes and store records, each replacement
     policy's maps (in insertion order), and the holder directory.  A
-    policy heap is compared as a multiset: the kernel defers pushes,
-    which changes the heap's array layout but not its pop order.
+    heap-score policy's heap, pending tuples and spilled column are
+    compared exactly, as lists: both loops defer pushes by the
+    policy's one rule, so they leave the same array layout behind.
     """
     origin = engine.origin
     rows = [
@@ -122,8 +126,8 @@ def state_fingerprint(engine):
         ]
         policy = []
         for key, value in sorted(cache.policy.hot_state().items()):
-            if key == "heap":
-                value = sorted(value)
+            if key in ("heap", "pending", "spilled"):
+                value = list(value)
             else:
                 value = list(value.items())
             policy.append([key, repr(value)])
@@ -448,16 +452,73 @@ class TestKernelMatchesOracle:
         assert kernel == oracle
 
 
-def test_requests_share_one_doc_id_int_per_document():
+def spill_flushes(monkeypatch):
+    """Record the entries each spilled-column flush pushes, in either loop."""
+    rebuilt = []
+    push_spilled = replacement_module.push_spilled
+
+    def recording(heap, spilled, doc_of=int):
+        before = set(map(id, heap))
+        push_spilled(heap, spilled, doc_of)
+        rebuilt.extend(entry for entry in heap if id(entry) not in before)
+
+    monkeypatch.setattr(batched_module, "push_spilled", recording)
+    monkeypatch.setattr(replacement_module, "push_spilled", recording)
+    return rebuilt
+
+
+@pytest.mark.parametrize("policy", ["utility", "lfu"])
+def test_spilled_entries_flush_before_the_first_eviction(policy):
+    """A cache that makes more than ``SPILL_AT`` pushes before its first
+    eviction: the kernel flushes the spilled column ahead of the pending
+    tuples exactly as the policy's ``select_victim`` does, so every
+    output and the post-run heaps, lists and columns agree."""
+    network = fuzz_network(4)
+    workload = generate_workload(
+        network.cache_nodes,
+        WorkloadConfig(
+            documents=DocumentConfig(num_documents=600, dynamic_fraction=0.6),
+            requests_per_cache=900,
+            zipf_alpha=0.3,
+            mean_update_interarrival_ms=40.0,
+        ),
+        seed=3,
+    )
+    nodes = network.cache_nodes
+    scenario = dict(
+        network=network, workload=workload,
+        grouping=GroupingResult(
+            scheme="test", groups=groups_from_labels(nodes, [0] * len(nodes))
+        ),
+        config=SimulationConfig(
+            cache=CacheConfig(capacity_fraction=0.3, replacement_policy=policy),
+            warmup_fraction=0.0,
+        ),
+        protocol="beacon", faults=None, trace_capacity="off",
+        sample_ms=None,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        rebuilt = spill_flushes(patch)
+        kernel, oracle = kernel_and_oracle(
+            lambda: observed_run(scenario, trace_path=None)
+        )
+    # Only a cache that spilled before evicting flushes the column.
+    assert len(rebuilt) > 2 * SPILL_AT
+    assert kernel == oracle
+
+
+def test_requests_share_one_doc_id_int_per_document(monkeypatch):
     """The kernel reads request doc ids through one shared int per
-    document, so the heap entries and cache records that requests make
-    hold no int object of their own (ids above 256 are not interned)."""
+    document, so the heap entries, pending tuples and cache records
+    that requests make hold no int object of their own (ids above 256
+    are not interned) — heap entries rebuilt from the spilled column
+    included."""
     network = build_network(num_caches=8, seed=5)
     workload = generate_workload(
         network.cache_nodes,
         WorkloadConfig(
             documents=DocumentConfig(num_documents=600, dynamic_fraction=0.0),
-            requests_per_cache=400,
+            requests_per_cache=1000,
             zipf_alpha=0.3,
         ),
         seed=5,
@@ -467,18 +528,63 @@ def test_requests_share_one_doc_id_int_per_document():
         scheme="test", groups=groups_from_labels(nodes, [0] * len(nodes))
     )
     engine = SimulationEngine(
-        network, grouping, workload, SimulationConfig(warmup_fraction=0.0)
+        network, grouping, workload,
+        SimulationConfig(
+            warmup_fraction=0.0, cache=CacheConfig(capacity_fraction=0.5)
+        ),
     )
+    rebuilt = spill_flushes(monkeypatch)
     engine.run()
     objects = {}
+    entries = list(rebuilt)
     for node in nodes:
-        cache = engine.cache(node)
-        for _, _, doc in cache.policy.hot_state()["heap"]:
+        state = engine.cache(node).policy.hot_state()
+        entries += state["heap"] + state["pending"]
+        for doc in engine.cache(node).store.docs[node]:
             objects.setdefault(doc, set()).add(id(doc))
-        for doc in cache.store.docs[node]:
-            objects.setdefault(doc, set()).add(id(doc))
-    assert max(objects) > 256
+    for _, _, doc in entries:
+        objects.setdefault(doc, set()).add(id(doc))
+    assert max(doc for _, _, doc in rebuilt) > 256
     assert all(len(ids) == 1 for ids in objects.values())
+
+
+@pytest.mark.parametrize("policy", ["utility", "lfu"])
+def test_deferred_entries_stay_packed_without_evictions(policy):
+    """A write-heavy run that never evicts reads no heap, so each
+    heap-score policy keeps every entry deferred: at most ``SPILL_AT``
+    tuples, the rest packed three floats to an entry, one entry per
+    touch (every request is a local hit or an admission here)."""
+    network = fuzz_network(4)
+    workload = generate_workload(
+        network.cache_nodes,
+        WorkloadConfig(
+            documents=DocumentConfig(num_documents=60, dynamic_fraction=0.9),
+            requests_per_cache=700,
+            mean_update_interarrival_ms=20.0,
+        ),
+        seed=9,
+    )
+    nodes = network.cache_nodes
+    grouping = GroupingResult(
+        scheme="test", groups=groups_from_labels(nodes, [0] * len(nodes))
+    )
+    engine = SimulationEngine(
+        network, grouping, workload,
+        SimulationConfig(
+            cache=CacheConfig(capacity_fraction=1.0, replacement_policy=policy),
+            warmup_fraction=0.0,
+        ),
+    )
+    metrics = engine.run()
+    assert metrics.invalidation_messages > 0
+    for node in nodes:
+        stats = metrics.cache_stats(node)
+        touches = stats.local_hits + stats.group_hits + stats.origin_fetches
+        state = engine.cache(node).policy.hot_state()
+        assert touches > SPILL_AT
+        assert len(state["pending"]) <= SPILL_AT
+        assert state["heap"] == []
+        assert len(state["pending"]) + len(state["spilled"]) // 3 == touches
 
 
 # -- fixed layers on top of the engine ------------------------------------

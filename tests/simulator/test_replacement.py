@@ -1,9 +1,13 @@
 """Tests for the replacement policies."""
 
+import random
+from heapq import heappop, heappush
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.simulator import LFUPolicy, LRUPolicy, UtilityPolicy, make_policy
+from repro.simulator.replacement import SPILL_AT
 
 
 class TestLRU:
@@ -155,6 +159,115 @@ class TestUtilityPolicy:
             p.on_remove(1, invalidated=False)
         with pytest.raises(SimulationError):
             p.utility_of(1)
+
+
+class EagerReference:
+    """The heap-score rule with every entry pushed as it is made.
+
+    Written out independently of the policies: the same scores, the
+    same per-document versions (forgotten on removal, as the policies
+    forget them) and the same lazy victim loop, but no deferral.
+    """
+
+    def __init__(self, lfu):
+        self.lfu = lfu
+        self.heap = []
+        self.version = {}
+        self.count = {}
+        self.size = {}
+        self.cost = {}
+        self.invalidations = {}
+
+    def _touch(self, doc):
+        if self.lfu:
+            score = float(self.count[doc])
+        else:
+            score = self.count[doc] * self.cost[doc] / (
+                self.size[doc] * (1.0 + self.invalidations[doc])
+            )
+        self.version[doc] = self.version.get(doc, 0) + 1
+        heappush(self.heap, (score, self.version[doc], doc))
+
+    def on_insert(self, doc, size_bytes, fetch_cost_ms, now_ms):
+        self.count[doc] = 1
+        self.size[doc] = size_bytes
+        self.cost[doc] = max(fetch_cost_ms, 0.01)
+        self.invalidations.setdefault(doc, 0)
+        self._touch(doc)
+
+    def on_access(self, doc, now_ms):
+        self.count[doc] += 1
+        self._touch(doc)
+
+    def on_invalidation_feedback(self, doc):
+        if not self.lfu:
+            self.invalidations[doc] = self.invalidations.get(doc, 0) + 1
+
+    def on_remove(self, doc, invalidated):
+        del self.count[doc], self.size[doc], self.cost[doc]
+        del self.version[doc]
+
+    def select_victim(self):
+        while True:
+            _score, version, doc = self.heap[0]
+            if self.version.get(doc) == version:
+                return doc
+            heappop(self.heap)
+
+
+@pytest.mark.parametrize("cls", [UtilityPolicy, LFUPolicy])
+def test_deferred_pushes_evict_like_an_eager_heap(cls):
+    """More than ``SPILL_AT`` touches between evictions, removals and
+    re-insertions included: the spill-then-flush path picks the same
+    victims, and leaves the same heap, as pushing every entry at once.
+    Doc ids above 256 check the float64 round trip."""
+    policy = cls()
+    reference = EagerReference(lfu=cls is LFUPolicy)
+    both = (policy, reference)
+    rng = random.Random(11)
+    cached = []
+    victims = []
+    spilled_before_eviction = 0
+    for round_ in range(6):
+        for step in range(SPILL_AT * 2 + 37):
+            now = float(round_ * 10_000 + step)
+            roll = rng.random()
+            if roll < 0.35 or len(cached) < 3:
+                doc = rng.randrange(200, 5_000)
+                if doc in cached:
+                    continue
+                size = rng.randrange(1, 10_000)
+                cost = rng.choice([0.0, rng.uniform(0.5, 300.0)])
+                for p in both:
+                    p.on_insert(doc, size, cost, now)
+                cached.append(doc)
+            elif roll < 0.9:
+                doc = rng.choice(cached)
+                for p in both:
+                    p.on_access(doc, now)
+            else:
+                # Invalidate, remove and re-insert: the re-inserted
+                # document restarts at version 1 on both sides.
+                doc = rng.choice(cached)
+                size = rng.randrange(1, 10_000)
+                for p in both:
+                    p.on_invalidation_feedback(doc)
+                    p.on_remove(doc, invalidated=True)
+                    p.on_insert(doc, size, 5.0, now)
+        spilled_before_eviction += len(policy.hot_state()["spilled"]) // 3
+        for _ in range(rng.randrange(1, 40)):
+            victim = policy.select_victim()
+            assert victim == reference.select_victim()
+            victims.append(victim)
+            for p in both:
+                p.on_remove(victim, invalidated=False)
+            cached.remove(victim)
+        state = policy.hot_state()
+        assert not state["pending"] and not state["spilled"]
+        # The same pushes and pops in the same order: equal as lists.
+        assert state["heap"] == reference.heap
+    assert spilled_before_eviction > 6 * SPILL_AT
+    assert max(victims) > 256
 
 
 class TestMakePolicy:
