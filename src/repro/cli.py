@@ -79,9 +79,10 @@ from repro.bench.cli import (
     run_bench_cli,
 )
 from repro.config import LandmarkConfig, WorkloadConfig, DocumentConfig
-from repro.core.schemes import scheme_by_name
+from repro.core.schemes import SCHEME_NAMES, scheme_by_name
 from repro.errors import ReproError
 from repro.experiments import REGISTRY
+from repro.faults import FaultSchedule
 from repro.lint.cli import configure_parser as configure_lint_parser, run_lint
 from repro.obs.registry_cli import (
     configure_parser as configure_runs_parser,
@@ -91,6 +92,7 @@ from repro.runtime.chaos_cli import (
     add_figure_run_args,
     add_registry_arg,
     configure_parser as configure_chaos_parser,
+    non_negative_float,
     run_chaos,
 )
 from repro.sanitize.cli import (
@@ -134,12 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "form-groups", help="partition a network into cooperative groups"
     )
     form.add_argument("--network", required=True, help=".npz network file")
-    form.add_argument(
-        "--scheme",
-        default="SDSL",
-        choices=["SL", "SDSL", "random-landmarks", "mindist-landmarks",
-                 "euclidean-gnp", "vivaldi"],
-    )
+    form.add_argument("--scheme", default="SDSL", choices=SCHEME_NAMES)
     form.add_argument("--k", type=int, required=True)
     form.add_argument("--landmarks", type=int, default=25)
     form.add_argument("--seed", type=int, default=7)
@@ -156,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(see --scheme/--k)",
     )
     sim.add_argument(
-        "--scheme", default="SDSL",
-        choices=["SL", "SDSL", "random-landmarks", "mindist-landmarks",
-                 "euclidean-gnp", "vivaldi"],
+        "--scheme", default="SDSL", choices=SCHEME_NAMES,
         help="scheme for in-process group formation (without --groups)",
     )
     sim.add_argument(
@@ -208,9 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="cut nodes N1,N2,... off from the rest during [START, END) "
              "ms; repeatable",
     )
+    timeout_ms = FaultSchedule.partition_timeout_ms
     sim.add_argument(
-        "--partition-timeout-ms", type=float, default=500.0, metavar="MS",
-        help="wait charged when a query crosses a partition (default 500)",
+        "--partition-timeout-ms", type=float, default=timeout_ms,
+        metavar="MS",
+        help=f"wait charged when a query crosses a partition "
+             f"(default {timeout_ms:g})",
     )
 
     rep = sub.add_parser(
@@ -298,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("baseline", help="baseline result JSON")
     cmp_parser.add_argument("candidate", help="candidate result JSON")
     cmp_parser.add_argument(
-        "--tolerance", type=float, default=0.15,
+        "--tolerance", type=non_negative_float, default=0.15,
         help="relative increase treated as a regression (default 0.15)",
     )
 
@@ -384,8 +382,6 @@ def _fault_schedule(args: argparse.Namespace):
     """The FaultSchedule requested by --crash/--partition, or None."""
     if not args.crash and not args.partition:
         return None
-    from repro.faults import FaultSchedule
-
     crashes, recoveries = [], []
     for spec in args.crash:
         node, fail_ms, recover_ms = _parse_crash(spec)
@@ -413,17 +409,23 @@ def _cmd_network(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_form_groups(args: argparse.Namespace) -> int:
-    network = load_network(args.network)
+def _formation_scheme(args: argparse.Namespace, network):
+    """The ``--scheme`` to form groups with, for form-groups and simulate.
+
+    ``--landmarks`` is clamped to what the network can supply.
+    """
     if args.scheme == "vivaldi":
         # The decentralised scheme has no landmark step to configure.
-        scheme = scheme_by_name(args.scheme)
-    else:
-        landmarks = min(args.landmarks, network.num_caches + 1)
-        scheme = scheme_by_name(
-            args.scheme,
-            landmark_config=LandmarkConfig(num_landmarks=landmarks),
-        )
+        return scheme_by_name(args.scheme)
+    landmarks = min(args.landmarks, network.num_caches + 1)
+    return scheme_by_name(
+        args.scheme, landmark_config=LandmarkConfig(num_landmarks=landmarks)
+    )
+
+
+def _cmd_form_groups(args: argparse.Namespace) -> int:
+    network = load_network(args.network)
+    scheme = _formation_scheme(args, network)
     grouping = scheme.form_groups(
         network, args.k, seed=args.seed, faults=_formation_faults(args)
     )
@@ -477,14 +479,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             grouping = load_grouping(args.groups)
         else:
             k = args.k or max(1, network.num_caches // 10)
-            landmarks = min(args.landmarks, network.num_caches + 1)
-            if args.scheme == "vivaldi":
-                scheme = scheme_by_name(args.scheme)
-            else:
-                scheme = scheme_by_name(
-                    args.scheme,
-                    landmark_config=LandmarkConfig(num_landmarks=landmarks),
-                )
+            scheme = _formation_scheme(args, network)
             with phase_timer("form_groups"):
                 grouping = scheme.form_groups(
                     network, k, seed=args.seed, faults=formation_faults
@@ -760,7 +755,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         load_result(args.baseline), load_result(args.candidate)
     )
     print(report.render())
-    return 2 if report.regressions(args.tolerance) else 0
+    return 1 if report.regressions(args.tolerance) else 0
 
 
 _COMMANDS = {

@@ -298,6 +298,10 @@ _SCHEMES: Dict[str, Type[GroupFormationScheme]] = {
     )
 }
 
+#: Canonical scheme names in registry order (the CLI's ``--scheme``
+#: choices).
+SCHEME_NAMES = tuple(_SCHEMES)
+
 
 def scheme_by_name(name: str, **kwargs) -> GroupFormationScheme:
     """Instantiate a scheme by its canonical name.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -110,10 +110,13 @@ class TimeSeries:
 class MetricsSampler:
     """Windowed counters flushed at fixed simulated-time ticks.
 
-    The engine calls :meth:`observe_request` per served request and
-    :meth:`next_due` / :meth:`flush` around each event so every sample
-    boundary ``k * interval_ms`` strictly precedes the events after it;
-    :meth:`finalize` closes the trailing partial window.
+    The engine folds served requests in (:meth:`observe_request`, or
+    :meth:`observe_batch` from the batched kernel) and, before each
+    event, flushes every tick at or before the event's time: both event
+    loops run ``while next_tick_ms <= now: flush(next_tick_ms, ...)``,
+    so every sample boundary ``k * interval_ms`` strictly precedes the
+    events after it.  :meth:`finalize` closes the trailing partial
+    window.
     """
 
     def __init__(
@@ -140,8 +143,9 @@ class MetricsSampler:
 
     @property
     def next_tick_ms(self) -> float:
-        """The next sample boundary (the batched loop mirrors this
-        locally so its per-event due-check is one float compare)."""
+        """The next sample boundary: a tick is due once an event's time
+        reaches it (the batched loop mirrors this locally so its
+        per-event due-check is one float compare)."""
         return self._next_tick_ms
 
     @property
@@ -195,12 +199,6 @@ class MetricsSampler:
         hist_add = self._window_hist.add
         for value in total_ms_values:
             hist_add(value)
-
-    def next_due(self, now_ms: float) -> Optional[float]:
-        """The next tick time <= ``now_ms``, or None if none is due."""
-        if self._next_tick_ms <= now_ms:
-            return self._next_tick_ms
-        return None
 
     def flush(
         self,

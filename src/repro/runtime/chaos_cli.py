@@ -71,6 +71,9 @@ backoff_seconds = _checked_type(
     "backoff_seconds", float, lambda v: v >= 0 and math.isfinite(v),
     "finite seconds >= 0",
 )
+non_negative_float = _checked_type(
+    "non_negative_float", float, lambda v: v >= 0, "a number >= 0"
+)
 
 
 def add_registry_arg(parser: argparse.ArgumentParser) -> None:

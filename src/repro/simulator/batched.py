@@ -1,49 +1,52 @@
 """The data-oriented event kernel behind :meth:`SimulationEngine.run`.
 
-The reference oracle (:func:`repro.simulator.engine.run_reference`)
-dispatches one Python event object per step through a handler table,
-paying object construction, method dispatch, and per-event metric
-folds for every request.  This module replaces that hot path with a
-*slice kernel* over :class:`~repro.simulator.events.EventColumns`:
+The kernel runs one cache model, the paper's: utility-based replacement,
+beacon lookups inside a cooperative group, an origin driven by an update
+log with server-driven invalidation, a flat-cost origin, every fetched
+copy placed, and no faults.  :func:`repro.simulator.engine.runs_on_kernel`
+states that configuration once; every other run (LRU/LFU, directory or
+multicast lookups, TTL or no consistency, origin queueing, cooperative
+placement, crashes and partitions) goes through the per-event reference
+oracle (:func:`repro.simulator.engine.run_reference`) and the engine's
+handlers, which implement every mode.
+
+The oracle dispatches one Python event object per step through a
+handler table, paying object construction, method dispatch, and
+per-event metric folds for every request.  This module replaces that
+hot path with a *slice kernel* over
+:class:`~repro.simulator.events.EventColumns`:
 
 * Requests live as pre-extracted timestamp/cache/doc columns; no
   ``RequestEvent`` objects exist at all, and the kernel iterates
   memoryviews of the columns, so no per-request list is built.  The
-  barrier columns are indexed through memoryviews the same way.
-* The *barriers* (origin updates, failures, recoveries, partition
-  edges) split the request stream into causality-safe slices: between
-  two barriers no cache fails, no partition moves and no origin
-  version changes, so requests are processed in a tight loop with
-  every per-run constant bound to a local.  Updates arrive as
-  timestamp and document columns; an ``OriginUpdateEvent`` is built
-  only for a handler that needs one.
+  update columns are indexed through memoryviews the same way.
+* The *barriers* (origin updates) split the request stream into
+  causality-safe slices: between two barriers no origin version
+  changes, so requests are processed in a tight loop with every
+  per-run constant bound to a local.
 * Cache state is driven inline: the kernel mutates the shared
-  :class:`~repro.simulator.state.CacheStore` records and the
-  replacement policies' :meth:`~repro.simulator.replacement.
-  ReplacementPolicy.hot_state` structures directly, replaying *exactly*
-  the operations the method path would have performed (same dict and
-  heap mutations, same float expressions, same order).  The utility
-  policy's heap pushes are deferred by the policy's own rule on the
-  policy's own buffers: an entry tuple joins ``pending``, a full
-  ``pending`` spills into the packed ``spilled`` column, and both
-  flush into the heap only when an eviction is about to read it, so
-  a run leaves the same heap, list and column behind as the method
-  path.
+  :class:`~repro.simulator.state.CacheStore` records and the utility
+  policies' :meth:`~repro.simulator.replacement.UtilityPolicy.hot_state`
+  structures directly, replaying *exactly* the operations the method
+  path would have performed (same dict and heap mutations, same float
+  expressions, same order).  The policy's heap pushes are deferred by
+  the policy's own rule on the policy's own buffers: an entry tuple
+  joins ``pending``, a full ``pending`` spills into the packed
+  ``spilled`` column, and both flush into the heap only when an
+  eviction is about to read it, so a run leaves the same heap, list
+  and column behind as the method path.
 * Metrics accumulate into flat per-cache slots (Welford recurrence and
   histogram binning inlined with identical arithmetic) and fold into
   :class:`~repro.simulator.metrics.SimulationMetrics` once at end of
   run; instrumented runs buffer trace rows per slice and mirror the
-  sampler's next-due tick in a local so observation costs one compare
+  sampler's next tick in a local so observation costs one compare
   per event.
-* Origin updates under the utility policy with no partition active —
-  the barriers a write-heavy run is made of — are applied inline too:
-  the origin's version dict (:meth:`~repro.simulator.origin.
-  OriginServer.hot_state`) is bumped and the invalidation fan-out pops
-  the document's holder-directory entry and drops each copy with the
-  same dict operations the method path makes, counting invalidations
-  in a flat per-cache slot.  Every other barrier (failures, recoveries,
-  partition edges, updates under LRU/LFU or an active partition) runs
-  through the engine's event handler on the same shared state.
+* Origin updates are applied inline too: the origin's version dict
+  (:meth:`~repro.simulator.origin.OriginServer.hot_state`) is bumped
+  and the invalidation fan-out pops the document's holder-directory
+  entry and drops each copy with the same dict operations the method
+  path makes, counting invalidations in a flat per-cache slot.  The
+  kernel calls no engine handler.
 * Nothing here may create a reference cycle: :meth:`SimulationEngine.
   run` pauses the cyclic collector around the kernel, so cyclic
   garbage made here would live until the caller's next collection.
@@ -54,12 +57,6 @@ that a kernel run is *bit-identical* to an oracle run: every metric,
 trace record, sample, archived figure byte, and ledger digest.  Any
 optimisation that would change a single float operation's order does
 not belong here.
-
-The inline fast path covers the default ``"utility"`` replacement
-policy and the ``"beacon"``/``"directory"`` protocols.  LRU/LFU policy
-calls, ``"multicast"`` lookups and TTL expiry (``EdgeCache.expire``,
-under every policy) go through the original bound-method code paths
-instead, trading a little speed for zero duplication of rarely-hot logic.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import chain
 from math import inf
-from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.trace import KIND_REQUEST, TraceRecord
@@ -77,14 +74,6 @@ from repro.simulator.replacement import SPILL_AT, push_spilled
 
 if TYPE_CHECKING:
     from repro.simulator.engine import SimulationEngine
-
-#: Shared empty holder sequence: the miss path yields it when the
-#: directory has no entry, mirroring the empty list the protocol's
-#: comprehension builds.  A tuple (not a list) so the module-level
-#: sharing is immutable by construction — the effect analysis treats
-#: module-level mutable containers as shared state.
-_NO_HOLDERS: Tuple[int, ...] = ()
-
 
 def _flush_samples(
     sampler, sample_gauges, until_ms: float,
@@ -126,21 +115,15 @@ def _flush_trace(trace, rows: list) -> None:
 def _merged_stream(columns: EventColumns) -> Iterator[Tuple[str, float]]:
     """(type name, timestamp) pairs in merged event order (ledger feed)."""
     req_ts = columns.req_timestamps.tolist()
-    events = iter(columns.barrier_events)
     lo = 0
-    for hi, ts, doc in zip(
+    for hi, ts in zip(
         columns.barrier_positions.tolist(),
         columns.barrier_timestamps.tolist(),
-        columns.barrier_docs.tolist(),
     ):
         for t in req_ts[lo:hi]:
             yield ("RequestEvent", t)
         lo = hi
-        if doc >= 0:
-            yield (OriginUpdateEvent.__name__, ts)
-        else:
-            event = next(events)
-            yield (type(event).__name__, event.timestamp_ms)
+        yield (OriginUpdateEvent.__name__, ts)
     for t in req_ts[lo:]:
         yield ("RequestEvent", t)
 
@@ -166,7 +149,6 @@ def run_batched(engine: "SimulationEngine") -> int:
     positions = memoryview(columns.barrier_positions)
     barrier_times = memoryview(columns.barrier_timestamps)
     barrier_docs = memoryview(columns.barrier_docs)
-    barrier_events = columns.barrier_events
     num_barriers = len(positions)
 
     hook = events_module.column_ledger()
@@ -192,8 +174,6 @@ def run_batched(engine: "SimulationEngine") -> int:
         docs_by[node] = store.docs[node]
         cap_by[node] = caches[node].capacity_bytes
 
-    util_mode = config.cache.replacement_policy == "utility"
-    policy_by = [None] * size_index
     acc_by = [None] * size_index
     psz_by = [None] * size_index
     pfc_by = [None] * size_index
@@ -207,28 +187,19 @@ def run_batched(engine: "SimulationEngine") -> int:
     spill_at = SPILL_AT
     chain_from = chain.from_iterable
     for node in nodes:
-        policy = caches[node].policy
-        policy_by[node] = policy
-        if util_mode:
-            hot = policy.hot_state()
-            acc_by[node] = hot["access"]
-            psz_by[node] = hot["size"]
-            pfc_by[node] = hot["fetch_cost"]
-            pinv_by[node] = hot["invalidations"]
-            pver_by[node] = hot["version"]
-            heap_by[node] = hot["heap"]
-            pend_by[node] = hot["pending"]
-            spill_by[node] = hot["spilled"]
+        hot = caches[node].policy.hot_state()
+        acc_by[node] = hot["access"]
+        psz_by[node] = hot["size"]
+        pfc_by[node] = hot["fetch_cost"]
+        pinv_by[node] = hot["invalidations"]
+        pver_by[node] = hot["version"]
+        heap_by[node] = hot["heap"]
+        pend_by[node] = hot["pending"]
+        spill_by[node] = hot["spilled"]
 
-    protocol = engine._protocol
-    proto = protocol.hot_state()
+    proto = engine._protocol.hot_state()
     holders_map = proto["holders"]
     lookup_ms = proto["lookup_ms"]
-    partition_timeout_ms = proto["partition_timeout_ms"]
-    beacon_mode = proto["mode"] == "beacon"
-    directory_mode = proto["mode"] == "directory"
-    proto_lookup = protocol.lookup
-    proto_holders = protocol.holders_in_group
     group_by = [-1] * size_index
     peers_by = [None] * size_index
     members_by = [None] * size_index
@@ -242,14 +213,12 @@ def run_batched(engine: "SimulationEngine") -> int:
     origin_processing = config.origin_processing_ms
     rtt = network.distances.as_array()
     rtt_by = [None] * size_index
-    rtt0_by = [0.0] * size_index
     fetch0_by = [0.0] * size_index
     for node in nodes:
         rtt_by[node] = rtt_row = rtt[node].tolist()
-        rtt0_by[node] = rtt_row[origin_node]
         # Same expression the latency model evaluates per fetch:
-        # rtt-to-origin plus flat processing (constant when origin
-        # queueing is off, so it can be hoisted out of the loop).
+        # rtt-to-origin plus flat processing (a constant without origin
+        # queueing, so it is hoisted out of the loop).
         fetch0_by[node] = rtt_row[origin_node] + origin_processing
 
     origin = engine._origin
@@ -265,19 +234,6 @@ def run_batched(engine: "SimulationEngine") -> int:
     for doc in catalog.dynamic_ids():
         dynamic[doc] = True
     updates_applied = 0
-    invalidate_mode = engine._invalidate_mode
-    ttl_mode = engine._ttl_mode
-    ttl_ms = config.ttl_ms
-    placement_threshold = engine._placement_threshold_ms
-    cooperative = placement_threshold is not None
-
-    down = engine._down
-    partition_of = engine._partition_of
-    origin_load = engine._origin_load
-    queueing = origin_load is not None
-    if queueing:
-        record_arrival = origin_load.record_arrival
-        inflation_factor = origin_load.inflation_factor
 
     # -- metric accumulators -----------------------------------------
     metrics = engine._metrics
@@ -292,9 +248,6 @@ def run_batched(engine: "SimulationEngine") -> int:
     m_peer_bytes = [0] * size_index
     m_origin_bytes = [0] * size_index
     m_stale = [0] * size_index
-    m_skips = [0] * size_index
-    m_down = [0] * size_index
-    m_ptimeout = [0] * size_index
     m_inval = [0] * size_index
 
     hist = metrics._latency_hist
@@ -322,8 +275,6 @@ def run_batched(engine: "SimulationEngine") -> int:
     next_tick = sampler.next_tick_ms if sampler is not None else inf
     sample_gauges = engine._sample_gauges
 
-    handlers = engine._HANDLERS
-
     # -- the slice loop ----------------------------------------------
     # Each barrier slice is further split at the warm-up boundary so
     # ``counted`` is a loop constant, and iterated with one zip over
@@ -338,11 +289,10 @@ def run_batched(engine: "SimulationEngine") -> int:
     # constants, and folding it into the fetch path's tail made the
     # read-heavy ``sim-read`` perfbench call slower (median 1.96-2.02 s
     # against 1.86-1.91 s, three alternating runs of five calls; see
-    # docs/performance.md).  Everything else (a group hit, an origin
-    # fetch, a request at a down cache) takes the fetch path, which
-    # has one origin-cost expression and one accounting tail.
+    # docs/performance.md).  Everything else (a group hit or an
+    # origin fetch) takes the fetch path, which has one accounting
+    # tail.
     barrier_index = 0
-    event_index = 0
     req_ts_view = memoryview(req_ts_column)
     req_cache_view = memoryview(req_cache_column)
     req_doc_view = memoryview(req_doc_column)
@@ -375,39 +325,26 @@ def run_batched(engine: "SimulationEngine") -> int:
                     window_local = window_group = window_origin = 0
                     window_totals = []
 
-                # A down cache holds nothing (a failure drops its
-                # contents and the fetch path places nothing for it),
-                # so the local-hit test may run before the down test.
                 docs_c = docs_by[c]
                 record = docs_c.get(d)
-                if ttl_mode and record is not None and (
-                    ts - record[1] > ttl_ms
-                ):
-                    # TTL lapsed: drop the copy before it serves anything.
-                    caches[c].expire(d)
-                    record = None
-
                 if record is not None:
                     # ---- local hit ----
-                    if util_mode:
-                        acc_c = acc_by[c]
-                        accesses = acc_c[d] + 1
-                        acc_c[d] = accesses
-                        pver_c = pver_by[c]
-                        version = pver_c[d] + 1
-                        pver_c[d] = version
-                        pend_c = pend_by[c]
-                        if len(pend_c) >= spill_at:
-                            spill_by[c].extend(chain_from(pend_c))
-                            del pend_c[:]
-                        pend_c.append((
-                            accesses * pfc_by[c][d]
-                            / (psz_by[c][d] * (1.0 + pinv_by[c][d])),
-                            version,
-                            d,
-                        ))
-                    else:
-                        policy_by[c].on_access(d, ts)
+                    acc_c = acc_by[c]
+                    accesses = acc_c[d] + 1
+                    acc_c[d] = accesses
+                    pver_c = pver_by[c]
+                    version = pver_c[d] + 1
+                    pver_c[d] = version
+                    pend_c = pend_by[c]
+                    if len(pend_c) >= spill_at:
+                        spill_by[c].extend(chain_from(pend_c))
+                        del pend_c[:]
+                    pend_c.append((
+                        accesses * pfc_by[c][d]
+                        / (psz_by[c][d] * (1.0 + pinv_by[c][d])),
+                        version,
+                        d,
+                    ))
                     stale = record[2] < origin_version[d]
                     if counted:
                         slot = lat_by[c]
@@ -441,100 +378,40 @@ def run_batched(engine: "SimulationEngine") -> int:
                         ))
                     continue
 
-                # ---- fetch path: cooperative lookup ----
+                # ---- fetch path: beacon lookup ----
                 rtt_c = rtt_by[c]
                 hit = False
-                place = True
-                if down and c in down:
-                    # Down cache: the client falls through to the origin
-                    # directly (no group help, nothing cached).
-                    m_down[c] += 1
+                if not peers_by[c]:
                     query = 0.0
                     messages = 0
-                    place = False
-                elif not peers_by[c]:
-                    query = 0.0
-                    messages = 0
-                elif beacon_mode or directory_mode:
-                    if directory_mode:
-                        query = lookup_ms
-                        messages = 2
-                    else:
-                        members = members_by[c]
-                        beacon = members[(d * 2654435761) % len(members)]
-                        if beacon == c:
-                            query = lookup_ms + 0.0
-                            messages = 0
-                        else:
-                            query = lookup_ms + rtt_c[beacon]
-                            messages = 2
-                    if down or partition_of:
-                        # Degraded path (rare): the full protocol filter
-                        # over down/partitioned holders.
-                        holders: Sequence[int] = proto_holders(c, d)
-                        if beacon_mode and beacon != c:
-                            if down and beacon in down:
-                                # The beacon is the only member who knows
-                                # the holders: the query times out.
-                                messages = 1
-                                holders = _NO_HOLDERS
-                            elif partition_of and (
-                                partition_of.get(c)
-                                != partition_of.get(beacon)
-                            ):
-                                query = lookup_ms + partition_timeout_ms
-                                messages = 1
-                                holders = _NO_HOLDERS
-                        if holders:
-                            holder = holders[0]
-                            best_rtt = rtt_c[holder]
-                            for k in range(1, len(holders)):
-                                candidate = holders[k]
-                                candidate_rtt = rtt_c[candidate]
-                                if candidate_rtt < best_rtt:
-                                    best_rtt = candidate_rtt
-                                    holder = candidate
-                            hit = True
-                    else:
-                        # Clean path: every group member is reachable,
-                        # so the first-min scan runs straight over the
-                        # holder set — same strict-less order as the
-                        # protocol's filtered list, no allocation.
-                        by_group = holders_map.get(d)
-                        if by_group is not None:
-                            held = by_group.get(group_by[c])
-                            if held is not None:
-                                best = -1
-                                best_rtt = inf
-                                for h in held:
-                                    if h != c:
-                                        candidate_rtt = rtt_c[h]
-                                        if candidate_rtt < best_rtt:
-                                            best_rtt = candidate_rtt
-                                            best = h
-                                if best >= 0:
-                                    hit = True
-                                    holder = best
                 else:
-                    # Multicast (and any future mode): the full method.
-                    result = proto_lookup(c, d)
-                    query = result.query_ms
-                    messages = result.messages
-                    if result.holder is not None:
-                        hit = True
-                        holder = result.holder
-
-                if hit and ttl_mode:
-                    # A holder found by the directory may itself have
-                    # expired under TTL; re-check before fetching from it.
-                    held_record = docs_by[holder].get(d)
-                    if held_record is not None and (
-                        ts - held_record[1] > ttl_ms
-                    ):
-                        caches[holder].expire(d)
-                        held_record = None
-                    if held_record is None:
-                        hit = False
+                    members = members_by[c]
+                    beacon = members[(d * 2654435761) % len(members)]
+                    if beacon == c:
+                        query = lookup_ms + 0.0
+                        messages = 0
+                    else:
+                        query = lookup_ms + rtt_c[beacon]
+                        messages = 2
+                    # Every group member is reachable, so the first-min
+                    # scan runs straight over the holder set — same
+                    # strict-less order as the protocol's filtered list,
+                    # no allocation.
+                    by_group = holders_map.get(d)
+                    if by_group is not None:
+                        held = by_group.get(group_by[c])
+                        if held is not None:
+                            best = -1
+                            best_rtt = inf
+                            for h in held:
+                                if h != c:
+                                    candidate_rtt = rtt_c[h]
+                                    if candidate_rtt < best_rtt:
+                                        best_rtt = candidate_rtt
+                                        best = h
+                            if best >= 0:
+                                hit = True
+                                holder = best
 
                 size = sizes[d]
                 if hit:
@@ -542,111 +419,84 @@ def run_batched(engine: "SimulationEngine") -> int:
                     fetched_version = docs_by[holder][d][2]
                     path_value = "group_hit"
                 else:
-                    if partition_of and (
-                        partition_of.get(c) != partition_of.get(origin_node)
-                    ):
-                        query = query + partition_timeout_ms
-                        m_ptimeout[c] += 1
-                    if queueing:
-                        record_arrival(ts)
-                        fetch = (
-                            rtt0_by[c]
-                            + origin_processing * inflation_factor(ts)
-                        )
-                    else:
-                        fetch = fetch0_by[c]
+                    fetch = fetch0_by[c]
                     fetched_version = origin_version[d]
                     path_value = "origin_fetch"
                 transfer = size / bandwidth
                 total = local_ms + query + fetch + transfer
 
                 # ---- placement ----
-                if cooperative and hit and (
-                    rtt_c[holder] <= placement_threshold
-                ):
-                    m_skips[c] += 1
-                elif place:
+                cap_c = cap_by[c]
+                if size <= cap_c:
+                    acc_c = acc_by[c]
+                    psz_c = psz_by[c]
+                    pfc_c = pfc_by[c]
+                    pver_c = pver_by[c]
+                    heap_c = heap_by[c]
+                    group_c = group_by[c]
+                    pend_c = pend_by[c]
+                    if used[c] + size > cap_c:
+                        # Eviction will read the heap: flush the
+                        # deferred entries first, oldest first (the
+                        # policy's select_victim).
+                        spill_c = spill_by[c]
+                        if spill_c:
+                            push_spilled(heap_c, spill_c, doc_int)
+                        if pend_c:
+                            for entry in pend_c:
+                                heappush(heap_c, entry)
+                            del pend_c[:]
+                    while used[c] + size > cap_c:
+                        # Lazy-heap victim selection: pop stale entries,
+                        # evict the live minimum.
+                        while True:
+                            top = heap_c[0]
+                            victim = top[2]
+                            if pver_c.get(victim) == top[1]:
+                                break
+                            heappop(heap_c)
+                        victim_record = docs_c.pop(victim)
+                        used[c] -= victim_record[0]
+                        del acc_c[victim]
+                        del psz_c[victim]
+                        del pfc_c[victim]
+                        del pver_c[victim]
+                        by_group = holders_map.get(victim)
+                        if by_group:
+                            held = by_group.get(group_c)
+                            if held is not None:
+                                held.discard(c)
+                                if not held:
+                                    del by_group[group_c]
+                            if not by_group:
+                                del holders_map[victim]
+                    docs_c[d] = [size, ts, fetched_version]
+                    used[c] += size
+                    acc_c[d] = 1
+                    psz_c[d] = size
+                    # Re-fetch cost is at least a token cost even for
+                    # free fetches (policy on_insert rule).
                     fetch_cost = fetch + transfer
-                    if util_mode:
-                        admitted = False
-                        cap_c = cap_by[c]
-                        if size <= cap_c:
-                            acc_c = acc_by[c]
-                            psz_c = psz_by[c]
-                            pfc_c = pfc_by[c]
-                            pver_c = pver_by[c]
-                            heap_c = heap_by[c]
-                            group_c = group_by[c]
-                            pend_c = pend_by[c]
-                            if used[c] + size > cap_c:
-                                # Eviction will read the heap: flush
-                                # the deferred entries first, oldest
-                                # first (the policy's select_victim).
-                                spill_c = spill_by[c]
-                                if spill_c:
-                                    push_spilled(heap_c, spill_c, doc_int)
-                                if pend_c:
-                                    for entry in pend_c:
-                                        heappush(heap_c, entry)
-                                    del pend_c[:]
-                            while used[c] + size > cap_c:
-                                # Lazy-heap victim selection: pop stale
-                                # entries, evict the live minimum.
-                                while True:
-                                    top = heap_c[0]
-                                    victim = top[2]
-                                    if pver_c.get(victim) == top[1]:
-                                        break
-                                    heappop(heap_c)
-                                victim_record = docs_c.pop(victim)
-                                used[c] -= victim_record[0]
-                                del acc_c[victim]
-                                del psz_c[victim]
-                                del pfc_c[victim]
-                                del pver_c[victim]
-                                by_group = holders_map.get(victim)
-                                if by_group:
-                                    held = by_group.get(group_c)
-                                    if held is not None:
-                                        held.discard(c)
-                                        if not held:
-                                            del by_group[group_c]
-                                    if not by_group:
-                                        del holders_map[victim]
-                            docs_c[d] = [size, ts, fetched_version]
-                            used[c] += size
-                            acc_c[d] = 1
-                            psz_c[d] = size
-                            # Re-fetch cost is at least a token cost even
-                            # for free fetches (policy on_insert rule).
-                            cost = (
-                                fetch_cost if fetch_cost > 0.01 else 0.01
-                            )
-                            pfc_c[d] = cost
-                            invalidations = pinv_by[c].setdefault(d, 0)
-                            version = pver_c.get(d, 0) + 1
-                            pver_c[d] = version
-                            if len(pend_c) >= spill_at:
-                                spill_by[c].extend(chain_from(pend_c))
-                                del pend_c[:]
-                            pend_c.append((
-                                1 * cost / (size * (1.0 + invalidations)),
-                                version,
-                                d,
-                            ))
-                            admitted = True
-                    else:
-                        admitted = caches[c].admit(
-                            d, size, fetch_cost, ts, fetched_version
-                        )
-                    if admitted:
-                        by_group = holders_map.get(d)
-                        if by_group is None:
-                            holders_map[d] = by_group = {}
-                        held = by_group.get(group_by[c])
-                        if held is None:
-                            by_group[group_by[c]] = held = set()
-                        held.add(c)
+                    cost = fetch_cost if fetch_cost > 0.01 else 0.01
+                    pfc_c[d] = cost
+                    invalidations = pinv_by[c].setdefault(d, 0)
+                    version = pver_c.get(d, 0) + 1
+                    pver_c[d] = version
+                    if len(pend_c) >= spill_at:
+                        spill_by[c].extend(chain_from(pend_c))
+                        del pend_c[:]
+                    pend_c.append((
+                        1 * cost / (size * (1.0 + invalidations)),
+                        version,
+                        d,
+                    ))
+                    by_group = holders_map.get(d)
+                    if by_group is None:
+                        holders_map[d] = by_group = {}
+                    held = by_group.get(group_c)
+                    if held is None:
+                        by_group[group_c] = held = set()
+                    held.add(c)
 
                 stale = fetched_version < origin_version[d]
                 if counted:
@@ -710,66 +560,50 @@ def run_batched(engine: "SimulationEngine") -> int:
             window_local = window_group = window_origin = 0
             window_totals = []
         if trace_buf:
-            # The handler may append its own trace record; flush the
+            # The update appends its own trace record; flush the
             # buffered request rows first to keep JSONL order exact.
             _flush_trace(trace, trace_buf)
-        if doc < 0:
-            # Failures, recoveries and partition edges: the engine's
-            # handler on the shared state.
-            barrier = barrier_events[event_index]
-            event_index += 1
-            handlers[type(barrier)](engine, barrier)
-        elif util_mode and not partition_of:
-            # Origin update, inline: OriginServer.apply_update (same
-            # checks, same messages) then the engine's invalidation
-            # fan-out, replaying EdgeCache.invalidate/_remove,
-            # UtilityPolicy.on_invalidation_feedback/on_remove and
-            # GroupProtocol.drop_copy on the shared state.  With no
-            # partition active every holder is reachable.
-            if not 0 <= doc < num_docs:
-                raise SimulationError(
-                    f"unknown document {doc} (catalog size {num_docs})"
-                )
-            if not dynamic[doc]:
-                raise SimulationError(
-                    f"update log targets static document {doc}"
-                )
-            doc_version = origin_versions.get(doc, 0) + 1
-            origin_versions[doc] = doc_version
-            origin_version[doc] = doc_version
-            updates_applied += 1
-            if instrumented:
-                observer.on_origin_update(barrier_ts, doc)
-            if invalidate_mode:
-                # The directory lists exactly the caches whose store
-                # holds the document (every path that adds or drops a
-                # copy keeps both in step), so every holder drops its
-                # copy and the whole directory entry goes at once.
-                by_group = holders_map.pop(doc, None)
-                if by_group:
-                    for held in by_group.values():
-                        for h in held:
-                            held_record = docs_by[h].pop(doc)
-                            pinv_h = pinv_by[h]
-                            pinv_h[doc] = pinv_h.get(doc, 0) + 1
-                            left = used[h] - held_record[0]
-                            used[h] = left
-                            if left < 0:
-                                raise SimulationError(
-                                    f"cache {h} accounting went negative"
-                                )
-                            del acc_by[h][doc]
-                            del psz_by[h][doc]
-                            del pfc_by[h][doc]
-                            del pver_by[h][doc]
-                            m_inval[h] += 1
-        else:
-            # An update under LRU/LFU or an active partition: the
-            # engine's handler, on the one event object it needs.
-            handlers[OriginUpdateEvent](
-                engine, OriginUpdateEvent(barrier_ts, doc)
+        # OriginServer.apply_update (same checks, same messages), then
+        # the engine's invalidation fan-out, replaying
+        # EdgeCache.invalidate/_remove, UtilityPolicy.
+        # on_invalidation_feedback/on_remove and GroupProtocol.drop_copy
+        # on the shared state.
+        if not 0 <= doc < num_docs:
+            raise SimulationError(
+                f"unknown document {doc} (catalog size {num_docs})"
             )
-            origin_version[doc] = origin_versions[doc]
+        if not dynamic[doc]:
+            raise SimulationError(
+                f"update log targets static document {doc}"
+            )
+        doc_version = origin_versions.get(doc, 0) + 1
+        origin_versions[doc] = doc_version
+        origin_version[doc] = doc_version
+        updates_applied += 1
+        if instrumented:
+            observer.on_origin_update(barrier_ts, doc)
+        # The directory lists exactly the caches whose store holds the
+        # document (every path that adds or drops a copy keeps both in
+        # step), so every holder drops its copy and the whole directory
+        # entry goes at once.
+        by_group = holders_map.pop(doc, None)
+        if by_group:
+            for held in by_group.values():
+                for h in held:
+                    held_record = docs_by[h].pop(doc)
+                    pinv_h = pinv_by[h]
+                    pinv_h[doc] = pinv_h.get(doc, 0) + 1
+                    left = used[h] - held_record[0]
+                    used[h] = left
+                    if left < 0:
+                        raise SimulationError(
+                            f"cache {h} accounting went negative"
+                        )
+                    del acc_by[h][doc]
+                    del psz_by[h][doc]
+                    del pfc_by[h][doc]
+                    del pver_by[h][doc]
+                    m_inval[h] += 1
 
     # -- postlude ----------------------------------------------------
     # The last event is the last barrier unless a request follows it.
@@ -799,8 +633,7 @@ def run_batched(engine: "SimulationEngine") -> int:
             slot[0], slot[1], slot[2], slot[3], slot[4],
             m_local[node], m_group[node], m_origin[node],
             m_queries[node], m_peer_bytes[node], m_origin_bytes[node],
-            m_stale[node], m_skips[node], m_down[node],
-            m_ptimeout[node], m_inval[node],
+            m_stale[node], m_inval[node],
         )
     metrics.absorb_batched(
         rows,

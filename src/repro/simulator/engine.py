@@ -76,6 +76,28 @@ def absorb_events(count: int) -> None:
 register_counter("repro.simulator.engine:_EVENTS_TOTAL", events_total, absorb_events)
 
 
+def runs_on_kernel(
+    config: SimulationConfig,
+    group_protocol_mode: str,
+    faults: FaultSchedule,
+) -> bool:
+    """Whether a run is the paper's cache model, the one the kernel runs.
+
+    That model is utility-based replacement, beacon lookups inside a
+    group, server-driven invalidation, a flat-cost origin, every fetched
+    copy placed, and no faults.  :meth:`SimulationEngine.run` sends any
+    other run to :func:`run_reference`.
+    """
+    return (
+        config.cache.replacement_policy == "utility"
+        and group_protocol_mode == "beacon"
+        and config.consistency_mode == "invalidate"
+        and config.origin_capacity_rps is None
+        and config.cache.placement_rtt_threshold_ms is None
+        and faults.is_empty()
+    )
+
+
 class SimulationEngine:
     """One simulation run over a fixed network, grouping, and workload."""
 
@@ -127,7 +149,7 @@ class SimulationEngine:
         )
         self._latency = LatencyModel(network, self._config)
         # Per-run flags derived once from the config's single values;
-        # the oracle's handlers and the kernel both read these.
+        # the handlers read these (the kernel runs only the defaults).
         self._invalidate_mode = self._config.consistency_mode == "invalidate"
         self._ttl_mode = self._config.consistency_mode == "ttl"
         self._placement_threshold_ms = (
@@ -180,10 +202,9 @@ class SimulationEngine:
                     f"request targets cache {bad} which is "
                     f"not in the network"
                 )
-        # Barriers in push order (updates, then the fault schedule's
-        # events): the columns' stable timestamp sort and the oracle's
-        # push-index tie-break both read this order.  Updates stay
-        # columns.
+        # The fault schedule's events, in push order after the updates:
+        # the oracle's push-index tie-break reads this order.  The
+        # kernel never sees them (a run with faults takes the oracle).
         barrier_events: List[Event] = []
         for fault_event in faults.events():
             if isinstance(
@@ -203,9 +224,12 @@ class SimulationEngine:
             barrier_events.append(fault_event)
         self._barrier_events = tuple(barrier_events)
         self._columns = columns_from_arrays(
-            req_ts, req_cache, req_doc, workload.updates, barrier_events
+            req_ts, req_cache, req_doc, workload.updates
         )
         self._columns_consumed = False
+        self._on_kernel = runs_on_kernel(
+            self._config, group_protocol_mode, faults
+        )
 
         total_requests = len(requests)
         self._warmup_remaining = int(
@@ -238,26 +262,31 @@ class SimulationEngine:
     def run(self) -> SimulationMetrics:
         """Process every event; returns the collected metrics.
 
-        Runs the columnar slice kernel (:mod:`repro.simulator.batched`)
-        — no event objects for requests at all.  Every event is known
-        up front and nothing is ever scheduled into the future, which
-        is what lets the kernel pre-merge the streams.  The per-event
-        :func:`run_reference` oracle pins the kernel bit-for-bit in
-        the tests.
+        A run of the paper's cache model (see :func:`runs_on_kernel`)
+        goes through the columnar slice kernel
+        (:mod:`repro.simulator.batched`), which builds no event objects
+        for requests at all: every event is known up front and nothing
+        is ever scheduled into the future, so the kernel pre-merges the
+        streams.  Every other run (the replacement, protocol,
+        consistency, origin-load, placement and fault ablations) goes
+        through the per-event :func:`run_reference` oracle and the
+        engine's handlers, which pin the kernel bit-for-bit in the
+        tests.
         """
         # Wall clock is profiling-only here: it feeds throughput
         # reporting, never event timestamps or simulated behaviour.
         started = perf_seconds()
-        # The kernel allocates a container per request but creates no
+        loop = run_batched if self._on_kernel else run_reference
+        # Both loops allocate a container per request but create no
         # reference cycles, so the cyclic collector's passes (each one
         # rescanning every object the caller keeps alive) could free
-        # nothing.  Pause it for the kernel and restore the caller's
+        # nothing.  Pause it for the loop and restore the caller's
         # setting; the engine is acyclic too (see _HANDLERS), so it is
         # freed by reference counting once the caller drops it.
         collector_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            events_processed = run_batched(self)
+            events_processed = loop(self)
         finally:
             if collector_was_enabled:
                 gc.enable()
@@ -530,16 +559,18 @@ class SimulationEngine:
 
 
 def run_reference(engine: SimulationEngine) -> int:
-    """The per-event reference oracle for :func:`run_batched`.
+    """The per-event loop: every mode's runner, and the kernel's oracle.
 
-    Same signature and contract as the kernel, built from nothing the
-    kernel uses to order events: one :class:`RequestEvent` per workload
-    request (pushed first), one :class:`OriginUpdateEvent` per row of
-    the workload's update columns, then the engine's other barrier
+    Same signature and contract as :func:`run_batched`, built from
+    nothing the kernel uses to order events: one :class:`RequestEvent`
+    per workload request (pushed first), one :class:`OriginUpdateEvent`
+    per row of the workload's update columns, then the fault schedule's
     events, sorted by the key ``(timestamp, priority, push index)`` and
-    dispatched one by one through the engine's handler table.  Tests
-    swap it in with ``monkeypatch.setattr(repro.simulator.engine,
-    "run_batched", run_reference)`` and require byte-equal results.
+    dispatched one by one through the engine's handler table.
+    :meth:`SimulationEngine.run` calls it for every run outside
+    :func:`runs_on_kernel`; for the others, tests swap it in with
+    ``monkeypatch.setattr(repro.simulator.engine, "run_batched",
+    run_reference)`` and require byte-equal results.
     """
     if engine._columns_consumed:
         return 0
@@ -580,10 +611,9 @@ def run_reference(engine: SimulationEngine) -> int:
         if sampler is not None:
             # Flush every sample boundary that precedes this event, so
             # sample times align with simulated (not host) time.
-            tick = sampler.next_due(now)
-            while tick is not None:
+            while sampler.next_tick_ms <= now:
+                tick = sampler.next_tick_ms
                 sampler.flush(tick, **engine._sample_gauges(tick))
-                tick = sampler.next_due(now)
         handlers[type(event)](engine, event)
     if sampler is not None:
         sampler.finalize(now, **engine._sample_gauges(now))

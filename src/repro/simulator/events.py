@@ -15,7 +15,7 @@ order, which keeps runs fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
 import numpy as np
 
@@ -104,25 +104,23 @@ Event = Union[
 
 @dataclass(frozen=True)
 class EventColumns:
-    """The merged event stream in columnar form (the kernel's input).
+    """The merged request/update stream in columnar form (the kernel's input).
 
     Requests — by far the bulk of any workload — live as three parallel
     numpy columns sorted by timestamp (stable, so ties keep workload
-    order — the push-order tie-break).  The *barriers* (everything with
-    priority 0) are sorted stably by timestamp in push order: origin
-    updates first, then the other barrier events.  Barrier ``i`` runs
-    at ``barrier_timestamps[i]``; it updates document
-    ``barrier_docs[i]``, or, where that is -1, it is the next of
-    ``barrier_events`` (cache failures and recoveries, partition
-    edges), the only barriers kept as event objects.
+    order — the push-order tie-break).  The *barriers* are the origin
+    updates, sorted stably by timestamp: barrier ``i`` updates document
+    ``barrier_docs[i]`` at ``barrier_timestamps[i]``.  Fault events
+    never reach the kernel (see
+    :func:`repro.simulator.engine.runs_on_kernel`), so they have no
+    column.
 
     ``barrier_positions[i]`` is the index of the first request that
-    must be processed *after* barrier ``i``: barriers carry priority 0
-    and requests priority 1, so at an equal timestamp the barrier goes
+    must be processed *after* barrier ``i``: updates carry priority 0
+    and requests priority 1, so at an equal timestamp the update goes
     first, which is exactly ``searchsorted(..., side="left")``.  The
     requests between two consecutive barrier positions form one
-    *causality-safe slice*: no cache fails, no partition moves, and no
-    origin version changes inside it.
+    *causality-safe slice*: no origin version changes inside it.
     """
 
     req_timestamps: np.ndarray
@@ -130,7 +128,6 @@ class EventColumns:
     req_docs: np.ndarray
     barrier_timestamps: np.ndarray
     barrier_docs: np.ndarray
-    barrier_events: Tuple[Event, ...]
     barrier_positions: np.ndarray
 
 
@@ -139,14 +136,8 @@ def columns_from_arrays(
     req_cache: np.ndarray,
     req_doc: np.ndarray,
     updates: UpdateLog,
-    barrier_events: Sequence[Event] = (),
 ) -> EventColumns:
-    """Assemble :class:`EventColumns` from request and update columns.
-
-    ``barrier_events`` are the barriers other than updates, in push
-    order; ``updates`` are pushed before them.
-    """
-    barrier_events = tuple(barrier_events)
+    """Assemble :class:`EventColumns` from request and update columns."""
     if not (req_ts.size == req_cache.size == req_doc.size):
         raise SimulationError(
             "request columns disagree on length: "
@@ -160,42 +151,16 @@ def columns_from_arrays(
         req_ts = req_ts[order]
         req_cache = req_cache[order]
         req_doc = req_doc[order]
-    for event in barrier_events:
-        # Written so NaN fails too: it would compare false everywhere
-        # and land at an arbitrary position in the sorted barriers.
-        if not event.timestamp_ms >= 0:
-            raise SimulationError(
-                f"event timestamp must be >= 0, got {event.timestamp_ms}"
-            )
-        if event.priority != 0:
-            raise SimulationError(
-                f"barrier events must have priority 0, got {event!r}"
-            )
-    # One stable sort over updates-then-events: ties keep push order,
-    # the order sorted(..., key=timestamp) gives the pushed objects.
-    num_updates = len(updates)
-    timestamps = np.concatenate([
-        updates.timestamps_ms,
-        np.asarray(
-            [event.timestamp_ms for event in barrier_events],
-            dtype=np.float64,
-        ),
-    ])
-    order = np.argsort(timestamps, kind="stable")
-    timestamps = timestamps[order]
-    docs = np.concatenate([
-        updates.doc_ids, np.full(len(barrier_events), -1, dtype=np.int64)
-    ])[order]
+    # One stable sort: ties keep push order, the order
+    # sorted(..., key=timestamp) gives the pushed update objects.
+    order = np.argsort(updates.timestamps_ms, kind="stable")
+    timestamps = updates.timestamps_ms[order]
     return EventColumns(
         req_timestamps=req_ts,
         req_caches=req_cache,
         req_docs=req_doc,
         barrier_timestamps=timestamps,
-        barrier_docs=docs,
-        barrier_events=tuple(
-            barrier_events[index - num_updates]
-            for index in order[docs < 0].tolist()
-        ),
+        barrier_docs=updates.doc_ids[order],
         barrier_positions=np.searchsorted(
             req_ts, timestamps, side="left"
         ).astype(np.int64),

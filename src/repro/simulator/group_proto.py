@@ -129,26 +129,20 @@ class GroupProtocol:
     def hot_state(self) -> Dict[str, object]:
         """The protocol's mutable internals, for inline (batched) driving.
 
-        The batched event loop replicates ``lookup``/``record_copy``/
-        ``drop_copy`` as inline operations on these very structures
-        (the loop-equivalence tests pin bit-identical outcomes), so the
-        protocol object stays consistent whether it was driven through
-        methods or through the kernel.  ``holders``, ``unavailable``
-        and ``partition_of`` are the live shared objects — mutate only
-        by replaying the exact method semantics.
+        The batched event loop replicates the beacon ``lookup``,
+        ``record_copy`` and ``drop_copy`` as inline operations on these
+        very structures (the loop-equivalence tests pin bit-identical
+        outcomes), so the protocol object stays consistent whether it
+        was driven through methods or through the kernel.  ``holders``
+        is the live shared directory — mutate it only by replaying the
+        exact method semantics.
         """
         return {
             "holders": self._holders,
             "group_of": self._group_of,
             "peers": self._peers,
             "members_sorted": self._members_sorted,
-            "max_peer_rtt": self._max_peer_rtt,
-            "unavailable": self._unavailable,
-            "partition_of": self._partition_of,
             "lookup_ms": self._lookup_ms,
-            "partition_timeout_ms": self._partition_timeout_ms,
-            "mode": self._mode,
-            "rtt_ms": self._rtt_ms,
         }
 
     def peers_of(self, cache: NodeId) -> List[NodeId]:

@@ -135,22 +135,20 @@ class SimulationMetrics:
         same order — and folds them in here once at end of run.  Each
         row is ``(lat_count, lat_mean, lat_m2, lat_min, lat_max,
         local_hits, group_hits, origin_fetches, query_messages,
-        peer_bytes, origin_bytes, stale_serves, placement_skips,
-        requests_while_down, partition_timeouts,
+        peer_bytes, origin_bytes, stale_serves,
         invalidations_received)``; ``hist_state`` is the global latency
         histogram's :meth:`~repro.utils.stats.FixedBinHistogram.restore`
         payload.  Each row's invalidations also count as invalidation
-        messages.  Counter fields add onto whatever is already recorded
-        (update barriers the kernel hands to the engine's handler record
-        their invalidations live), but the latency accumulators must
-        still be pristine.
+        messages.  The kernel runs no fault or placement mode, so the
+        down, partition-timeout and placement-skip counters stay zero.
+        Every accumulator must still be pristine.
         """
         for node, row in rows.items():
             stats = self._stats(node)
             (
                 lat_count, lat_mean, lat_m2, lat_min, lat_max,
                 local, group, origin, qmsgs, peer_bytes, origin_bytes,
-                stale, skips, down, ptimeouts, invalidations,
+                stale, invalidations,
             ) = row
             stats.latency.restore(
                 lat_count, lat_mean, lat_m2, lat_min, lat_max
@@ -162,9 +160,6 @@ class SimulationMetrics:
             stats.peer_bytes += peer_bytes
             stats.origin_bytes += origin_bytes
             stats.stale_serves += stale
-            stats.placement_skips += skips
-            stats.requests_while_down += down
-            stats.partition_timeouts += ptimeouts
             stats.invalidations_received += invalidations
             self._invalidation_messages += invalidations
         self._warmup_skipped += warmup_skipped

@@ -94,18 +94,6 @@ class ReplacementPolicy(abc.ABC):
         default is a no-op.
         """
 
-    @abc.abstractmethod
-    def hot_state(self) -> Dict[str, object]:
-        """The policy's mutable internals, for inline (batched) driving.
-
-        The batched event loop replicates ``on_insert``/``on_access``/
-        ``on_remove``/``select_victim`` as inline operations on these
-        very structures, so a policy object stays consistent whether it
-        was driven through methods or through the kernel — the
-        loop-equivalence tests pin that the resulting evictions are
-        bit-identical.  Keys are policy-specific (see each subclass).
-        """
-
 
 class LRUPolicy(ReplacementPolicy):
     """Evict the least recently used document."""
@@ -142,10 +130,6 @@ class LRUPolicy(ReplacementPolicy):
     def _require(self, doc_id: DocumentId) -> None:
         if doc_id not in self._order:
             raise SimulationError(f"doc {doc_id} not tracked by LRU policy")
-
-    def hot_state(self) -> Dict[str, object]:
-        """``{"order"}`` — the recency-ordered ``OrderedDict``."""
-        return {"order": self._order}
 
 
 class _HeapScorePolicy(ReplacementPolicy):
@@ -187,6 +171,17 @@ class _HeapScorePolicy(ReplacementPolicy):
 
     def _untrack(self, doc_id: DocumentId) -> None:
         del self._version[doc_id]
+
+    def hot_state(self) -> Dict[str, object]:
+        """``{"version", "heap", "pending", "spilled"}`` — the live lazy
+        heap, its document versions and its two tiers of deferred
+        entries (the tests read these on either heap-score policy)."""
+        return {
+            "version": self._version,
+            "heap": self._heap,
+            "pending": self._pending,
+            "spilled": self._spilled,
+        }
 
     def select_victim(self) -> DocumentId:
         heap = self._heap
@@ -240,17 +235,6 @@ class LFUPolicy(_HeapScorePolicy):
             raise SimulationError(f"doc {doc_id} not tracked by LFU policy")
         del self._counts[doc_id]
         self._untrack(doc_id)
-
-    def hot_state(self) -> Dict[str, object]:
-        """``{"counts", "version", "heap", "pending", "spilled"}`` — see
-        ``_HeapScorePolicy``."""
-        return {
-            "counts": self._counts,
-            "version": self._version,
-            "heap": self._heap,
-            "pending": self._pending,
-            "spilled": self._spilled,
-        }
 
 
 class UtilityPolicy(_HeapScorePolicy):
@@ -316,18 +300,23 @@ class UtilityPolicy(_HeapScorePolicy):
         self._untrack(doc_id)
 
     def hot_state(self) -> Dict[str, object]:
-        """``{"access", "size", "fetch_cost", "invalidations", "version",
-        "heap", "pending", "spilled"}`` — the utility inputs plus the lazy
-        heap and its two tiers of deferred entries."""
+        """The policy's mutable internals, for inline (batched) driving.
+
+        ``{"access", "size", "fetch_cost", "invalidations"}`` — the
+        utility inputs — plus the lazy heap's keys (see
+        :meth:`_HeapScorePolicy.hot_state`).  The batched kernel
+        replicates ``on_insert``/``on_access``/``on_remove``/
+        ``select_victim`` as inline operations on these very structures,
+        so a policy object stays consistent whether it was driven
+        through methods or through the kernel — the loop-equivalence
+        tests pin that the resulting evictions are bit-identical.
+        """
         return {
             "access": self._access,
             "size": self._size,
             "fetch_cost": self._fetch_cost,
             "invalidations": self._invalidations,
-            "version": self._version,
-            "heap": self._heap,
-            "pending": self._pending,
-            "spilled": self._spilled,
+            **super().hot_state(),
         }
 
 

@@ -169,6 +169,22 @@ class TestEngineIntegration:
         assert list(series.time_ms) == [500.0, 1000.0, 1500.0]
         assert series.requests.sum() == 30
 
+    @pytest.mark.parametrize("policy", ["utility", "lru"])
+    def test_event_on_a_tick_opens_the_next_window(
+        self, network, workload, policy
+    ):
+        """One rule in both loops (utility runs the kernel, LRU the
+        oracle): a tick is flushed before an event at its exact time,
+        so the requests at 500 and 1000 ms open windows 2 and 3."""
+        observer = Observer(sampler=MetricsSampler(interval_ms=500.0))
+        run_config = SimulationConfig(cache=CacheConfig(
+            capacity_fraction=0.5, replacement_policy=policy,
+        ))
+        simulate(
+            network, one_group(), workload, run_config, observer=observer
+        )
+        assert list(observer.sampler.series().requests) == [10, 10, 10]
+
     def test_result_accessors(self, network, workload):
         observer = Observer(
             trace=TraceCollector(),

@@ -24,15 +24,17 @@ class TestMetricsSampler:
 
     def test_ticks_align_to_interval_multiples(self):
         sampler = MetricsSampler(interval_ms=100.0)
-        assert sampler.next_due(99.9) is None
-        assert sampler.next_due(100.0) == 100.0
-        sampler.flush(100.0)
-        assert sampler.next_due(150.0) is None
-        assert sampler.next_due(250.0) == 200.0
-        sampler.flush(200.0)
-        # after a late flush, ticks stay on the k * interval grid
-        assert sampler.next_due(250.0) is None
-        assert sampler.next_due(300.0) == 300.0
+        # A tick is due once an event's time reaches it.
+        assert sampler.next_tick_ms == 100.0
+        assert not sampler.next_tick_ms <= 99.9
+        sampler.flush(sampler.next_tick_ms)
+        assert sampler.next_tick_ms == 200.0
+        # An event at 250 ms first flushes the 200 ms tick, late; after
+        # it, ticks stay on the k * interval grid.
+        while sampler.next_tick_ms <= 250.0:
+            sampler.flush(sampler.next_tick_ms)
+        assert [s.time_ms for s in sampler.samples] == [100.0, 200.0]
+        assert sampler.next_tick_ms == 300.0
 
     def test_window_counters_reset_per_flush(self):
         sampler = MetricsSampler(interval_ms=1_000.0)

@@ -12,12 +12,7 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.core.groups import groups_from_labels, GroupingResult
-from repro.simulator import (
-    CacheFailEvent,
-    CacheRecoverEvent,
-    OriginUpdateEvent,
-    simulate,
-)
+from repro.simulator import OriginUpdateEvent, simulate
 from repro.simulator.cache import EdgeCache
 from repro.simulator.events import columns_from_arrays
 from repro.simulator.replacement import make_policy
@@ -71,30 +66,21 @@ class TestEventColumnsProperties:
         st.lists(
             st.tuples(event_times, st.integers(0, 9)), max_size=20
         ),
-        st.lists(
-            st.tuples(
-                event_times,
-                st.sampled_from([CacheFailEvent, CacheRecoverEvent]),
-            ),
-            max_size=8,
-        ),
     )
-    def test_barrier_order_is_the_sorted_push_order(self, updates, others):
-        """Updates pushed first, then the other events: the one stable
-        sort gives the order ``sorted(pushed, key=timestamp_ms)`` does."""
-        events = [kind(t, 1 + i) for i, (t, kind) in enumerate(others)]
+    def test_barrier_order_is_the_sorted_push_order(self, updates):
+        """The one stable sort gives the order
+        ``sorted(pushed, key=timestamp_ms)`` gives the update objects."""
         log = UpdateLog(
             [t for t, _ in updates], [doc for _, doc in updates]
         )
         merged = columns_from_arrays(
             np.asarray([0.5]), np.ones(1, dtype=np.int64),
-            np.zeros(1, dtype=np.int64), log, events,
+            np.zeros(1, dtype=np.int64), log,
         )
-        pushed = [OriginUpdateEvent(t, doc) for t, doc in updates] + events
+        pushed = [OriginUpdateEvent(t, doc) for t, doc in updates]
         expected = sorted(pushed, key=lambda event: event.timestamp_ms)
-        remaining = iter(merged.barrier_events)
         rebuilt = [
-            OriginUpdateEvent(t, doc) if doc >= 0 else next(remaining)
+            OriginUpdateEvent(t, doc)
             for t, doc in zip(
                 merged.barrier_timestamps.tolist(),
                 merged.barrier_docs.tolist(),

@@ -2,17 +2,18 @@
 
 The columnar slice kernel (:mod:`repro.simulator.batched`) is a pure
 performance rewrite of the per-event oracle
-(:func:`repro.simulator.engine.run_reference`): every metric, trace
-record, sample, archived figure byte, and sanitize-ledger digest must
-equal the oracle's exactly — not approximately — and so must the
+(:func:`repro.simulator.engine.run_reference`) for the one cache model
+it runs (:func:`repro.simulator.engine.runs_on_kernel`): every metric,
+trace record, sample, archived figure byte, and sanitize-ledger digest
+must equal the oracle's exactly — not approximately — and so must the
 post-run state the kernel writes inline.  A fixed matrix of
-hand-picked configurations (plain, faulted, and per protocol mode) and
-two hypothesis differential fuzzes — one over generated combinations
-of replacement policy, consistency, protocol mode, capacity, warm-up,
-failures, partitions, and instrumentation, one pinned to the
+hand-picked configurations and two hypothesis differential fuzzes —
+one over generated caches, documents, popularity, update rates,
+groups, capacities, warm-ups and instrumentation, one pinned to the
 write-heavy inline update path — pin that contract; further fixed
 tests carry it through the figure and sanitize layers that consume the
-engine.
+engine.  The matrix's other modes (replacement, consistency, protocol,
+origin load, placement, faults) must dispatch to the oracle.
 
 Tests run the oracle by swapping it in for the kernel with
 ``monkeypatch.setattr(repro.simulator.engine, "run_batched",
@@ -139,13 +140,34 @@ def state_fingerprint(engine):
     return json.dumps(rows)
 
 
-def kernel_and_oracle(run):
-    """``run()`` once on the kernel, then once with the oracle swapped in."""
-    kernel = run()
+def kernel_and_oracle(run, loop="run_batched"):
+    """``run()`` once as the engine dispatches it, then once with the
+    oracle swapped in for the kernel.
+
+    Every engine run of the first pass must take ``loop``: the kernel
+    for the paper's cache model, ``run_reference`` for every other
+    mode (whose two passes then run the same loop).
+    """
+    taken = []
+
+    def spy(name):
+        real = getattr(engine_module, name)
+
+        def spying(engine):
+            taken.append(name)
+            return real(engine)
+
+        return spying
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "run_batched", spy("run_batched"))
+        patch.setattr(engine_module, "run_reference", spy("run_reference"))
+        first = run()
+    assert taken and set(taken) == {loop}, taken
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "run_batched", run_reference)
         oracle = run()
-    return kernel, oracle
+    return first, oracle
 
 
 def faults_for(network, workload):
@@ -162,70 +184,85 @@ def faults_for(network, workload):
     )
 
 
+#: Each configuration and the loop ``SimulationEngine.run`` gives it
+#: without faults: the kernel runs only the default cache model.
 ALL_CONFIGS = [
-    pytest.param(SimulationConfig(), id="default"),
+    pytest.param(SimulationConfig(), "run_batched", id="default"),
     pytest.param(
         SimulationConfig(consistency_mode="ttl", ttl_ms=1_500.0),
+        "run_reference",
         id="ttl",
     ),
     pytest.param(
         SimulationConfig(
             cache=CacheConfig(placement_rtt_threshold_ms=15.0)
         ),
+        "run_reference",
         id="coop-placement",
     ),
     pytest.param(
         SimulationConfig(origin_capacity_rps=150.0),
+        "run_reference",
         id="origin-queueing",
     ),
     pytest.param(
         SimulationConfig(cache=CacheConfig(replacement_policy="lru")),
+        "run_reference",
         id="lru",
     ),
     pytest.param(
         SimulationConfig(cache=CacheConfig(replacement_policy="lfu")),
+        "run_reference",
         id="lfu",
     ),
 ]
 
 
 class TestMetricsEquivalence:
-    """Hand-picked configurations on a fixed testbed, kernel vs oracle."""
+    """Hand-picked configurations on a fixed testbed: kernel vs oracle
+    for the paper's cache model, dispatch to the oracle for the rest."""
 
-    @pytest.mark.parametrize("config", ALL_CONFIGS)
-    def test_plain(self, testbed, config):
+    @pytest.mark.parametrize("config, loop", ALL_CONFIGS)
+    def test_plain(self, testbed, config, loop):
         network, workload, grouping = testbed
         kernel, oracle = kernel_and_oracle(
             lambda: fingerprint(
                 simulate(network, grouping, workload, config).metrics
-            )
+            ),
+            loop,
         )
         assert kernel == oracle
 
-    @pytest.mark.parametrize("config", ALL_CONFIGS)
-    def test_with_failures_and_partitions(self, testbed, config):
+    @pytest.mark.parametrize("config, loop", ALL_CONFIGS)
+    def test_with_failures_and_partitions(self, testbed, config, loop):
+        """Any fault schedule sends the run to the oracle."""
         network, workload, grouping = testbed
         faults = faults_for(network, workload)
-        kernel, oracle = kernel_and_oracle(
-            lambda: fingerprint(
-                simulate(
-                    network, grouping, workload, config, faults=faults,
-                ).metrics
-            )
+        kernel_and_oracle(
+            lambda: simulate(
+                network, grouping, workload, config, faults=faults,
+            ),
+            "run_reference",
         )
-        assert kernel == oracle
 
     @pytest.mark.parametrize(
-        "mode", ["beacon", "directory", "multicast"]
+        "mode, loop",
+        [
+            ("beacon", "run_batched"),
+            ("directory", "run_reference"),
+            ("multicast", "run_reference"),
+        ],
+        ids=["beacon", "directory", "multicast"],
     )
-    def test_protocol_modes(self, testbed, mode):
+    def test_protocol_modes(self, testbed, mode, loop):
         network, workload, grouping = testbed
         kernel, oracle = kernel_and_oracle(
             lambda: fingerprint(
                 simulate(
                     network, grouping, workload, group_protocol_mode=mode
                 ).metrics
-            )
+            ),
+            loop,
         )
         assert kernel == oracle
 
@@ -238,34 +275,24 @@ def fuzz_network(num_caches):
     return build_network(num_caches=num_caches, seed=7)
 
 
-def event_time(data, request_times, horizon):
-    """A fault time: often exactly on a request (barrier-before-request)."""
-    return data.draw(
-        st.one_of(
-            st.sampled_from(request_times),
-            st.floats(0.0, horizon, allow_nan=False, allow_infinity=False),
-        ),
-        label="time",
-    )
-
-
 def draw_scenario(data, write_heavy=False):
     """Everything one differential run needs, drawn piece by piece.
 
-    ``write_heavy`` pins the kernel's inline update barrier: utility
-    replacement, server-driven invalidation, a mostly dynamic catalog
-    and frequent updates (partitions still hand some barriers to the
-    engine's handler).
+    Every draw is a configuration the kernel runs (the defaults of
+    every mode, no faults).  ``write_heavy`` pins the kernel's inline
+    update barrier: a mostly dynamic catalog and frequent updates.
     """
     network = fuzz_network(
-        data.draw(st.sampled_from([4, 8, 12]), label="caches")
+        data.draw(st.sampled_from([2, 4, 8, 12, 16]), label="caches")
     )
     nodes = network.cache_nodes
     workload = generate_workload(
         nodes,
         WorkloadConfig(
             documents=DocumentConfig(
-                num_documents=data.draw(st.integers(5, 60), label="documents"),
+                num_documents=data.draw(
+                    st.integers(1, 120), label="documents"
+                ),
                 dynamic_fraction=data.draw(
                     st.sampled_from(
                         [0.6, 1.0] if write_heavy else [0.0, 0.3, 0.6, 1.0]
@@ -276,113 +303,48 @@ def draw_scenario(data, write_heavy=False):
             requests_per_cache=data.draw(
                 st.integers(3, 40), label="requests per cache"
             ),
-            # Down to a few ms between updates: slices of a request or
-            # two between barriers.
+            zipf_alpha=data.draw(
+                st.sampled_from([0.3, 0.9, 1.6]), label="zipf"
+            ),
+            # Down to a millisecond or two between updates: slices of
+            # a request or two (or none) between barriers.
             mean_update_interarrival_ms=data.draw(
                 st.sampled_from(
-                    [5.0, 40.0] if write_heavy
-                    else [5.0, 40.0, 400.0, 5_000.0]
+                    [1.0, 5.0, 40.0] if write_heavy
+                    else [1.0, 5.0, 40.0, 400.0, 5_000.0]
                 ),
                 label="update gap ms",
             ),
         ),
         seed=data.draw(st.integers(0, 2**16), label="seed"),
     )
-    num_groups = data.draw(st.integers(1, 4), label="groups")
+    num_groups = data.draw(st.integers(1, 6), label="groups")
     grouping = GroupingResult(
         scheme="fuzz",
         groups=groups_from_labels(nodes, [n % num_groups for n in nodes]),
-    )
-
-    consistency = data.draw(
-        st.just("invalidate") if write_heavy
-        else st.sampled_from(["invalidate", "ttl", "none"]),
-        label="consistency",
     )
     config = SimulationConfig(
         cache=CacheConfig(
             # The smallest fractions hold only a few documents (or
             # none), forcing evictions and rejected admissions.
             capacity_fraction=data.draw(
-                st.sampled_from([0.001, 0.01, 0.05, 0.2, 1.0]),
+                st.sampled_from([0.001, 0.01, 0.05, 0.2, 0.5, 1.0]),
                 label="capacity",
-            ),
-            replacement_policy=data.draw(
-                st.just("utility") if write_heavy
-                else st.sampled_from(["utility", "lru", "lfu"]),
-                label="policy",
-            ),
-            placement_rtt_threshold_ms=data.draw(
-                st.sampled_from([None, 5.0, 15.0, 60.0]),
-                label="placement rtt",
             ),
         ),
         warmup_fraction=data.draw(
-            st.sampled_from([0.0, 0.1, 0.5]), label="warmup"
-        ),
-        consistency_mode=consistency,
-        ttl_ms=data.draw(
-            st.sampled_from([50.0, 800.0, 5_000.0]), label="ttl ms"
-        ),
-        origin_capacity_rps=data.draw(
-            st.sampled_from([None, 20.0, 200.0]), label="origin rps"
+            st.sampled_from([0.0, 0.1, 0.5, 0.9]), label="warmup"
         ),
     )
-    protocol = data.draw(
-        st.sampled_from(["beacon", "directory", "multicast"]),
-        label="protocol",
-    )
-
-    request_times = [r.timestamp_ms for r in workload.requests]
-    horizon = workload.horizon_ms
-    crashes, recoveries = [], []
-    crashed = data.draw(
-        st.lists(st.sampled_from(nodes), unique=True, max_size=3),
-        label="crashed",
-    )
-    for node in crashed:
-        fail_at = event_time(data, request_times, horizon)
-        recover_at = None
-        if data.draw(st.booleans(), label="recovers"):
-            recover_at = fail_at + data.draw(
-                st.floats(1.0, horizon + 1.0), label="downtime"
-            )
-        crashes.append((fail_at, node))
-        if recover_at is not None:
-            recoveries.append((recover_at, node))
-    partitions = []
-    free = list(nodes) + [network.origin]
-    for _ in range(data.draw(st.integers(0, 2), label="partitions")):
-        cut = data.draw(
-            st.lists(st.sampled_from(free), unique=True, min_size=1,
-                     max_size=3),
-            label="cut",
-        )
-        free = [node for node in free if node not in cut]
-        start = event_time(data, request_times, horizon)
-        end = start + data.draw(st.floats(1.0, horizon + 1.0), label="span")
-        partitions.append(PartitionSpec(start, end, nodes=tuple(cut)))
-    faults = None
-    if crashes or partitions:
-        faults = FaultSchedule(
-            crashes=tuple(crashes),
-            recoveries=tuple(recoveries),
-            partitions=tuple(partitions),
-            partition_timeout_ms=data.draw(
-                st.sampled_from([1.0, 500.0]), label="partition timeout"
-            ),
-        )
-
     trace_capacity = data.draw(
-        st.sampled_from(["off", "unbounded", 7, 60]), label="trace"
+        st.sampled_from(["off", "unbounded", 1, 7, 60]), label="trace"
     )
     sample_ms = data.draw(
-        st.sampled_from([None, 25.0, 1_000.0]), label="sample ms"
+        st.sampled_from([None, 5.0, 25.0, 1_000.0]), label="sample ms"
     )
     return dict(
         network=network, workload=workload, grouping=grouping,
-        config=config, protocol=protocol, faults=faults,
-        trace_capacity=trace_capacity, sample_ms=sample_ms,
+        config=config, trace_capacity=trace_capacity, sample_ms=sample_ms,
     )
 
 
@@ -407,9 +369,7 @@ def observed_run(scenario, trace_path):
     with sanitize() as state:
         engine = SimulationEngine(
             scenario["network"], scenario["grouping"],
-            scenario["workload"], scenario["config"],
-            group_protocol_mode=scenario["protocol"],
-            observer=observer, faults=scenario["faults"],
+            scenario["workload"], scenario["config"], observer=observer,
         )
         metrics = engine.run()
     outputs = {
@@ -467,12 +427,17 @@ def spill_flushes(monkeypatch):
     return rebuilt
 
 
-@pytest.mark.parametrize("policy", ["utility", "lfu"])
-def test_spilled_entries_flush_before_the_first_eviction(policy):
+@pytest.mark.parametrize(
+    "policy, loop",
+    [("utility", "run_batched"), ("lfu", "run_reference")],
+    ids=["utility", "lfu"],
+)
+def test_spilled_entries_flush_before_the_first_eviction(policy, loop):
     """A cache that makes more than ``SPILL_AT`` pushes before its first
     eviction: the kernel flushes the spilled column ahead of the pending
     tuples exactly as the policy's ``select_victim`` does, so every
-    output and the post-run heaps, lists and columns agree."""
+    output and the post-run heaps, lists and columns agree.  LFU runs
+    on the oracle, where the policy's own flush does the same."""
     network = fuzz_network(4)
     workload = generate_workload(
         network.cache_nodes,
@@ -494,13 +459,12 @@ def test_spilled_entries_flush_before_the_first_eviction(policy):
             cache=CacheConfig(capacity_fraction=0.3, replacement_policy=policy),
             warmup_fraction=0.0,
         ),
-        protocol="beacon", faults=None, trace_capacity="off",
-        sample_ms=None,
+        trace_capacity="off", sample_ms=None,
     )
     with pytest.MonkeyPatch.context() as patch:
         rebuilt = spill_flushes(patch)
         kernel, oracle = kernel_and_oracle(
-            lambda: observed_run(scenario, trace_path=None)
+            lambda: observed_run(scenario, trace_path=None), loop
         )
     # Only a cache that spilled before evicting flushes the column.
     assert len(rebuilt) > 2 * SPILL_AT
@@ -591,11 +555,11 @@ def test_deferred_entries_stay_packed_without_evictions(policy):
 
 
 class TestInstrumentedEquivalence:
-    """Trace and sample output, plain and under ``faults_for``'s crashes,
-    recoveries and partition: the faulted runs put down-cache
-    ``origin_fetch`` rows and barrier-time flushes in the output."""
+    """Trace and sample output, kernel vs oracle; a run under
+    ``faults_for``'s crashes, recoveries and partition (down-cache
+    ``origin_fetch`` rows in the output) dispatches to the oracle."""
 
-    def run(self, testbed, capacity=None, faulted=False):
+    def run(self, testbed, capacity=None, faulted=False, config=None):
         network, workload, grouping = testbed
         trace = (
             TraceCollector(capacity=capacity)
@@ -607,17 +571,22 @@ class TestInstrumentedEquivalence:
         )
         faults = faults_for(network, workload) if faulted else None
         result = simulate(
-            network, grouping, workload, observer=observer, faults=faults,
+            network, grouping, workload, config, observer=observer,
+            faults=faults,
         )
         return result, trace
 
     @pytest.mark.parametrize(
-        "capacity, faulted",
-        [(None, False), (300, False), (None, True)],
+        "capacity, faulted, loop",
+        [
+            (None, False, "run_batched"),
+            (300, False, "run_batched"),
+            (None, True, "run_reference"),
+        ],
         ids=["None", "300", "faulted"],
     )
     def test_trace_jsonl_is_byte_identical(
-        self, testbed, tmp_path, capacity, faulted
+        self, testbed, tmp_path, capacity, faulted, loop
     ):
         def jsonl():
             result, trace = self.run(
@@ -633,18 +602,24 @@ class TestInstrumentedEquivalence:
             trace.write_jsonl(path)
             return path.read_bytes()
 
-        kernel, oracle = kernel_and_oracle(jsonl)
+        kernel, oracle = kernel_and_oracle(jsonl, loop)
         assert kernel == oracle
 
     def test_sampled_series_is_identical(self, testbed):
+        """Plain, and with caches small enough to evict on most misses."""
         def series():
             return [
                 json.dumps(
-                    self.run(testbed, faulted=faulted)[0]
+                    self.run(testbed, config=config)[0]
                     .timeseries().to_dict(),
                     sort_keys=True,
                 )
-                for faulted in (False, True)
+                for config in (
+                    None,
+                    SimulationConfig(
+                        cache=CacheConfig(capacity_fraction=0.01)
+                    ),
+                )
             ]
 
         kernel, oracle = kernel_and_oracle(series)
@@ -677,13 +652,10 @@ class TestSanitizeLedger:
 
     def test_ledger_matches_across_loops(self, testbed):
         network, workload, grouping = testbed
-        faults = FaultSchedule(
-            crashes=((workload.horizon_ms * 0.2, network.cache_nodes[4]),)
-        )
 
         def ledger():
             with sanitize() as state:
-                simulate(network, grouping, workload, faults=faults)
+                simulate(network, grouping, workload)
             return state.ledger
 
         kernel, oracle = kernel_and_oracle(ledger)

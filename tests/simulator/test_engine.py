@@ -12,8 +12,10 @@ from repro.config import (
 )
 from repro.core.groups import CacheGroup, GroupingResult
 from repro.errors import SimulationError
+from repro.faults.schedule import FaultSchedule, PartitionSpec
 import repro.simulator.engine as engine_module
 from repro.simulator import SimulationEngine, simulate
+from repro.simulator.engine import runs_on_kernel
 from repro.workload import Workload, build_catalog
 from repro.workload.trace import RequestRecord, UpdateRecord
 from repro.topology import network_from_matrix
@@ -282,22 +284,28 @@ class TestValidation:
 
 
 @pytest.fixture
-def kernel_calls():
-    """Spy on the kernel: per call, (collector enabled?, engine weakref).
+def loop_calls():
+    """Spy on both event loops: per call, (loop name, collector
+    enabled?, engine weakref).
 
     Restores the cyclic collector's setting whatever the test does.
     """
     was_enabled = gc.isenabled()
     calls = []
-    kernel = engine_module.run_batched
 
-    def spy(engine):
-        calls.append((gc.isenabled(), weakref.ref(engine)))
-        return kernel(engine)
+    def spy(name):
+        loop = getattr(engine_module, name)
+
+        def spying(engine):
+            calls.append((name, gc.isenabled(), weakref.ref(engine)))
+            return loop(engine)
+
+        return spying
 
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine_module, "run_batched", spy)
+            for name in ("run_batched", "run_reference"):
+                patch.setattr(engine_module, name, spy(name))
             yield calls
     finally:
         if was_enabled:
@@ -307,30 +315,36 @@ def kernel_calls():
 
 
 class TestCollectorAndLifetime:
-    """The kernel pauses the cyclic collector; the engine frees itself."""
+    """Either loop runs with the cyclic collector paused; the engine
+    frees itself.  LRU replacement sends a run to the oracle."""
 
-    def run_update(self, network, catalog, doc):
+    def run_update(self, network, catalog, doc, policy="utility"):
         workload = workload_of(
             catalog,
             [RequestRecord(0.0, 1, doc), RequestRecord(10.0, 2, doc)],
             updates=[UpdateRecord(5.0, doc)],
         )
-        return simulate(network, pair_grouping(), workload, sim_config())
+        config = sim_config(cache=CacheConfig(
+            capacity_fraction=0.5, local_processing_ms=0.5,
+            replacement_policy=policy,
+        ))
+        return simulate(network, pair_grouping(), workload, config)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_caller_setting_is_restored(
-        self, tiny_network, tiny_catalog, kernel_calls, enabled
+        self, tiny_network, tiny_catalog, loop_calls, enabled
     ):
         (gc.enable if enabled else gc.disable)()
         self.run_update(
             tiny_network, tiny_catalog, tiny_catalog.dynamic_ids()[0]
         )
-        [(collector_on_in_kernel, _)] = kernel_calls
-        assert not collector_on_in_kernel
+        [(loop, collector_on_in_loop, _)] = loop_calls
+        assert loop == "run_batched"
+        assert not collector_on_in_loop
         assert gc.isenabled() is enabled
 
     def test_setting_restored_when_the_kernel_raises(
-        self, tiny_network, tiny_catalog, kernel_calls
+        self, tiny_network, tiny_catalog, loop_calls
     ):
         static = next(
             doc for doc in range(len(tiny_catalog))
@@ -339,16 +353,112 @@ class TestCollectorAndLifetime:
         gc.enable()
         with pytest.raises(SimulationError, match="static document"):
             self.run_update(tiny_network, tiny_catalog, static)
-        assert len(kernel_calls) == 1
+        assert [call[0] for call in loop_calls] == ["run_batched"]
         assert gc.isenabled()
 
     def test_engine_is_freed_without_the_collector(
-        self, tiny_network, tiny_catalog, kernel_calls
+        self, tiny_network, tiny_catalog, loop_calls
     ):
         gc.disable()
         result = self.run_update(
             tiny_network, tiny_catalog, tiny_catalog.dynamic_ids()[0]
         )
         assert result.metrics.invalidation_messages == 1
-        [(_, engine_ref)] = kernel_calls
+        [(loop, _, engine_ref)] = loop_calls
+        assert loop == "run_batched"
         assert engine_ref() is None
+
+    def test_oracle_run_pauses_the_collector_and_frees_the_engine(
+        self, tiny_network, tiny_catalog, loop_calls
+    ):
+        doc = tiny_catalog.dynamic_ids()[0]
+        gc.enable()
+        self.run_update(tiny_network, tiny_catalog, doc, policy="lru")
+        assert gc.isenabled()
+        gc.disable()
+        result = self.run_update(
+            tiny_network, tiny_catalog, doc, policy="lru"
+        )
+        assert result.metrics.invalidation_messages == 1
+        (_, paused, _), (_, _, engine_ref) = loop_calls
+        assert [call[0] for call in loop_calls] == ["run_reference"] * 2
+        assert not paused
+        assert engine_ref() is None
+
+
+#: One configuration per mode the kernel does not run: each takes the
+#: per-event oracle and the engine's handlers.
+REJECTED = {
+    "lru": dict(config=sim_config(cache=CacheConfig(
+        capacity_fraction=0.5, replacement_policy="lru",
+    ))),
+    "lfu": dict(config=sim_config(cache=CacheConfig(
+        capacity_fraction=0.5, replacement_policy="lfu",
+    ))),
+    "directory": dict(group_protocol_mode="directory"),
+    "multicast": dict(group_protocol_mode="multicast"),
+    "ttl": dict(config=sim_config(consistency_mode="ttl")),
+    "none": dict(config=sim_config(consistency_mode="none")),
+    "origin-capacity": dict(config=sim_config(origin_capacity_rps=100.0)),
+    "placement": dict(config=sim_config(cache=CacheConfig(
+        capacity_fraction=0.5, placement_rtt_threshold_ms=5.0,
+    ))),
+    "crash": dict(faults=FaultSchedule(crashes=((2.5, 1),))),
+    "partition": dict(faults=FaultSchedule(
+        partitions=(PartitionSpec(2.5, 6.0, nodes=(2,)),)
+    )),
+}
+
+
+class TestDispatch:
+    """``SimulationEngine.run`` runs the kernel for the paper's cache
+    model only; every other mode runs the oracle, once."""
+
+    def run(self, network, catalog, **kwargs):
+        requests = [
+            RequestRecord(float(i), 1 + (i % 2), i % 4) for i in range(8)
+        ]
+        dynamic_doc = catalog.dynamic_ids()[0]
+        workload = workload_of(
+            catalog, requests, updates=[UpdateRecord(4.0, dynamic_doc)]
+        )
+        kwargs.setdefault("config", sim_config())
+        return simulate(network, pair_grouping(), workload, **kwargs)
+
+    def test_default_configuration_runs_the_kernel(
+        self, tiny_network, tiny_catalog, loop_calls
+    ):
+        self.run(tiny_network, tiny_catalog)
+        assert [call[0] for call in loop_calls] == ["run_batched"]
+
+    @pytest.mark.parametrize("mode", sorted(REJECTED))
+    def test_other_modes_run_the_oracle(
+        self, tiny_network, tiny_catalog, loop_calls, mode
+    ):
+        result = self.run(tiny_network, tiny_catalog, **REJECTED[mode])
+        assert [call[0] for call in loop_calls] == ["run_reference"]
+        assert result.metrics.total_requests() == 8
+
+
+class TestPaperTraffic:
+    """Every figure and every engine benchmark runs the kernel only."""
+
+    def test_figures_never_leave_the_kernel(self, monkeypatch):
+        from repro.experiments import REGISTRY
+        from repro.experiments.suite import run_suite
+
+        def refuse(engine):
+            raise AssertionError("a figure ran the per-event oracle")
+
+        monkeypatch.setattr(engine_module, "run_reference", refuse)
+        run = run_suite(repetitions=1)
+        assert sorted(run.results) == sorted(REGISTRY)
+
+    def test_bench_scenarios_satisfy_the_kernel_predicate(self):
+        from repro.bench.core import _SCENARIOS, _build_bench_testbed
+
+        for name, scenario in _SCENARIOS.items():
+            config = _build_bench_testbed(scenario)[3]
+            # run_engine_bench simulates with the default protocol and
+            # no fault schedule.
+            assert runs_on_kernel(config, "beacon", FaultSchedule()), name

@@ -475,7 +475,7 @@ class TestCompareCommand:
         assert code == 0
         assert "no regressions" in capsys.readouterr().out
 
-    def test_regression_exit_two(self, capsys, tmp_path):
+    def test_regression_exit_one(self, capsys, tmp_path):
         from repro.analysis.report import ExperimentResult, SeriesResult
         from repro.persist import save_result
 
@@ -492,8 +492,16 @@ class TestCompareCommand:
         save_result(result_of(5.0), base)
         save_result(result_of(9.0), cand)
         code = main(["compare", str(base), str(cand)])
-        assert code == 2
+        # A finding exits 1, as runs compare and bench gate do; 2 is
+        # argparse's usage error.
+        assert code == 1
         assert "REGRESSED" in capsys.readouterr().out
+
+    def test_negative_tolerance_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "a.json", "b.json", "--tolerance", "-0.1"])
+        assert excinfo.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
 
 
 class TestParser:
@@ -505,6 +513,19 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", ["form-groups", "simulate"])
+    def test_scheme_choices_come_from_the_registry(self, command):
+        from repro.cli import build_parser
+        from repro.core.schemes import SCHEME_NAMES
+
+        parser = build_parser()
+        sub = next(
+            action for action in parser._actions
+            if action.dest == "command"
+        ).choices[command]
+        [scheme] = [a for a in sub._actions if a.dest == "scheme"]
+        assert tuple(scheme.choices) == SCHEME_NAMES
 
 
 class TestInstrumentedSimulate:
