@@ -45,8 +45,9 @@ PathLike = Union[str, Path]
 #: Bump to invalidate every persisted cache entry (keys embed this).
 #: v2: a pickled ``Workload`` holds a columnar ``RequestLog``, not a
 #: tuple of ``RequestRecord``.  v3: and a columnar ``UpdateLog``, not a
-#: tuple of ``UpdateRecord``.
-CACHE_FORMAT_VERSION = 3
+#: tuple of ``UpdateRecord``.  v4: a pickled ``NetworkGraph`` holds plain
+#: adjacency dicts, not a ``networkx.Graph``.
+CACHE_FORMAT_VERSION = 4
 
 #: Size of the in-memory LRU tier (testbeds are a few MB each).
 MAX_ENTRIES = 8

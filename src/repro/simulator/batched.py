@@ -45,7 +45,9 @@ hot path with a *slice kernel* over
   (:meth:`~repro.simulator.origin.OriginServer.hot_state`) is bumped
   and the invalidation fan-out pops the document's holder-directory
   entry and drops each copy with the same dict operations the method
-  path makes, counting invalidations in a flat per-cache slot.  The
+  path makes, counting invalidations in a flat per-cache slot.  Since
+  an update drops every copy at once, no copy is ever served stale:
+  trace rows carry ``stale=False`` and the stale-serve count is 0.  The
   kernel calls no engine handler.
 * Nothing here may create a reference cycle: :meth:`SimulationEngine.
   run` pauses the cyclic collector around the kernel, so cyclic
@@ -69,7 +71,11 @@ from typing import TYPE_CHECKING, Iterator, Tuple
 from repro.errors import SimulationError
 from repro.obs.trace import KIND_REQUEST, TraceRecord
 from repro.simulator import events as events_module
-from repro.simulator.events import EventColumns, OriginUpdateEvent
+from repro.simulator.events import (
+    EventColumns,
+    OriginUpdateEvent,
+    columns_from_arrays,
+)
 from repro.simulator.replacement import SPILL_AT, push_spilled
 
 if TYPE_CHECKING:
@@ -129,17 +135,23 @@ def _merged_stream(columns: EventColumns) -> Iterator[Tuple[str, float]]:
 
 
 def run_batched(engine: "SimulationEngine") -> int:
-    """Process the engine's event columns; returns the event count.
+    """Build the workload's event columns and process them; returns the event count.
 
     Mutates the engine's shared state (store, policies, protocol,
     metrics, observer) exactly as the reference oracle would; the
     engine's ``run()`` wraps this with the common throughput/
     conservation postlude.
     """
-    columns = engine._columns
     if engine._columns_consumed:
         return 0
     engine._columns_consumed = True
+    requests = engine._workload.requests
+    columns = columns_from_arrays(
+        requests.timestamps_ms,
+        requests.cache_nodes,
+        requests.doc_ids,
+        engine._workload.updates,
+    )
 
     # -- event stream ------------------------------------------------
     req_ts_column = columns.req_timestamps
@@ -247,7 +259,6 @@ def run_batched(engine: "SimulationEngine") -> int:
     m_queries = [0] * size_index
     m_peer_bytes = [0] * size_index
     m_origin_bytes = [0] * size_index
-    m_stale = [0] * size_index
     m_inval = [0] * size_index
 
     hist = metrics._latency_hist
@@ -345,7 +356,6 @@ def run_batched(engine: "SimulationEngine") -> int:
                         version,
                         d,
                     ))
-                    stale = record[2] < origin_version[d]
                     if counted:
                         slot = lat_by[c]
                         n = slot[0] + 1
@@ -366,15 +376,13 @@ def run_batched(engine: "SimulationEngine") -> int:
                         if local_ms > hist_max:
                             hist_max = local_ms
                         m_local[c] += 1
-                        if stale:
-                            m_stale[c] += 1
                     if sampler is not None:
                         window_local += 1
                         window_totals.append(local_ms)
                     if trace is not None:
                         trace_buf.append((
                             ts, c, d, "local_hit", local_ms, 0.0, 0.0, 0.0,
-                            0, 0, counted, stale,
+                            0, 0, counted, False,
                         ))
                     continue
 
@@ -498,7 +506,6 @@ def run_batched(engine: "SimulationEngine") -> int:
                         by_group[group_c] = held = set()
                     held.add(c)
 
-                stale = fetched_version < origin_version[d]
                 if counted:
                     slot = lat_by[c]
                     n = slot[0] + 1
@@ -523,8 +530,6 @@ def run_batched(engine: "SimulationEngine") -> int:
                         hist_max = total
                     if messages:
                         m_queries[c] += messages
-                    if stale:
-                        m_stale[c] += 1
                     if hit:
                         m_group[c] += 1
                         m_peer_bytes[c] += size
@@ -540,7 +545,7 @@ def run_batched(engine: "SimulationEngine") -> int:
                 if trace is not None:
                     trace_buf.append((
                         ts, c, d, path_value, total, query, fetch,
-                        transfer, messages, size, counted, stale,
+                        transfer, messages, size, counted, False,
                     ))
 
             lo = sub_hi
@@ -633,7 +638,7 @@ def run_batched(engine: "SimulationEngine") -> int:
             slot[0], slot[1], slot[2], slot[3], slot[4],
             m_local[node], m_group[node], m_origin[node],
             m_queries[node], m_peer_bytes[node], m_origin_bytes[node],
-            m_stale[node], m_inval[node],
+            0, m_inval[node],  # no stale serves under invalidation
         )
     metrics.absorb_batched(
         rows,

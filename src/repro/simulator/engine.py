@@ -31,7 +31,6 @@ from repro.simulator.events import (
     PartitionStartEvent,
     RequestEvent,
     column_ledger,
-    columns_from_arrays,
 )
 from repro.simulator.group_proto import GroupProtocol, LookupOutcome
 from repro.simulator.latency import LatencyModel
@@ -189,9 +188,7 @@ class SimulationEngine:
         # The membership check reports the first offender in workload
         # order.
         requests = workload.requests
-        req_ts = requests.timestamps_ms
         req_cache = requests.cache_nodes
-        req_doc = requests.doc_ids
         if req_cache.size:
             member = np.isin(
                 req_cache, np.fromiter(self._caches, dtype=np.int64)
@@ -223,9 +220,6 @@ class SimulationEngine:
                 )
             barrier_events.append(fault_event)
         self._barrier_events = tuple(barrier_events)
-        self._columns = columns_from_arrays(
-            req_ts, req_cache, req_doc, workload.updates
-        )
         self._columns_consumed = False
         self._on_kernel = runs_on_kernel(
             self._config, group_protocol_mode, faults

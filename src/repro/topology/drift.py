@@ -45,15 +45,18 @@ def drift_network(
         raise TopologyError(f"scale must be >= 0, got {scale}")
     rng = spawn_rng(seed)
 
-    old = network.graph.as_networkx()
+    old = network.graph
     drifted = NetworkGraph()
-    for router, data in old.nodes(data=True):
+    for router in old.routers():
         drifted.add_router(
-            router, data["tier"], data["domain"], position=data["position"]
+            router,
+            old.tier_of(router),
+            old.domain_of(router),
+            position=old.position_of(router),
         )
-    for a, b, data in old.edges(data=True):
+    for a, b, latency_ms in old.links():
         factor = float(np.exp(rng.normal(0.0, scale))) if scale else 1.0
-        drifted.add_link(a, b, data["latency_ms"] * factor)
+        drifted.add_link(a, b, latency_ms * factor)
 
     distances = compute_rtt_matrix(
         drifted, network.placement.node_routers

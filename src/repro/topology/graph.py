@@ -1,22 +1,26 @@
 """Weighted router-graph model.
 
-:class:`NetworkGraph` wraps a ``networkx.Graph`` whose vertices are
-routers and whose edges carry one-way propagation latencies in
-milliseconds (attribute ``latency_ms``).  Routers are tagged with a
+:class:`NetworkGraph` is an undirected router graph held in two
+insertion-ordered dicts: router -> ``(tier, domain, position)`` and
+router -> ``{neighbour: latency_ms}``, where a link's latency is its
+one-way propagation delay in milliseconds.  Routers are tagged with a
 :class:`RouterTier` and a domain label so placement logic can
-distinguish transit backbones from stub access networks.
+distinguish transit backbones from stub access networks.  Shortest
+paths are not computed here: :mod:`repro.topology.distance` runs
+scipy's Dijkstra over :meth:`NetworkGraph.to_sparse_adjacency`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import DisconnectedTopologyError, TopologyError
 from repro.types import RouterId
+
+Position = Optional[Tuple[float, float]]
 
 
 class RouterTier(enum.Enum):
@@ -27,17 +31,18 @@ class RouterTier(enum.Enum):
 
 
 class NetworkGraph:
-    """An undirected router graph with millisecond edge latencies.
+    """An undirected router graph with millisecond link latencies.
 
     The class owns all mutation; once handed to
     :func:`repro.topology.distance.compute_rtt_matrix` or placement it
     should be treated as immutable.
     """
 
-    LATENCY_KEY = "latency_ms"
-
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._routers: Dict[RouterId, Tuple[RouterTier, str, Position]] = {}
+        # Each link is stored in both endpoints' neighbour dicts.
+        self._adjacency: Dict[RouterId, Dict[RouterId, float]] = {}
+        self._link_count = 0
 
     # -- construction -------------------------------------------------
 
@@ -46,7 +51,7 @@ class NetworkGraph:
         router: RouterId,
         tier: RouterTier,
         domain: str,
-        position: Optional[Tuple[float, float]] = None,
+        position: Position = None,
     ) -> None:
         """Add a router vertex.
 
@@ -54,69 +59,96 @@ class NetworkGraph:
         for grouping; ``position`` is an optional 2-D coordinate used by
         Waxman-style edge models and plotting.
         """
-        if router in self._graph:
+        if router in self._routers:
             raise TopologyError(f"router {router} already exists")
-        self._graph.add_node(router, tier=tier, domain=domain, position=position)
+        self._routers[router] = (tier, domain, position)
+        self._adjacency[router] = {}
 
     def add_link(self, a: RouterId, b: RouterId, latency_ms: float) -> None:
         """Add an undirected link; parallel links keep the lower latency."""
         if a == b:
             raise TopologyError(f"self-loop on router {a}")
-        if a not in self._graph or b not in self._graph:
+        if a not in self._routers or b not in self._routers:
             raise TopologyError(f"link endpoints must exist: ({a}, {b})")
         if latency_ms <= 0:
             raise TopologyError(
                 f"link latency must be > 0 ms, got {latency_ms} for ({a}, {b})"
             )
-        if self._graph.has_edge(a, b):
-            existing = self._graph[a][b][self.LATENCY_KEY]
-            if latency_ms < existing:
-                self._graph[a][b][self.LATENCY_KEY] = latency_ms
+        existing = self._adjacency[a].get(b)
+        if existing is None:
+            self._link_count += 1
+        elif latency_ms >= existing:
             return
-        self._graph.add_edge(a, b, **{self.LATENCY_KEY: latency_ms})
+        self._adjacency[a][b] = latency_ms
+        self._adjacency[b][a] = latency_ms
 
     # -- inspection ---------------------------------------------------
 
     @property
     def router_count(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._routers)
 
     @property
     def link_count(self) -> int:
-        return self._graph.number_of_edges()
+        return self._link_count
 
     def routers(self) -> Iterator[RouterId]:
-        return iter(self._graph.nodes)
+        return iter(self._routers)
 
     def routers_in_tier(self, tier: RouterTier) -> List[RouterId]:
         """All routers of one tier, in insertion order."""
-        return [
-            r for r, data in self._graph.nodes(data=True) if data["tier"] is tier
-        ]
+        return [r for r, data in self._routers.items() if data[0] is tier]
+
+    def _data(self, router: RouterId) -> Tuple[RouterTier, str, Position]:
+        try:
+            return self._routers[router]
+        except KeyError:
+            raise TopologyError(f"unknown router {router}") from None
 
     def tier_of(self, router: RouterId) -> RouterTier:
-        try:
-            return self._graph.nodes[router]["tier"]
-        except KeyError:
-            raise TopologyError(f"unknown router {router}") from None
+        return self._data(router)[0]
 
     def domain_of(self, router: RouterId) -> str:
-        try:
-            return self._graph.nodes[router]["domain"]
-        except KeyError:
-            raise TopologyError(f"unknown router {router}") from None
+        return self._data(router)[1]
+
+    def position_of(self, router: RouterId) -> Position:
+        return self._data(router)[2]
 
     def domains(self) -> Dict[str, List[RouterId]]:
         """Map domain label -> routers, in insertion order."""
         out: Dict[str, List[RouterId]] = {}
-        for router, data in self._graph.nodes(data=True):
-            out.setdefault(data["domain"], []).append(router)
+        for router, data in self._routers.items():
+            out.setdefault(data[1], []).append(router)
         return out
 
+    def links(self) -> Iterator[Tuple[RouterId, RouterId, float]]:
+        """Each link once as ``(a, b, latency_ms)``.
+
+        Routers in insertion order, each with its neighbours in
+        insertion order, skipping neighbours already visited: the order
+        ``networkx.Graph.edges()`` gives, which fixes the order of the
+        per-link RNG draws in :mod:`repro.topology.drift`.
+        """
+        visited: Set[RouterId] = set()
+        for a, neighbours in self._adjacency.items():
+            for b, latency_ms in neighbours.items():
+                if b not in visited:
+                    yield a, b, latency_ms
+            visited.add(a)
+
     def is_connected(self) -> bool:
-        if self.router_count == 0:
+        if not self._routers:
             return False
-        return nx.is_connected(self._graph)
+        start = next(iter(self._adjacency))
+        reached = {start}
+        queue = [start]
+        # Breadth-first: the loop also visits the routers it appends.
+        for router in queue:
+            for neighbour in self._adjacency[router]:
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    queue.append(neighbour)
+        return len(reached) == len(self._routers)
 
     def require_connected(self) -> None:
         """Raise :class:`DisconnectedTopologyError` unless connected."""
@@ -136,14 +168,13 @@ class NetworkGraph:
         """
         from scipy.sparse import csr_matrix
 
-        routers = list(self._graph.nodes)
+        routers = list(self._routers)
         index_of = {r: i for i, r in enumerate(routers)}
         n = len(routers)
         rows: List[int] = []
         cols: List[int] = []
         vals: List[float] = []
-        for a, b, data in self._graph.edges(data=True):
-            latency = data[self.LATENCY_KEY]
+        for a, b, latency in self.links():
             rows.append(index_of[a])
             cols.append(index_of[b])
             vals.append(latency)
@@ -154,10 +185,6 @@ class NetworkGraph:
             (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(n, n)
         )
         return np.asarray(routers), matrix, index_of
-
-    def as_networkx(self) -> nx.Graph:
-        """Expose the underlying networkx graph (read-only by convention)."""
-        return self._graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

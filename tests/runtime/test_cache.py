@@ -97,11 +97,21 @@ class TestKeys:
         self, tmp_path, monkeypatch
     ):
         # Format 2 pickled a workload's update log as a tuple of records.
-        assert CACHE_FORMAT_VERSION == 3
+        assert CACHE_FORMAT_VERSION == 4
+        self._check_old_entry_is_a_miss(tmp_path, monkeypatch, 2)
+
+    def test_entry_written_under_format_3_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        # Format 3 pickled a network's router graph as a networkx graph.
+        self._check_old_entry_is_a_miss(tmp_path, monkeypatch, 3)
+
+    @staticmethod
+    def _check_old_entry_is_a_miss(tmp_path, monkeypatch, version):
         with monkeypatch.context() as patch:
-            patch.setattr(runtime_cache, "CACHE_FORMAT_VERSION", 2)
+            patch.setattr(runtime_cache, "CACHE_FORMAT_VERSION", version)
             old_key = make_testbed_key(50, 3, 150, 400)
-        Cache(disk_dir=tmp_path).get_or_build(old_key, lambda: "format 2")
+        Cache(disk_dir=tmp_path).get_or_build(old_key, lambda: "old")
         reader = Cache(disk_dir=tmp_path)
         value = reader.get_or_build(
             make_testbed_key(50, 3, 150, 400), lambda: "rebuilt"

@@ -13,7 +13,9 @@ from repro.config import (
 from repro.core.groups import CacheGroup, GroupingResult
 from repro.errors import SimulationError
 from repro.faults.schedule import FaultSchedule, PartitionSpec
+import repro.simulator.batched as batched_module
 import repro.simulator.engine as engine_module
+import repro.simulator.events as events_module
 from repro.simulator import SimulationEngine, simulate
 from repro.simulator.engine import runs_on_kernel
 from repro.workload import Workload, build_catalog
@@ -438,6 +440,34 @@ class TestDispatch:
         result = self.run(tiny_network, tiny_catalog, **REJECTED[mode])
         assert [call[0] for call in loop_calls] == ["run_reference"]
         assert result.metrics.total_requests() == 8
+
+    @pytest.fixture
+    def column_builds(self, monkeypatch):
+        """Count ``columns_from_arrays`` calls, wherever it is bound."""
+        calls = []
+        build = events_module.columns_from_arrays
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        for module in (events_module, batched_module, engine_module):
+            if hasattr(module, "columns_from_arrays"):
+                monkeypatch.setattr(module, "columns_from_arrays", counting)
+        return calls
+
+    def test_kernel_run_builds_the_event_columns_once(
+        self, tiny_network, tiny_catalog, column_builds
+    ):
+        self.run(tiny_network, tiny_catalog)
+        assert len(column_builds) == 1
+
+    @pytest.mark.parametrize("mode", sorted(REJECTED))
+    def test_oracle_run_builds_no_event_columns(
+        self, tiny_network, tiny_catalog, column_builds, mode
+    ):
+        self.run(tiny_network, tiny_catalog, **REJECTED[mode])
+        assert column_builds == []
 
 
 class TestPaperTraffic:

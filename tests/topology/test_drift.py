@@ -1,5 +1,7 @@
 """Tests for topology drift."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,15 @@ from repro.topology.drift import (
     drift_network,
     drift_series,
     mean_relative_rtt_change,
+)
+from repro.topology.network import build_network
+
+#: SHA-256 over the RTT matrices of a 3-step walk from
+#: ``build_network(num_caches=20, seed=3)`` with ``scale=0.1, seed=5``.
+#: It pins the per-link draw order: one normal draw per link, in
+#: ``NetworkGraph.links()`` order.
+DRIFT_SERIES_DIGEST = (
+    "a3055f2bf611638c5f24e15bc07a8cb8f8639f6e4a06538769c0f218dac7d53b"
 )
 
 
@@ -72,6 +83,13 @@ class TestDriftSeries:
         for net in drift_series(small_network, steps=3, scale=0.15, seed=7):
             assert net.num_caches == small_network.num_caches
             assert np.isfinite(net.distances.as_array()).all()
+
+    def test_walk_digest_pinned(self):
+        network = build_network(num_caches=20, seed=3)
+        digest = hashlib.sha256()
+        for step in drift_series(network, steps=3, scale=0.1, seed=5):
+            digest.update(step.distances.as_array().tobytes())
+        assert digest.hexdigest() == DRIFT_SERIES_DIGEST
 
     def test_bad_steps_rejected(self, small_network):
         with pytest.raises(TopologyError):

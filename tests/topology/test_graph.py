@@ -54,10 +54,9 @@ class TestConstruction:
         g.add_router(1, RouterTier.STUB, "S0")
         g.add_link(0, 1, 5.0)
         g.add_link(0, 1, 3.0)
-        edge = g.as_networkx()[0][1]
-        assert edge[NetworkGraph.LATENCY_KEY] == 3.0
-        g.add_link(0, 1, 7.0)
-        assert edge[NetworkGraph.LATENCY_KEY] == 3.0
+        assert list(g.links()) == [(0, 1, 3.0)]
+        g.add_link(1, 0, 7.0)
+        assert list(g.links()) == [(0, 1, 3.0)]
         assert g.link_count == 1
 
 
@@ -78,15 +77,31 @@ class TestInspection:
             g.tier_of(42)
         with pytest.raises(TopologyError):
             g.domain_of(42)
+        with pytest.raises(TopologyError):
+            g.position_of(42)
 
     def test_position_default_none(self):
         g = make_triangle()
-        assert g.as_networkx().nodes[0]["position"] is None
+        assert g.position_of(0) is None
 
     def test_position_roundtrip(self):
         g = NetworkGraph()
         g.add_router(0, RouterTier.STUB, "S0", position=(0.25, 0.75))
-        assert g.as_networkx().nodes[0]["position"] == (0.25, 0.75)
+        assert g.position_of(0) == (0.25, 0.75)
+
+
+class TestLinks:
+    def test_each_link_once_in_insertion_order(self):
+        # Routers in insertion order, then their neighbours in insertion
+        # order, skipping routers already visited.
+        assert list(make_triangle().links()) == [
+            (0, 1, 5.0), (0, 2, 9.0), (1, 2, 2.0),
+        ]
+
+    def test_empty_graph_has_no_links(self):
+        g = NetworkGraph()
+        g.add_router(0, RouterTier.STUB, "S0")
+        assert list(g.links()) == []
 
 
 class TestConnectivity:
@@ -102,6 +117,16 @@ class TestConnectivity:
 
     def test_empty_graph_not_connected(self):
         assert not NetworkGraph().is_connected()
+
+    def test_path_connected_through_every_router(self):
+        g = NetworkGraph()
+        for router in range(4):
+            g.add_router(router, RouterTier.STUB, "S0")
+        g.add_link(0, 3, 1.0)
+        g.add_link(3, 1, 1.0)
+        assert not g.is_connected()
+        g.add_link(1, 2, 1.0)
+        assert g.is_connected()
 
 
 class TestSparseExport:

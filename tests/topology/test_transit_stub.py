@@ -71,25 +71,23 @@ class TestLatencyTiers:
     def test_intra_stub_links_fast(self, rng):
         cfg = small_config()
         graph = generate_transit_stub(cfg, rng)
-        nx_graph = graph.as_networkx()
         low, high = cfg.intra_stub_latency_ms
-        for a, b, data in nx_graph.edges(data=True):
+        for a, b, latency_ms in graph.links():
             same_stub = (
                 graph.tier_of(a) is RouterTier.STUB
                 and graph.tier_of(b) is RouterTier.STUB
                 and graph.domain_of(a) == graph.domain_of(b)
             )
             if same_stub:
-                assert low <= data["latency_ms"] <= high
+                assert low <= latency_ms <= high
 
     def test_transit_transit_links_slow(self, rng):
         cfg = small_config()
         graph = generate_transit_stub(cfg, rng)
-        nx_graph = graph.as_networkx()
         inter_low = cfg.transit_transit_latency_ms[0]
         crossings = [
-            data["latency_ms"]
-            for a, b, data in nx_graph.edges(data=True)
+            latency_ms
+            for a, b, latency_ms in graph.links()
             if graph.tier_of(a) is RouterTier.TRANSIT
             and graph.tier_of(b) is RouterTier.TRANSIT
             and graph.domain_of(a) != graph.domain_of(b)
@@ -99,13 +97,14 @@ class TestLatencyTiers:
 
     def test_every_stub_domain_attached_to_transit(self, rng):
         graph = generate_transit_stub(small_config(), rng)
-        nx_graph = graph.as_networkx()
+        uplinked = set()
+        for a, b, _latency in graph.links():
+            if graph.tier_of(a) is RouterTier.TRANSIT:
+                uplinked.add(b)
+            if graph.tier_of(b) is RouterTier.TRANSIT:
+                uplinked.add(a)
         for domain, members in graph.domains().items():
             if not domain.startswith("S"):
                 continue
-            attached = any(
-                graph.tier_of(neighbor) is RouterTier.TRANSIT
-                for member in members
-                for neighbor in nx_graph.neighbors(member)
-            )
+            attached = any(member in uplinked for member in members)
             assert attached, f"stub domain {domain} has no transit uplink"
